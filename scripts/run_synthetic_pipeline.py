@@ -49,7 +49,8 @@ def main() -> None:
             print(
                 f"  repaired: fro distance {norms['fro']:.4f}, "
                 f"min eig {result.min_eigenvalue:.2e}, "
-                f"tp defect {result.tp_defect:.2e}"
+                f"tp defect {result.tp_defect:.2e}, "
+                f"{result.iterations} iterations, converged {result.converged}"
             )
         props.append(lindblad.propagator_from_outputs(outputs))
 
@@ -63,8 +64,8 @@ def main() -> None:
     truth = nvsim.true_gks_matrix(cfg)
     rel_err = np.linalg.norm(fit.gks - truth) / np.linalg.norm(truth)
 
-    print(f"\ngenerator fit: residual {fit.residual:.3e}, "
-          f"{fit.evaluations} evaluations")
+    print(f"\ngenerator fit (Levenberg-Marquardt): residual {fit.residual:.3e}, "
+          f"{fit.evaluations} objective evaluations")
     print(f"GKS matrix relative error vs ground truth: {100 * rel_err:.2f}%")
     lset = lindblad.lindblads_from_gks(fit.gks)
     for i, (op, c) in enumerate(zip(lset.operators, lset.contributions), start=1):

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, reconstruct, project, metrics, lindblad,
-ellipsoid.  Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure.  Matrices are serialized as separate real and
-imaginary parts so the JSON files stay portable.
+ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
+NVQPT_TOLERANCES override), 3 data error, 4 numerical failure.
+Matrices are serialized as separate real and imaginary parts so the
+JSON files stay portable.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def _chi_from_doc(doc: dict, path: str) -> np.ndarray:
     chi = np.array(doc["chi_re"]) + 1j * np.array(doc["chi_im"])
     if chi.shape != (4, 4):
         raise DataError(f"{path}: chi must be 4x4")
+    if not np.all(np.isfinite(chi)):
+        raise DataError(f"{path}: chi has non-finite entries")
     if np.linalg.norm(chi - chi.conj().T) > 1e-6:
         raise DataError(f"{path}: chi is not Hermitian")
-    return chi
+    return (chi + chi.conj().T) / 2
 
 
 def _process_doc(chi: np.ndarray, diagnostics: dict) -> dict:
@@ -155,16 +158,13 @@ def cmd_reconstruct(args) -> int:
 def cmd_project(args) -> int:
     doc = _load_json(args.process, PROCESS_SCHEMA)
     chi = _chi_from_doc(doc, args.process)
-    opts = cpfit.ProjectionOptions(lagrange=args.lagrange)
-    result = cpfit.project_to_cp(chi, opts)
+    result = cpfit.project_to_cp(chi)
     norms = qpt.unphysicality_norms(chi, result.chi_tilde)
     diagnostics = {
         "min_eigenvalue": result.min_eigenvalue,
         "tp_defect": result.tp_defect,
-        "deviation": result.deviation,
-        "evaluations": result.evaluations,
+        "iterations": result.iterations,
         "distance_to_input": norms,
-        "lagrange": args.lagrange,
         "success": result.success,
     }
     _dump_json(_process_doc(result.chi_tilde, diagnostics), args.out)
@@ -175,15 +175,16 @@ def cmd_project(args) -> int:
         print(f"  {name:<15} {_fmt(norms[name])}")
     if not result.success:
         raise NumericalError(
-            f"projection missed physicality thresholds "
-            f"(min eig {result.min_eigenvalue:.3g}, tp defect {result.tp_defect:.3g})"
+            f"projection failed after {result.iterations} iterations "
+            f"(converged {result.converged}, min eig {result.min_eigenvalue:.3g}, "
+            f"tp defect {result.tp_defect:.3g})"
         )
     return 0
 
 
 def _is_cptp(chi: np.ndarray) -> bool:
     return (
-        eig_hermitian(chi).eigenvalues[0] >= -1e-9
+        eig_hermitian(chi).eigenvalues[0] >= tolerances.get("min_eig_floor")
         and qpt.tp_defect(chi) <= tolerances.get("tp_defect_max")
     )
 
@@ -231,7 +232,7 @@ def cmd_lindblad(args) -> int:
     if len(times) < 3:
         raise DataError("need at least three timepoints on a doubling schedule")
     try:
-        schedule = lindblad.TimeSchedule.from_times(times[:3])
+        schedule = lindblad.TimeSchedule.from_times(times)
     except lindblad.LindbladError as exc:
         raise DataError(str(exc)) from exc
 
@@ -346,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="repair a process to the nearest CPTP map")
     p.add_argument("process")
-    p.add_argument("--lagrange", type=float,
-                   default=tolerances.get("lagrange_default"))
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_project)
 
@@ -379,7 +378,11 @@ def main(argv=None) -> int:
     if getattr(args, "points", 1) < 1:
         parser.error("--points must be at least 1")
     try:
+        tolerances.table()
         return args.func(args)
+    except tolerances.ToleranceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

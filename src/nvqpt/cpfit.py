@@ -1,72 +1,34 @@
 """Repair of an experimental chi matrix to the nearest completely
 positive, trace-preserving process.
 
-The repaired matrix is parameterized as chi~ = T(t)^dag T(t) with T a
-complex lower-triangular matrix over 16 real parameters, so positivity is
-structural.  The deviation from the measured chi plus a Lagrange penalty
-on the trace-preservation defect is minimized by Nelder-Mead, starting
-from the eigenvalue-clipped input factored through a Cholesky
-decomposition.
+The nearest CPTP chi~ in Frobenius norm is found by Dykstra's alternating
+projection (Boyle and Dykstra 1986; Knee, Bolduc, Leach and Gauger 2018)
+between the positive semidefinite cone (clip negative eigenvalues) and
+the affine subspace tp_sum(chi) = I (shift both diagonal 2x2 blocks by
+half the defect).  The returned iterate is the affine one, so it is
+exactly trace-preserving; convergence makes it positive semidefinite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import (
-    NotPositiveSemidefinite,
-    SimplexOptions,
-    cholesky_lower,
-    eig_hermitian,
-    nelder_mead,
-)
+from .numkit import clip_negative_eigs, eig_hermitian, triangular_from_params
 
-# (row, col) -> (real param index, imag param index or None), 0-based
-# parameter indices into the length-16 vector t.
-_T_LAYOUT: dict[tuple[int, int], tuple[int, int | None]] = {
-    (0, 0): (0, None),
-    (1, 1): (1, None),
-    (2, 2): (2, None),
-    (3, 3): (3, None),
-    (1, 0): (4, 5),
-    (2, 1): (6, 7),
-    (3, 2): (8, 9),
-    (2, 0): (10, 11),
-    (3, 1): (12, 13),
-    (3, 0): (14, 15),
-}
-
-_REVERSE = np.arange(3, -1, -1)
-
-# flattened index arrays for fast assembly in the optimizer hot path
-_T_ROWS = np.array([ij[0] for ij in _T_LAYOUT])
-_T_COLS = np.array([ij[1] for ij in _T_LAYOUT])
-_T_RE = np.array([v[0] for v in _T_LAYOUT.values()])
-_T_IM = np.array([-1 if v[1] is None else v[1] for v in _T_LAYOUT.values()])
+# Dykstra converges once the PSD and affine iterates are this close (relative
+# to max(1, |chi|)); reaching MAX_ITERATIONS first fails the projection.
+CONVERGENCE_GAP = 1e-12
+MAX_ITERATIONS = 1000
 
 
 def params_to_matrix(t: np.ndarray) -> np.ndarray:
-    """Assemble the lower-triangular T from the 16 real parameters."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (16,):
-        raise ValueError("expected 16 real parameters")
-    m = np.zeros((4, 4), dtype=complex)
-    vals = t[_T_RE] + 1j * np.where(_T_IM >= 0, t[_T_IM], 0.0)
-    m[_T_ROWS, _T_COLS] = vals
-    return m
-
-
-def matrix_to_params(t_matrix: np.ndarray) -> np.ndarray:
-    t_matrix = np.asarray(t_matrix, dtype=complex)
-    out = np.zeros(16)
-    for (i, j), (re, im) in _T_LAYOUT.items():
-        out[re] = t_matrix[i, j].real
-        if im is not None:
-            out[im] = t_matrix[i, j].imag
-    return out
+    """Assemble the lower-triangular T from the 16 real parameters: the
+    real diagonal, then Re/Im of the subdiagonals (1,0), (2,1), (3,2),
+    (2,0), (3,1), (3,0)."""
+    return triangular_from_params(t, 4)
 
 
 def chi_from_params(t: np.ndarray) -> np.ndarray:
@@ -75,89 +37,56 @@ def chi_from_params(t: np.ndarray) -> np.ndarray:
     return m.conj().T @ m
 
 
-def clip_negative_eigs(chi: np.ndarray) -> np.ndarray:
-    """Zero out negative eigenvalues, keeping eigenvectors."""
-    res = eig_hermitian(chi)
-    w = np.clip(res.eigenvalues, 0.0, None)
-    v = res.eigenvectors
-    return (v * w) @ v.conj().T
-
-
-def initial_params(chi_star: np.ndarray) -> np.ndarray:
-    """Cholesky-based start point: lower-triangular T with
-    T^dag T = chi_star.
-
-    A standard Cholesky gives L L^dag; the T^dag T arrangement is obtained
-    by factoring the index-reversed matrix and reversing back."""
-    chi_star = np.asarray(chi_star, dtype=complex)
-    flipped = chi_star[np.ix_(_REVERSE, _REVERSE)]
-    try:
-        low = cholesky_lower(flipped)
-    except NotPositiveSemidefinite as exc:
-        raise NotPositiveSemidefinite(
-            f"start-point chi is not positive semidefinite: {exc}"
-        ) from exc
-    t_matrix = low.conj().T[np.ix_(_REVERSE, _REVERSE)]
-    return matrix_to_params(t_matrix)
-
-
-def deviation(t: np.ndarray, chi: np.ndarray, lagrange: float) -> float:
-    """Sum |chi~(t) - chi|^2 plus lagrange * squared-Frobenius TP defect."""
-    chi_t = chi_from_params(t)
-    fit = float(np.sum(np.abs(chi_t - np.asarray(chi, dtype=complex)) ** 2))
-    return fit + lagrange * qpt.tp_defect(chi_t) ** 2
-
-
-@dataclass(frozen=True)
-class ProjectionOptions:
-    lagrange: float = 100.0
-    simplex: SimplexOptions = field(default_factory=SimplexOptions)
-    min_eigenvalue: float = -1e-9
-    max_tp_defect: float = 1e-3
-
-    def __post_init__(self):
-        if self.lagrange <= 0:
-            raise ValueError("lagrange multiplier must be positive")
+def tp_project(chi: np.ndarray) -> np.ndarray:
+    """Nearest matrix with tp_sum = I: both diagonal 2x2 blocks shift by
+    half the (transposed) defect."""
+    shift = (qpt.tp_sum(chi) - np.eye(2)).T / 2
+    return np.asarray(chi, dtype=complex) - np.kron(np.eye(2), shift)
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
     chi_tilde: np.ndarray
-    deviation: float
-    evaluations: int
-    chi_start: np.ndarray
+    iterations: int
+    converged: bool
+    chi_start: np.ndarray      # eigenvalue-clipped input, the first PSD iterate
     min_eigenvalue: float
     tp_defect: float
     frobenius_distance: float
     success: bool
 
 
-def project_to_cp(chi: np.ndarray, opts: ProjectionOptions | None = None) -> ProjectionResult:
+def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     """Find the nearest CPTP chi~ to a Hermitian (possibly unphysical) chi.
 
-    Pipeline: clip negative eigenvalues -> Cholesky start point ->
-    Nelder-Mead on the penalized deviation.  Physicality thresholds are
+    Physicality thresholds (`min_eig_floor`, `tp_defect_max`) are
     reported, not silently ignored: `success` is False when they are
-    missed.
+    missed or when the projection stops on its iteration budget.
     """
-    if opts is None:
-        opts = ProjectionOptions(lagrange=tolerances.get("lagrange_default"))
     chi = np.asarray(chi, dtype=complex)
-    chi_star = clip_negative_eigs(chi)
-    t0 = initial_params(chi_star)
-    t_best, dev, evals = nelder_mead(
-        lambda t: deviation(t, chi, opts.lagrange), t0, opts.simplex
-    )
-    chi_tilde = chi_from_params(t_best)
+    gap_tol = CONVERGENCE_GAP * max(1.0, float(np.linalg.norm(chi)))
+    psd = chi_start = clip_negative_eigs(chi)
+    correction = chi - psd
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        chi_tilde = tp_project(psd)
+        psd = clip_negative_eigs(chi_tilde + correction)
+        correction = chi_tilde + correction - psd
+        converged = float(np.linalg.norm(chi_tilde - psd)) <= gap_tol
+        if converged:
+            break
     min_eig = float(eig_hermitian(chi_tilde).eigenvalues[0])
     defect = qpt.tp_defect(chi_tilde)
     return ProjectionResult(
         chi_tilde=chi_tilde,
-        deviation=dev,
-        evaluations=evals,
-        chi_start=chi_star,
+        iterations=iterations,
+        converged=converged,
+        chi_start=chi_start,
         min_eigenvalue=min_eig,
         tp_defect=defect,
         frobenius_distance=float(np.linalg.norm(chi_tilde - chi)),
-        success=(min_eig >= opts.min_eigenvalue and defect <= opts.max_tp_defect),
+        success=(
+            converged
+            and min_eig >= tolerances.get("min_eig_floor")
+            and defect <= tolerances.get("tp_defect_max")
+        ),
     )

@@ -4,8 +4,8 @@ Density matrices are column-stacked into 4-vectors; channels and
 generators become 4x4 superoperators.  The relaxation generator is
 estimated from propagators at a doubling time schedule (matrix-log and
 symmetric-BCH/Richardson routes), projected onto the positive GKS form,
-refined by a simplex fit, and finally diagonalized into Lindblad
-operators with relative contributions.
+refined by a Levenberg-Marquardt fit to the propagators, and finally
+diagonalized into Lindblad operators with relative contributions.
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
@@ -18,13 +18,15 @@ import numpy as np
 
 from . import qpt
 from .numkit import (
-    SimplexOptions,
     cholesky_lower,
+    clip_negative_eigs,
     eig_hermitian,
+    levenberg_marquardt,
     matrix_exp,
     matrix_log_principal,
-    nelder_mead,
+    params_from_triangular,
     richardson_derivative,
+    triangular_from_params,
 )
 from .qstate import PAULIS, PauliExpectations, density_to_bloch
 
@@ -156,41 +158,26 @@ def generator_bch_estimate(
     """Richardson estimate of R_hat via the symmetric BCH identity.
 
     F(t_m) = exp(i t_m H/2) P_m exp(i t_m H/2) equals exp(-t_m R) up to
-    O(t^3); the derivative of F at 0 is extrapolated from the doubling
-    schedule and negated."""
-    if schedule.count != 3 or len(props) != 3:
-        raise LindbladError("need propagators at exactly three doubling times")
+    O(t^3); the derivative of F at 0 is extrapolated from the first three
+    schedule times t1, 2 t1, 4 t1 and negated."""
+    if schedule.count < 3 or len(props) != schedule.count:
+        raise LindbladError("need one propagator per time, at three or more doubling times")
     h_super = np.asarray(h_super, dtype=complex)
     samples = []
-    for p, t in zip(props, schedule.times()):
+    for p, t in zip(props, schedule.times()[:3]):
         half = matrix_exp(1j * t / 2 * h_super)
         samples.append(half @ np.asarray(p, complex) @ half)
     dfdt = richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
     return -dfdt
 
 
-# GKS parameterization: a = X^dag X over the F basis, X lower triangular.
-# (row, col) -> (real index, imag index or None), 0-based into x(1..9).
-_X_LAYOUT: dict[tuple[int, int], tuple[int, int | None]] = {
-    (0, 0): (0, None),
-    (1, 1): (1, None),
-    (2, 2): (2, None),
-    (1, 0): (3, 4),
-    (2, 1): (5, 6),
-    (2, 0): (7, 8),
-}
-
-_REVERSE3 = np.arange(2, -1, -1)
-
-
 def gks_cholesky_factor(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (9,):
+    """GKS parameterization a = X^dag X over the F basis: X is lower
+    triangular with a real diagonal x[0:3], then Re/Im of the (1,0),
+    (2,1) and (2,0) entries."""
+    if np.shape(x) != (9,):
         raise LindbladError("expected 9 real parameters")
-    m = np.zeros((3, 3), dtype=complex)
-    for (i, j), (re, im) in _X_LAYOUT.items():
-        m[i, j] = x[re] + (1j * x[im] if im is not None else 0.0)
-    return m
+    return triangular_from_params(x, 3)
 
 
 def gks_matrix(x: np.ndarray) -> np.ndarray:
@@ -202,16 +189,8 @@ def gks_matrix(x: np.ndarray) -> np.ndarray:
 def gks_params_from_matrix(a: np.ndarray) -> np.ndarray:
     """Factor a PSD GKS matrix back into the 9 parameters (X^dag X form
     via the index-reversed Cholesky)."""
-    a = np.asarray(a, dtype=complex)
-    flipped = a[np.ix_(_REVERSE3, _REVERSE3)]
-    low = cholesky_lower(flipped)
-    xm = low.conj().T[np.ix_(_REVERSE3, _REVERSE3)]
-    out = np.zeros(9)
-    for (i, j), (re, im) in _X_LAYOUT.items():
-        out[re] = xm[i, j].real
-        if im is not None:
-            out[im] = xm[i, j].imag
-    return out
+    low = cholesky_lower(np.asarray(a, dtype=complex)[::-1, ::-1])
+    return params_from_triangular(low.conj().T[::-1, ::-1])
 
 
 def _dissipator_tensor() -> np.ndarray:
@@ -260,23 +239,14 @@ def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     ])
     rhs = np.concatenate([r_estimate.reshape(16).real, r_estimate.reshape(16).imag])
     comps, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    a = _hermitian_from_components(comps)
-    res = eig_hermitian(a)
-    w = np.clip(res.eigenvalues, 0.0, None)
-    a_psd = (res.eigenvectors * w) @ res.eigenvectors.conj().T
-    return gks_params_from_matrix(a_psd)
+    return gks_params_from_matrix(clip_negative_eigs(_hermitian_from_components(comps)))
 
 
 def _hermitian_from_components(c: np.ndarray) -> np.ndarray:
-    """3x3 Hermitian matrix from 9 reals: diagonal, then Re/Im of the
-    (1,0), (2,1), (2,0) entries."""
-    a = np.zeros((3, 3), dtype=complex)
-    a[0, 0], a[1, 1], a[2, 2] = c[0], c[1], c[2]
-    a[1, 0] = c[3] + 1j * c[4]
-    a[2, 1] = c[5] + 1j * c[6]
-    a[2, 0] = c[7] + 1j * c[8]
-    a[0, 1], a[1, 2], a[0, 2] = np.conj(a[1, 0]), np.conj(a[2, 1]), np.conj(a[2, 0])
-    return a
+    """3x3 Hermitian matrix from 9 reals in the layout of the GKS factor:
+    diagonal, then Re/Im of the (1,0), (2,1), (2,0) entries."""
+    low = triangular_from_params(c, 3)
+    return low + np.tril(low, -1).conj().T
 
 
 @dataclass(frozen=True)
@@ -288,19 +258,13 @@ class GeneratorFit:
     evaluations: int
 
 
-def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> float:
-    r_hat = dissipator_superop(gks_matrix(x))
-    gen = 1j * np.asarray(h_super, complex) + r_hat
-    # one eigendecomposition serves every schedule time
-    w, v = np.linalg.eig(gen)
-    use_eig = np.isfinite(np.linalg.cond(v)) and np.linalg.cond(v) < 1e8
-    vinv = np.linalg.inv(v) if use_eig else None
-    total = 0.0
-    for p, t in zip(props, schedule.times()):
-        expo = (v * np.exp(-w * t)) @ vinv if use_eig else matrix_exp(-gen * t)
-        diff = expo - np.asarray(p, complex)
-        total += float(np.sum(np.abs(diff) ** 2))
-    return total
+def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.ndarray:
+    """Real residual vector of exp(-(iH_hat + R_hat(x)) t) - P_t over the
+    schedule; its squared norm is the fit cost."""
+    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(gks_matrix(x))
+    diff = np.array([propagator_from_superop(gen, t) - np.asarray(p, complex)
+                     for p, t in zip(props, schedule.times())])
+    return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
 
 def fit_generator(
@@ -308,16 +272,14 @@ def fit_generator(
     h_super: np.ndarray,
     schedule: TimeSchedule,
     x0: np.ndarray,
-    opts: SimplexOptions | None = None,
 ) -> GeneratorFit:
-    """Constrained fit of the GKS parameters to measured propagators."""
+    """Least-squares fit of the GKS parameters to measured propagators at
+    every schedule time; `evaluations` counts fit_objective calls."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
-    if opts is None:
-        opts = SimplexOptions(ftol=1e-12, xtol=1e-9)
     x0 = np.asarray(x0, dtype=float)
-    x_best, residual, evals = nelder_mead(
-        lambda x: fit_objective(x, props, h_super, schedule), x0, opts
+    x_best, residual, evals = levenberg_marquardt(
+        lambda x: fit_objective(x, props, h_super, schedule), x0
     )
     a = gks_matrix(x_best)
     return GeneratorFit(

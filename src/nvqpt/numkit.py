@@ -2,15 +2,15 @@
 
 Everything here operates on small (dimension <= 16) numpy arrays and is a
 pure function of its inputs.  Matrix decompositions are delegated to
-numpy/scipy; the simplex optimizer and Richardson extrapolation are
-implemented locally because their exact behavior (initial simplex,
-restart policy, doubling schedule) is part of the package contract.
+numpy/scipy; the Levenberg-Marquardt least-squares solver and Richardson
+extrapolation are implemented locally, so importing the package never
+pulls in scipy.optimize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +67,14 @@ def eig_hermitian(m) -> EigResult:
     return EigResult(eigenvalues=w, eigenvectors=v)
 
 
+def clip_negative_eigs(m) -> np.ndarray:
+    """Zero out negative eigenvalues, keeping eigenvectors: the nearest
+    positive semidefinite matrix in Frobenius norm."""
+    res = eig_hermitian(m)
+    v = res.eigenvectors
+    return (v * np.clip(res.eigenvalues, 0.0, None)) @ v.conj().T
+
+
 def cholesky_lower(m) -> np.ndarray:
     """Lower-triangular L with L L^dag = M for Hermitian PSD M.
 
@@ -90,6 +98,30 @@ def cholesky_lower(m) -> np.ndarray:
     return L
 
 
+def _strict_lower(n: int) -> tuple[list[int], list[int]]:
+    """Indices of the strictly lower triangle: (1,0), (2,1), ..., (2,0), ..."""
+    pairs = [(i, i - k) for k in range(1, n) for i in range(k, n)]
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
+def triangular_from_params(x, n: int) -> np.ndarray:
+    """Lower-triangular n x n matrix from n^2 reals: the real diagonal,
+    then (Re, Im) pairs of the strictly lower entries."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n * n,):
+        raise NumkitError(f"expected {n * n} real parameters")
+    m = np.diag(x[:n]).astype(complex)
+    m[_strict_lower(n)] = x[n::2] + 1j * x[n + 1::2]
+    return m
+
+
+def params_from_triangular(m) -> np.ndarray:
+    """Inverse of triangular_from_params; the upper triangle is ignored."""
+    m = np.asarray(m, dtype=complex)
+    low = m[_strict_lower(len(m))]
+    return np.concatenate([np.diag(m).real, np.column_stack([low.real, low.imag]).ravel()])
+
+
 def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
     a = np.asarray(m, dtype=complex)
@@ -99,16 +131,8 @@ def pseudoinverse(m) -> np.ndarray:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential: eigendecomposition route for comfortably
-    diagonalizable matrices, scaling-and-squaring otherwise."""
-    a = _as_square(m)
-    if not np.any(a):
-        return np.eye(a.shape[0], dtype=complex)
-    w, v = np.linalg.eig(a)
-    cond = np.linalg.cond(v)
-    if np.isfinite(cond) and cond < 1e8:
-        return (v * np.exp(w)) @ np.linalg.inv(v)
-    return scipy.linalg.expm(a)
+    """Matrix exponential by scaling and squaring (scipy.linalg.expm)."""
+    return scipy.linalg.expm(_as_square(m))
 
 
 def matrix_log_principal(m) -> np.ndarray:
@@ -135,93 +159,52 @@ def matrix_log_principal(m) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SimplexOptions:
-    ftol: float = 1e-9
-    xtol: float = 1e-9
-    max_evaluations: int = 40000
-    restarts: int = 1
-
-    def __post_init__(self):
-        if self.ftol <= 0 or self.xtol <= 0:
-            raise NumkitError("tolerances must be positive")
+MAX_EVALUATIONS = 2000
 
 
-def _initial_simplex(x0: np.ndarray) -> np.ndarray:
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        sim[i + 1, i] += max(0.05 * abs(x0[i]), 0.00025)
-    return sim
+def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int]:
+    """Minimize sum(residuals(x)**2); returns (x_best, cost, evaluations).
 
-
-def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    x0,
-    opts: SimplexOptions = SimplexOptions(),
-) -> tuple[np.ndarray, float, int]:
-    """Nelder-Mead simplex minimization.
-
-    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    After the simplex converges the search restarts once from the best
-    point with a fresh simplex and keeps the better result.  Returns
-    (x_best, f_best, evaluations).
+    Forward-difference Jacobian with step 1e-6 * max(|x_i|, 1e-2), so a
+    parameter at exactly zero still moves; damping lam * max(diag J^T J).
+    Stops on a relative cost change <= 1e-15, a step below 1e-12 relative
+    to x, or before a Jacobian that would exceed MAX_EVALUATIONS calls.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1:
         raise NumkitError("x0 must be a 1-D real vector")
     evals = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal evals
         evals += 1
-        val = float(objective(x))
-        if not np.isfinite(val):
+        r = np.asarray(residuals(x), dtype=float)
+        if not np.all(np.isfinite(r)):
             raise ObjectiveDiverged(f"objective diverged at {x}")
-        return val
+        return r, float(r @ r)
 
-    def run(start: np.ndarray) -> tuple[np.ndarray, float]:
-        sim = _initial_simplex(start)
-        fs = np.array([f(x) for x in sim])
-        n = len(start)
-        while evals < opts.max_evaluations:
-            order = np.argsort(fs, kind="stable")
-            sim, fs = sim[order], fs[order]
-            if (fs[-1] - fs[0] <= opts.ftol
-                    and np.max(np.abs(sim[1:] - sim[0])) <= opts.xtol):
+    r, cost = f(x)
+    lam = 1e-3
+    while evals + len(x) < MAX_EVALUATIONS:
+        h = 1e-6 * np.maximum(np.abs(x), 1e-2)
+        jac = np.column_stack([(f(x + h[i] * e)[0] - r) / h[i]
+                               for i, e in enumerate(np.eye(len(x)))])
+        jtj, grad = jac.T @ jac, jac.T @ r
+        damping = max(np.max(np.diag(jtj)), np.finfo(float).tiny) * np.eye(len(x))
+        while evals < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
+            step = np.linalg.solve(jtj + lam * damping, -grad)
+            if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(x) + 1e-12):
+                return x, cost, evals
+            r_new, cost_new = f(x + step)
+            if cost_new < cost:
                 break
-            centroid = sim[:-1].mean(axis=0)
-            xr = centroid + (centroid - sim[-1])
-            fr = f(xr)
-            if fr < fs[0]:
-                xe = centroid + 2.0 * (centroid - sim[-1])
-                fe = f(xe)
-                sim[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
-            elif fr < fs[-2]:
-                sim[-1], fs[-1] = xr, fr
-            else:
-                if fr < fs[-1]:  # outside contraction
-                    xc = centroid + 0.5 * (centroid - sim[-1])
-                else:  # inside contraction
-                    xc = centroid - 0.5 * (centroid - sim[-1])
-                fc = f(xc)
-                if fc < min(fr, fs[-1]):
-                    sim[-1], fs[-1] = xc, fc
-                else:  # shrink toward best
-                    for i in range(1, n + 1):
-                        sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                        fs[i] = f(sim[i])
-        order = np.argsort(fs, kind="stable")
-        return sim[order][0], fs[order][0]
-
-    best_x, best_f = run(x0)
-    for _ in range(opts.restarts):
-        if evals >= opts.max_evaluations:
+            lam *= 10.0
+        else:
             break
-        x, fv = run(best_x)
-        if fv < best_f:
-            best_x, best_f = x, fv
-    return best_x, best_f, evals
+        x, r, lam, cost_old, cost = x + step, r_new, max(lam / 10, 1e-12), cost, cost_new
+        if cost_old - cost <= 1e-15 * cost_old:
+            break
+    return x, cost, evals
 
 
 def richardson_derivative(samples: Sequence[np.ndarray], base_value, t1: float) -> np.ndarray:

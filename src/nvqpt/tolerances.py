@@ -1,9 +1,9 @@
 """Central table of numerical tolerances.
 
 Every tolerance used across the package lives here so that a single
-override applies consistently.  The table can be replaced at runtime by
-pointing the NVQPT_TOLERANCES environment variable at a JSON file whose
-keys are a subset of DEFAULTS.
+override applies consistently.  NVQPT_TOLERANCES may name a JSON file
+holding an object of numeric overrides for a subset of the DEFAULTS keys;
+any problem with that file raises ToleranceError.
 """
 
 from __future__ import annotations
@@ -14,25 +14,23 @@ import os
 DEFAULTS: dict[str, float] = {
     # linear algebra kernel
     "hermitian_input": 1e-8,        # allowed anti-Hermitian part before symmetrizing
-    "eig_reconstruction": 1e-10,    # V diag(w) V^dag residual
     "cholesky_pivot": 1e-10,        # pivots in [-tol, 0] clamp to 0
-    "cholesky_residual": 1e-8,
     "pinv_rcond": 1e-10,            # singular values below rcond*smax -> 0
     "log_branch": 1e-8,             # distance of eigenvalues from negative real axis
     "log_roundtrip": 1e-8,
-    # simplex defaults
-    "simplex_ftol": 1e-9,
-    "simplex_xtol": 1e-9,
     # process physics thresholds
     "tp_defect_max": 1e-3,          # accepted trace-preservation defect after repair
     "min_eig_floor": -1e-9,         # accepted smallest chi eigenvalue after repair
-    "lagrange_default": 100.0,
     # state-space tolerances
     "bloch_ball": 1e-9,             # |r| may exceed 1 by this much before rejection
     "kraus_eig_floor": -1e-8,       # chi eigenvalues below this are not CP
 }
 
 _TABLE: dict[str, float] | None = None
+
+
+class ToleranceError(ValueError):
+    pass
 
 
 def table() -> dict[str, float]:
@@ -42,12 +40,17 @@ def table() -> dict[str, float]:
         values = dict(DEFAULTS)
         path = os.environ.get("NVQPT_TOLERANCES")
         if path:
-            with open(path) as fh:
-                overrides = json.load(fh)
-            unknown = set(overrides) - set(DEFAULTS)
-            if unknown:
-                raise KeyError(f"unknown tolerance keys: {sorted(unknown)}")
-            values.update({k: float(v) for k, v in overrides.items()})
+            try:
+                with open(path) as fh:
+                    overrides = json.load(fh)
+                if not isinstance(overrides, dict):
+                    raise ToleranceError("expected a JSON object")
+                unknown = sorted(set(overrides) - set(DEFAULTS))
+                if unknown:
+                    raise ToleranceError(f"unknown keys {unknown}")
+                values.update({k: float(v) for k, v in overrides.items()})
+            except (OSError, ValueError, TypeError) as exc:
+                raise ToleranceError(f"NVQPT_TOLERANCES={path}: {exc}") from exc
         _TABLE = values
     return _TABLE
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nvqpt import cli
+from nvqpt import cli, tolerances
 
 
 def run(*argv):
@@ -113,6 +113,34 @@ class TestProject:
         assert doc["diagnostics"]["min_eigenvalue"] >= -1e-9
 
 
+    def test_non_finite_entry_is_data_error(self, process_path, tmp_path):
+        doc = json.loads(process_path.read_text())
+        doc["chi_re"][1][1] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert run("project", str(bad), "--out", str(tmp_path / "x.json")) == 3
+        assert run("metrics", str(bad), str(process_path)) == 3
+
+    def test_small_anti_hermitian_part_is_symmetrized(self, process_path, tmp_path):
+        # above numkit's 1e-8 check, below the CLI's 1e-6 acceptance
+        doc = json.loads(process_path.read_text())
+        doc["chi_im"][0][1] += 1e-7
+        skewed = tmp_path / "skewed.json"
+        skewed.write_text(json.dumps(doc))
+        out = tmp_path / "projected.json"
+        assert run("project", str(skewed), "--out", str(out)) == 0
+        fixed = json.loads(out.read_text())
+        chi = np.array(fixed["chi_re"]) + 1j * np.array(fixed["chi_im"])
+        assert np.linalg.norm(chi - chi.conj().T) < 1e-12
+        assert fixed["diagnostics"]["iterations"] >= 1
+        assert "lagrange" not in fixed["diagnostics"]
+
+    def test_lagrange_flag_is_gone(self, process_path):
+        with pytest.raises(SystemExit) as exc:
+            run("project", str(process_path), "--lagrange", "10")
+        assert exc.value.code == 2
+
+
 class TestMetrics:
     def test_self_distance_zero(self, process_path, capsys):
         assert run("metrics", str(process_path), str(process_path), "--json") == 0
@@ -164,6 +192,27 @@ class TestLindblad:
         text = capsys.readouterr().out
         assert "relative contribution" in text
 
+    def test_fits_every_timepoint(self, tmp_path):
+        record = tmp_path / "four.json"
+        assert run("simulate", "--t1", "4000", "--t2", "400", "--shots", "0",
+                   "--timepoints", "4", "--out", str(record)) == 0
+        out = tmp_path / "lindblad.json"
+        assert run("lindblad", str(record), "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["times_ns"] == [20.0, 40.0, 80.0, 160.0]
+        for per_time in doc["predicted_expectations"].values():
+            assert sorted(per_time, key=float) == ["20.0", "40.0", "80.0", "160.0"]
+        assert doc["residual"] < 1e-8
+
+    def test_non_doubling_later_time_is_data_error(self, tmp_path):
+        record = tmp_path / "four.json"
+        assert run("simulate", "--shots", "0", "--timepoints", "4",
+                   "--out", str(record)) == 0
+        doc = json.loads(record.read_text())
+        doc["times_ns"][3] = 150.0
+        record.write_text(json.dumps(doc))
+        assert run("lindblad", str(record)) == 3
+
     def test_non_doubling_times_is_data_error(self, tmp_path, record_path):
         doc = json.loads(record_path.read_text())
         doc["times_ns"] = [20.0, 40.0, 60.0]
@@ -202,3 +251,42 @@ class TestEllipsoid:
         with pytest.raises(SystemExit) as exc:
             run("ellipsoid", str(process_path), "--points", "0")
         assert exc.value.code == 2
+
+
+class TestToleranceOverride:
+    @pytest.fixture
+    def override(self, monkeypatch, tmp_path):
+        """Point NVQPT_TOLERANCES at a file with the given text and drop the
+        cached table; monkeypatch restores both afterwards."""
+        def write(text):
+            path = tmp_path / "tol.json"
+            path.write_text(text)
+            monkeypatch.setenv("NVQPT_TOLERANCES", str(path))
+            monkeypatch.setattr(tolerances, "_TABLE", None)
+            return path
+        return write
+
+    def test_good_override_applies(self, override, record_path, tmp_path):
+        override(json.dumps({"bloch_ball": 1e-6}))
+        assert run("reconstruct", str(record_path), "--time", "20",
+                   "--out", str(tmp_path / "raw.json")) == 0
+        assert tolerances.get("bloch_ball") == 1e-6
+        assert tolerances.get("tp_defect_max") == tolerances.DEFAULTS["tp_defect_max"]
+
+    @pytest.mark.parametrize("text", [
+        '{"bloch_ball": ',                 # bad JSON
+        '{"no_such_key": 1e-6}',           # unknown key
+        '{"bloch_ball": "tiny"}',          # non-numeric value
+        '[1e-6]',                          # not an object
+    ])
+    def test_bad_override_is_usage_error(self, override, record_path, text, capsys):
+        override(text)
+        with pytest.raises(tolerances.ToleranceError):
+            tolerances.table()
+        assert run("reconstruct", str(record_path), "--time", "20") == 2
+        assert "NVQPT_TOLERANCES" in capsys.readouterr().err
+
+    def test_unreadable_override_is_usage_error(self, monkeypatch, tmp_path, record_path):
+        monkeypatch.setenv("NVQPT_TOLERANCES", str(tmp_path / "missing.json"))
+        monkeypatch.setattr(tolerances, "_TABLE", None)
+        assert run("reconstruct", str(record_path), "--time", "20") == 2

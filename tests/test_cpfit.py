@@ -3,16 +3,12 @@ import pytest
 
 from nvqpt import cpfit, qpt, reference
 from nvqpt.cpfit import (
-    ProjectionOptions,
     chi_from_params,
     clip_negative_eigs,
-    deviation,
-    initial_params,
-    matrix_to_params,
     params_to_matrix,
     project_to_cp,
+    tp_project,
 )
-from nvqpt.numkit import NotPositiveSemidefinite, SimplexOptions
 
 CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
@@ -26,10 +22,6 @@ class TestParameterization:
     def test_diagonal_is_real(self, rng):
         m = params_to_matrix(rng.normal(size=16))
         assert np.allclose(np.diag(m).imag, 0)
-
-    def test_round_trip(self, rng):
-        t = rng.normal(size=16)
-        assert np.allclose(matrix_to_params(params_to_matrix(t)), t)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -52,27 +44,27 @@ class TestClipAndStart:
         assert np.allclose(clipped, np.diag([1.0, 0.0, 0.5, 0.0]))
 
     def test_start_reproduces_chi(self, rng):
+        # a PSD input is its own eigenvalue clip, the projection's start
         chi = chi_from_params(rng.normal(size=16))
-        t0 = initial_params(chi)
-        assert np.linalg.norm(chi_from_params(t0) - chi) < 1e-8
-
-    def test_start_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefinite):
-            initial_params(np.diag([1.0, -0.5, 0.0, 0.0]))
+        assert np.linalg.norm(project_to_cp(chi).chi_start - chi) < 1e-8
 
 
-class TestDeviation:
-    def test_zero_at_exact_cptp(self, rng):
-        t0 = initial_params(CHI_IDENTITY)
-        assert deviation(t0, CHI_IDENTITY, lagrange=100.0) < 1e-12
+class TestTraceProjection:
+    def test_lands_on_trace_preserving_set(self, rng):
+        chi = chi_from_params(rng.normal(size=16))
+        assert qpt.tp_defect(tp_project(chi)) < 1e-12
 
-    def test_penalty_scales_with_lagrange(self):
-        # chi~ = 0.9 * identity channel: pure TP defect, no fit error
-        t = initial_params(0.81 * CHI_IDENTITY)
-        chi = chi_from_params(t)
-        d10 = deviation(t, chi, lagrange=10.0)
-        d100 = deviation(t, chi, lagrange=100.0)
-        assert np.isclose(d100, 10 * d10)
+    def test_fixes_trace_preserving_input(self):
+        assert np.allclose(tp_project(CHI_IDENTITY), CHI_IDENTITY)
+
+    def test_is_orthogonal(self, rng):
+        # the move is normal to the affine set: orthogonal to any
+        # difference of two trace-preserving matrices
+        a = tp_project(chi_from_params(rng.normal(size=16)))
+        b = tp_project(chi_from_params(rng.normal(size=16)))
+        chi = chi_from_params(rng.normal(size=16))
+        move = chi - tp_project(chi)
+        assert abs(np.vdot(move, a - b)) < 1e-10
 
 
 class TestProjection:
@@ -91,26 +83,35 @@ class TestProjection:
         assert result.success
         assert result.min_eigenvalue >= -1e-9
         assert result.tp_defect <= 1e-3
-        # the repair should not move farther than the naive clip did
+        # the clip is already trace-preserving here, so the repair stops at it
         assert result.frobenius_distance <= np.linalg.norm(chi - result.chi_start) + 1e-6
 
-    def test_rejects_bad_lagrange(self):
-        with pytest.raises(ValueError):
-            ProjectionOptions(lagrange=0.0)
+    def test_failure_reported_not_hidden(self, monkeypatch, rng):
+        # one step of a slightly perturbed identity channel already meets
+        # both thresholds but has not converged: the budget stop still fails
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        chi = CHI_IDENTITY + 1e-10 * (h + h.conj().T)
+        monkeypatch.setattr(cpfit, "MAX_ITERATIONS", 1)
+        result = project_to_cp(chi)
+        assert result.min_eigenvalue >= -1e-9 and result.tp_defect <= 1e-3
+        assert result.iterations == 1 and not result.converged
+        assert not result.success
+        assert result.tp_defect <= 1e-12  # the returned iterate is the affine one
 
-    def test_failure_reported_not_hidden(self):
-        chi = CHI_IDENTITY.copy()
-        chi[1, 1] = -0.05
-        opts = ProjectionOptions(
-            lagrange=100.0,
-            simplex=SimplexOptions(max_evaluations=20, restarts=0),
-        )
-        result = project_to_cp(chi, opts)
-        # success must track the thresholds exactly, never be asserted blindly
-        assert result.success == (
-            result.min_eigenvalue >= opts.min_eigenvalue
-            and result.tp_defect <= opts.max_tp_defect
-        )
+    def test_reference_projections_exactly_trace_preserving(self):
+        data = reference.load()
+        for key, affine in reference.affine_experimental(data).items():
+            result = project_to_cp(qpt.affine_to_chi(affine))
+            assert result.success and result.converged, key
+            assert result.tp_defect <= 1e-12, key
+            assert result.min_eigenvalue >= -1e-9, key
+            assert result.iterations < cpfit.MAX_ITERATIONS, key
+
+    def test_projection_is_idempotent(self):
+        chi = qpt.affine_to_chi(reference.affine_experimental(reference.load())["40"])
+        once = project_to_cp(chi).chi_tilde
+        twice = project_to_cp(once)
+        assert twice.frobenius_distance < 1e-9
 
     def test_reference_dataset_projection(self):
         """Projection of a published unphysical process lands within the

@@ -9,7 +9,6 @@ from nvqpt.numkit import (
     NumkitError,
     ObjectiveDiverged,
     PrincipalLogUndefined,
-    SimplexOptions,
 )
 
 from conftest import random_hermitian, random_psd
@@ -146,45 +145,62 @@ class TestMatrixLog:
             numkit.matrix_log_principal(np.diag([0.0, 1.0]))
 
 
-class TestNelderMead:
+def _rosenbrock(x):
+    # 100 (x1 - x0^2)^2 + (1 - x0)^2 as a sum of squares
+    return np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]])
+
+
+class TestLevenbergMarquardt:
     def test_parabola(self):
-        x, f, _ = numkit.nelder_mead(lambda x: (x[0] - 2) ** 2, np.array([0.0]))
-        assert abs(x[0] - 2) <= 1e-4
+        x, f, _ = numkit.levenberg_marquardt(lambda x: x - 2, np.array([0.0]))
+        assert abs(x[0] - 2) <= 1e-8
+        assert f <= 1e-16
 
     def test_rosenbrock(self):
-        def rosen(x):
-            return 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-
-        x, f, _ = numkit.nelder_mead(rosen, np.array([-1.2, 1.0]))
-        assert f < 1e-6
-        assert np.allclose(x, [1.0, 1.0], atol=1e-3)
+        x, f, _ = numkit.levenberg_marquardt(_rosenbrock, np.array([-1.2, 1.0]))
+        assert f < 1e-12
+        assert np.allclose(x, [1.0, 1.0], atol=1e-6)
 
     def test_constant_objective(self):
         x0 = np.array([1.0, -2.0, 3.0])
-        x, f, evals = numkit.nelder_mead(lambda x: 7.0, x0)
-        assert np.allclose(x, x0)
-        assert f == 7.0
-        assert evals < 40000
+        x, f, evals = numkit.levenberg_marquardt(lambda x: np.array([7.0, 1.0]), x0)
+        assert np.array_equal(x, x0)
+        assert f == 50.0
+        assert evals == 1 + len(x0)  # start point plus one Jacobian
 
     def test_never_worse_than_start(self, rng):
         def bumpy(x):
-            return float(np.sum(x**2) + np.sin(5 * x[0]))
+            return np.concatenate([x, [np.sin(5 * x[0])]])
 
         for _ in range(5):
             x0 = rng.normal(size=3)
-            _, f, _ = numkit.nelder_mead(bumpy, x0)
-            assert f <= bumpy(x0)
+            _, f, _ = numkit.levenberg_marquardt(bumpy, x0)
+            assert f <= float(np.sum(bumpy(x0) ** 2))
+
+    def test_zero_parameter_still_moves(self):
+        # x[0] = 0 exactly: the step floor keeps its Jacobian column alive
+        x, f, _ = numkit.levenberg_marquardt(lambda x: np.array([x[0] - 0.3]), np.zeros(1))
+        assert abs(x[0] - 0.3) <= 1e-8
 
     def test_diverging_objective(self):
         with pytest.raises(ObjectiveDiverged):
-            numkit.nelder_mead(lambda x: np.inf, np.array([0.0]))
+            numkit.levenberg_marquardt(lambda x: np.array([np.inf]), np.array([0.0]))
 
-    def test_budget_respected(self):
-        opts = SimplexOptions(max_evaluations=100)
-        def rosen(x):
-            return 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-        _, _, evals = numkit.nelder_mead(rosen, np.array([-1.2, 1.0]), opts)
-        assert evals <= 100 + 4  # may finish the sweep in flight
+    def test_budget_respected(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return _rosenbrock(x)
+
+        monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
+        x, f, evals = numkit.levenberg_marquardt(counted, np.array([-1.2, 1.0]))
+        assert evals == len(calls) <= 10
+        assert f > 1e-6  # stopped on the budget, far from the minimum
+
+    def test_rejects_matrix_start(self):
+        with pytest.raises(NumkitError):
+            numkit.levenberg_marquardt(lambda x: x.ravel(), np.zeros((2, 2)))
 
 
 class TestRichardson:

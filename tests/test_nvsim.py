@@ -206,10 +206,7 @@ class TestPipelineStatistics:
             x0 = lindblad.gks_start_from_generator(
                 lindblad.generator_bch_estimate(props, h_super, schedule)
             )
-            opts = lindblad.SimplexOptions(
-                ftol=1e-10, xtol=1e-7, max_evaluations=6000
-            )
-            fit = lindblad.fit_generator(props, h_super, schedule, x0, opts)
+            fit = lindblad.fit_generator(props, h_super, schedule, x0)
             truth = true_gks_matrix(cfg)
             errors.append(np.linalg.norm(fit.gks - truth) / np.linalg.norm(truth))
         assert float(np.median(errors)) < 0.10
