@@ -120,19 +120,49 @@ def trace_distance(rho1, rho2) -> float:
     return float(np.sum(sv) / 2)
 
 
+def _root_infidelity(rho1, rho2) -> float:
+    """1 - sqrt(F) for the unit-trace states rho1 / tr rho1 and rho2 / tr rho2.
+
+    Taken from the Bures form G = ||X - Y U||_F^2 = t1 + t2 - 2 ||X Y||_1,
+    with X, Y the PSD square roots, t = ||X||_F^2, ||Y||_F^2 and U the polar
+    factor of (X Y)^dag.  G is small exactly when the states are close, so
+    1 - sqrt(F) = (G - (sqrt t1 - sqrt t2)^2) / (2 sqrt(t1 t2)) keeps its
+    relative precision where 1 - (tr sqrt(...))^2 would cancel against 1,
+    and trace rounding enters only squared.  Clamped to [0, 1].
+    """
+    x = _psd_sqrt(np.asarray(rho1, dtype=complex))
+    y = _psd_sqrt(np.asarray(rho2, dtype=complex))
+    t1, t2 = np.linalg.norm(x) ** 2, np.linalg.norm(y) ** 2
+    if t1 == 0 or t2 == 0:
+        raise StateError("fidelity needs states of nonzero trace")
+    w, _, vh = np.linalg.svd(x @ y)
+    gap = np.linalg.norm(x - y @ (w @ vh).conj().T) ** 2
+    root1, root2 = np.sqrt(t1), np.sqrt(t2)
+    skew = ((t1 - t2) / (root1 + root2)) ** 2
+    return float(min(max((gap - skew) / (2 * root1 * root2), 0.0), 1.0))
+
+
 def fidelity(rho1, rho2) -> float:
-    """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2, clamped to [0, 1]."""
-    s1 = _psd_sqrt(np.asarray(rho1, dtype=complex))
-    inner = s1 @ np.asarray(rho2, dtype=complex) @ s1
-    inner = (inner + inner.conj().T) / 2
-    w = np.clip(eig_hermitian(inner).eigenvalues, 0.0, None)
-    f = float(np.sum(np.sqrt(w)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    """F = (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 of the trace-normalized
+    states.
+
+    F is rounded toward zero from 1 - F, so 1 - F never understates the
+    infidelity and distinct states do not round to F == 1.
+    """
+    delta = _root_infidelity(rho1, rho2)
+    infidelity = delta * (2 - delta)
+    f = 1.0 - infidelity
+    if 1.0 - f < infidelity:
+        f = float(np.nextafter(f, 0.0))
+    return f
 
 
 def bures(rho1, rho2) -> float:
-    return float(np.sqrt(max(0.0, 2 - 2 * np.sqrt(fidelity(rho1, rho2)))))
+    """sqrt(2 - 2 sqrt(F))."""
+    return float(np.sqrt(2 * _root_infidelity(rho1, rho2)))
 
 
 def c_metric(rho1, rho2) -> float:
-    return float(np.sqrt(max(0.0, 1 - fidelity(rho1, rho2))))
+    """sqrt(1 - F)."""
+    delta = _root_infidelity(rho1, rho2)
+    return float(np.sqrt(delta * (2 - delta)))
