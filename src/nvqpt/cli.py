@@ -288,6 +288,7 @@ def cmd_lindblad(args) -> int:
             for op in lset.operators
         ],
         "contributions": lset.contributions,
+        "converged": fit.converged,
         "residual": fit.residual,
         "predicted_expectations": predicted,
         "measured_expectations": measured,
@@ -296,6 +297,12 @@ def cmd_lindblad(args) -> int:
     print("lindblad fit: residual", _fmt(fit.residual))
     for i, c in enumerate(lset.contributions, start=1):
         print(f"  L{i} relative contribution {_fmt(100 * c)}%")
+    if not fit.converged:
+        # A budget stop is not an error: about one noisy record in ten has its
+        # optimum on the PSD boundary, where the X^dag X fit crawls, and the
+        # best point found is still a valid, PSD generator.
+        print(f"warning: generator fit stopped on its budget of {fit.evaluations} "
+              "evaluations before converging", file=sys.stderr)
     return 0
 
 

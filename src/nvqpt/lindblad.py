@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qpt
+from . import qpt, tolerances
 from .numkit import (
-    cholesky_lower,
     clip_negative_eigs,
     eig_hermitian,
     levenberg_marquardt,
@@ -187,10 +186,21 @@ def gks_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def gks_params_from_matrix(a: np.ndarray) -> np.ndarray:
-    """Factor a PSD GKS matrix back into the 9 parameters (X^dag X form
-    via the index-reversed Cholesky)."""
-    low = cholesky_lower(np.asarray(a, dtype=complex)[::-1, ::-1])
-    return params_from_triangular(low.conj().T[::-1, ::-1])
+    """Factor a PSD GKS matrix back into the 9 parameters of a = X^dag X.
+
+    With a = F^dag F, F = diag(sqrt(w)) V^dag, the QR factor R of F J (J
+    the index reversal) gives X = J R J, lower triangular; rows of R are
+    sign-flipped to a nonnegative diagonal, so full-rank a gets its
+    Cholesky factor."""
+    res = eig_hermitian(a)
+    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
+        raise LindbladError(
+            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
+        )
+    f = np.sqrt(np.clip(res.eigenvalues, 0.0, None))[:, None] * res.eigenvectors.conj().T
+    r = np.linalg.qr(f[:, ::-1], mode="r")
+    r *= np.where(np.diag(r).real < 0, -1.0, 1.0)[:, None]
+    return params_from_triangular(r[::-1, ::-1])
 
 
 def _dissipator_tensor() -> np.ndarray:
@@ -254,8 +264,8 @@ class GeneratorFit:
     gks: np.ndarray            # fitted PSD GKS matrix
     relaxation: np.ndarray     # fitted R_hat superoperator
     residual: float
-    start_params: np.ndarray
     evaluations: int
+    converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
 
 
 def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.ndarray:
@@ -277,8 +287,7 @@ def fit_generator(
     every schedule time; `evaluations` counts fit_objective calls."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
-    x0 = np.asarray(x0, dtype=float)
-    x_best, residual, evals = levenberg_marquardt(
+    x_best, residual, evals, converged = levenberg_marquardt(
         lambda x: fit_objective(x, props, h_super, schedule), x0
     )
     a = gks_matrix(x_best)
@@ -286,8 +295,8 @@ def fit_generator(
         gks=a,
         relaxation=dissipator_superop(a),
         residual=residual,
-        start_params=x0,
         evaluations=evals,
+        converged=converged,
     )
 
 
@@ -303,7 +312,7 @@ def lindblads_from_gks(a: np.ndarray) -> LindbladSet:
     """Diagonalize the GKS matrix: L_i = sqrt(d_i) sum_j U_ji F_j, dropping
     negligible eigenvalues; contributions are |L_i|_Fro^2 normalized."""
     res = eig_hermitian(a)
-    if res.eigenvalues[0] < -1e-9:
+    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
         raise LindbladError(
             f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
         )

@@ -22,10 +22,6 @@ class NumkitError(ValueError):
     pass
 
 
-class NotPositiveSemidefinite(NumkitError):
-    pass
-
-
 class PrincipalLogUndefined(NumkitError):
     pass
 
@@ -75,29 +71,6 @@ def clip_negative_eigs(m) -> np.ndarray:
     return (v * np.clip(res.eigenvalues, 0.0, None)) @ v.conj().T
 
 
-def cholesky_lower(m) -> np.ndarray:
-    """Lower-triangular L with L L^dag = M for Hermitian PSD M.
-
-    Pivots in [-cholesky_pivot, 0] are clamped to zero so that
-    rank-deficient PSD inputs factor cleanly; a pivot below the clamp
-    window raises NotPositiveSemidefinite.
-    """
-    a = _as_square(m)
-    n = a.shape[0]
-    tol = tolerances.get("cholesky_pivot")
-    L = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        d = (a[j, j] - np.vdot(L[j, :j], L[j, :j])).real
-        if d < -tol:
-            raise NotPositiveSemidefinite(f"pivot {d:.3g} at index {j}")
-        d = max(d, 0.0)
-        L[j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            s = a[i, j] - L[i, :j] @ L[j, :j].conj()
-            L[i, j] = s / L[j, j] if L[j, j] > 0 else 0.0
-    return L
-
-
 def _strict_lower(n: int) -> tuple[list[int], list[int]]:
     """Indices of the strictly lower triangle: (1,0), (2,1), ..., (2,0), ..."""
     pairs = [(i, i - k) for k in range(1, n) for i in range(k, n)]
@@ -120,14 +93,6 @@ def params_from_triangular(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     low = m[_strict_lower(len(m))]
     return np.concatenate([np.diag(m).real, np.column_stack([low.real, low.imag]).ravel()])
-
-
-def pseudoinverse(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
-    a = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NumkitError("matrix has non-finite entries")
-    return np.linalg.pinv(a, rcond=tolerances.get("pinv_rcond"))
 
 
 def matrix_exp(m) -> np.ndarray:
@@ -162,13 +127,15 @@ def matrix_log_principal(m) -> np.ndarray:
 MAX_EVALUATIONS = 2000
 
 
-def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int]:
-    """Minimize sum(residuals(x)**2); returns (x_best, cost, evaluations).
+def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize sum(residuals(x)**2); returns (x_best, cost, evaluations,
+    converged).
 
     Forward-difference Jacobian with step 1e-6 * max(|x_i|, 1e-2), so a
     parameter at exactly zero still moves; damping lam * max(diag J^T J).
-    Stops on a relative cost change <= 1e-15, a step below 1e-12 relative
-    to x, or before a Jacobian that would exceed MAX_EVALUATIONS calls.
+    Converges on a relative cost change <= 1e-15 or a step below 1e-12
+    relative to x; stops unconverged before a Jacobian or trial step that
+    would exceed MAX_EVALUATIONS calls.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1:
@@ -194,7 +161,7 @@ def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int]:
         while evals < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
             step = np.linalg.solve(jtj + lam * damping, -grad)
             if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(x) + 1e-12):
-                return x, cost, evals
+                return x, cost, evals, True
             r_new, cost_new = f(x + step)
             if cost_new < cost:
                 break
@@ -203,8 +170,8 @@ def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int]:
             break
         x, r, lam, cost_old, cost = x + step, r_new, max(lam / 10, 1e-12), cost, cost_new
         if cost_old - cost <= 1e-15 * cost_old:
-            break
-    return x, cost, evals
+            return x, cost, evals, True
+    return x, cost, evals, False
 
 
 def richardson_derivative(samples: Sequence[np.ndarray], base_value, t1: float) -> np.ndarray:

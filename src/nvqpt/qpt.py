@@ -1,11 +1,14 @@
 """Standard single-qubit process tomography.
 
 A process is carried as a 4x4 chi matrix over the normal operator basis
-A_{2i+j+1} = |i><j|; in this basis chi coincides with the Choi matrix.
-Conversions to the Bloch-affine form, Kraus operators, and the
-Jamiolkowski state live here, together with the unphysicality norms used
-to quantify the distance between an experimental chi and its repaired
-counterpart.
+A_{2i+j+1} = |i><j|; in this basis chi coincides with the Choi matrix,
+chi[2a+i, 2b+j] = E(|i><j|)[a, b].  chi_from_outputs builds it in one
+reshape from the matrix-unit images, which follow from the four measured
+outputs by linearity.  The Bloch-affine form is the Pauli transfer matrix
+of chi, reached in both directions through the PAULI_PAIRS constant.
+Kraus operators, the Jamiolkowski state, and the unphysicality norms
+used to quantify the distance between an experimental chi and its
+repaired counterpart also live here.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances
-from .numkit import eig_hermitian, pseudoinverse
-from .qstate import IDENTITY_2, PAULIS, bloch_to_density, density_to_bloch
+from .numkit import eig_hermitian
+from .qstate import IDENTITY_2, PAULIS
 
 
 class ProcessError(ValueError):
@@ -38,11 +41,13 @@ def matrix_units() -> list[np.ndarray]:
     return units
 
 
-def normal_basis() -> list[np.ndarray]:
-    return matrix_units()
-
-
 _NORMAL_BASIS = tuple(matrix_units())
+
+# PAULI_PAIRS[m, n] = sigma_m (x) sigma_n^T over (I, X, Y, Z): the Pauli
+# transfer matrix of chi is R_mn = Re tr(PAULI_PAIRS[m, n] chi) / 2 and
+# chi = sum_mn R_mn PAULI_PAIRS[m, n] / 2.
+PAULI_PAIRS = np.array([[np.kron(a, b.T) for b in (IDENTITY_2, *PAULIS)]
+                        for a in (IDENTITY_2, *PAULIS)])
 
 
 def input_states() -> list[np.ndarray]:
@@ -56,62 +61,24 @@ def input_states() -> list[np.ndarray]:
     return [np.outer(k, k.conj()) for k in kets]
 
 
-def _unit_coefficients(m: np.ndarray) -> np.ndarray:
-    """Coefficients of a 2x2 matrix in the matrix-unit basis (its entries,
-    row-major)."""
-    return np.asarray(m, dtype=complex).reshape(4)
-
-
-def build_beta(basis: list[np.ndarray] | None = None,
-               states: list[np.ndarray] | None = None) -> np.ndarray:
-    """16x16 tensor B with row (j,k), column (m,n) holding the coefficient
-    of matrix unit k in A_m rho_j A_n^dag."""
-    basis = normal_basis() if basis is None else [np.asarray(a, complex) for a in basis]
-    states = input_states() if states is None else [np.asarray(s, complex) for s in states]
-    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
-    if abs(np.linalg.det(gram)) < 1e-12:
-        raise ProcessError("operator basis is not linearly independent")
-    beta = np.zeros((16, 16), dtype=complex)
-    for j, rho in enumerate(states):
-        for m, am in enumerate(basis):
-            for n, an in enumerate(basis):
-                beta[4 * j: 4 * j + 4, 4 * m + n] = _unit_coefficients(
-                    am @ rho @ an.conj().T
-                )
-    return beta
-
-
-def lambda_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
-    """4x4 lambda matrix: row j holds the matrix-unit coefficients of the
-    measured output E(rho_j), inputs ordered as input_states()."""
-    if len(outputs) != 4:
-        raise ProcessError("need exactly four outputs")
-    return np.array([_unit_coefficients(o) for o in outputs])
-
-
 def matrix_unit_images(outputs: list[np.ndarray]) -> list[np.ndarray]:
     """Images of the four matrix units under the measured channel.
 
     Uses linearity: E(|0><1|) = E(rho_+) + i E(rho_+i)
     - (1+i)/2 (E(rho_0) + E(rho_1)), and the conjugate identity for
     E(|1><0|).  Output order matches matrix_units()."""
+    if len(outputs) != 4:
+        raise ProcessError("need exactly four outputs")
     e0, e1, ep, ei = (np.asarray(o, dtype=complex) for o in outputs)
     e01 = ep + 1j * ei - (1 + 1j) / 2 * (e0 + e1)
     e10 = ep - 1j * ei - (1 - 1j) / 2 * (e0 + e1)
     return [e0, e01, e10, e1]
 
 
-def chi_from_lambda(lam: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """chi = reshape(pinv(beta) . vec(lambda))."""
-    lam = np.asarray(lam, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    if lam.shape != (4, 4) or beta.shape != (16, 16):
-        raise ProcessError("shape mismatch between lambda and beta")
-    return (pseudoinverse(beta) @ lam.reshape(16)).reshape(4, 4)
-
-
 def chi_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
-    return chi_from_lambda(lambda_from_outputs(outputs), build_beta())
+    """chi[2a+i, 2b+j] = E(|i><j|)[a, b] from the outputs of input_states()."""
+    images = np.array(matrix_unit_images(outputs))
+    return images.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -149,14 +116,12 @@ def kraus_from_chi(chi: np.ndarray) -> KrausSet:
             f"chi has eigenvalue {res.eigenvalues[0]:.3g}: not completely "
             "positive -- repair it first (cpfit.project_to_cp)"
         )
-    basis = normal_basis()
     ops = []
     dmax = max(res.eigenvalues[-1], 1.0)
     for i, d in enumerate(res.eigenvalues):
         if d < 1e-12 * dmax:
             continue
-        e = sum(res.eigenvectors[j, i] * basis[j] for j in range(4))
-        ops.append(np.sqrt(d) * e)
+        ops.append(np.sqrt(d) * res.eigenvectors[:, i].reshape(2, 2))
     return KrausSet(operators=ops)
 
 
@@ -195,37 +160,16 @@ class AffineMap:
 
 
 def chi_to_affine(chi: np.ndarray) -> AffineMap:
-    """Push the Bloch basis through the channel to read off (E | t)."""
-    t = density_to_bloch(apply_chi(chi, bloch_to_density([0.0, 0.0, 0.0])))
-    linear = np.zeros((3, 3))
-    for j in range(3):
-        r = np.zeros(3)
-        r[j] = 1.0
-        linear[:, j] = density_to_bloch(apply_chi(chi, bloch_to_density(r))) - t
-    return AffineMap.from_parts(linear, t)
+    """(E | t) read off the Pauli transfer matrix R_mn = tr(sigma_m E(sigma_n))/2."""
+    r = np.einsum("mnij,ji->mn", PAULI_PAIRS, np.asarray(chi, dtype=complex)).real / 2
+    return AffineMap.from_parts(r[1:, 1:], r[1:, 0])
 
 
 def affine_to_chi(affine: AffineMap | np.ndarray) -> np.ndarray:
-    """Inverse of chi_to_affine: rebuild the channel action on matrix units
-    from (E | t) and assemble the Choi/chi matrix."""
+    """Inverse of chi_to_affine: chi = sum_mn R_mn sigma_m (x) sigma_n^T / 2."""
     if not isinstance(affine, AffineMap):
         affine = AffineMap(np.asarray(affine, dtype=float))
-    e_id = IDENTITY_2 + sum(affine.translation[i] * PAULIS[i] for i in range(3))
-    e_sigma = [
-        sum(affine.linear[i, j] * PAULIS[i] for i in range(3)) for j in range(3)
-    ]
-
-    def channel(m: np.ndarray) -> np.ndarray:
-        c0 = np.trace(m) / 2
-        out = c0 * e_id
-        for j in range(3):
-            out = out + np.trace(m @ PAULIS[j]) / 2 * e_sigma[j]
-        return out
-
-    chi = np.zeros((4, 4), dtype=complex)
-    for k, u in enumerate(matrix_units()):
-        chi += np.kron(channel(u), u)
-    return chi
+    return np.einsum("mn,mnij->ij", affine.matrix, PAULI_PAIRS) / 2
 
 
 def chi_to_choi(chi: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ def validate_density(rho, name: str = "state") -> np.ndarray:
         raise StateError(f"{name} is not Hermitian")
     if abs(np.trace(rho) - 1) > 1e-9:
         raise StateError(f"{name} trace is not 1")
-    if eig_hermitian(rho).eigenvalues[0] < -1e-9:
+    if eig_hermitian(rho).eigenvalues[0] < tolerances.get("min_eig_floor"):
         raise StateError(f"{name} has a negative eigenvalue")
     return rho
 

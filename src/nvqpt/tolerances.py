@@ -14,13 +14,11 @@ import os
 DEFAULTS: dict[str, float] = {
     # linear algebra kernel
     "hermitian_input": 1e-8,        # allowed anti-Hermitian part before symmetrizing
-    "cholesky_pivot": 1e-10,        # pivots in [-tol, 0] clamp to 0
-    "pinv_rcond": 1e-10,            # singular values below rcond*smax -> 0
     "log_branch": 1e-8,             # distance of eigenvalues from negative real axis
     "log_roundtrip": 1e-8,
     # process physics thresholds
     "tp_defect_max": 1e-3,          # accepted trace-preservation defect after repair
-    "min_eig_floor": -1e-9,         # accepted smallest chi eigenvalue after repair
+    "min_eig_floor": -1e-9,         # accepted smallest eigenvalue: repaired chi, density, GKS matrix
     # state-space tolerances
     "bloch_ball": 1e-9,             # |r| may exceed 1 by this much before rejection
     "kraus_eig_floor": -1e-8,       # chi eigenvalues below this are not CP

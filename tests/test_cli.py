@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nvqpt import cli, tolerances
+from nvqpt import cli, lindblad, numkit, qstate, tolerances
 
 
 def run(*argv):
@@ -171,6 +171,7 @@ class TestLindblad:
         assert doc["times_ns"] == [20.0, 40.0, 80.0]
         assert np.isclose(sum(doc["contributions"]), 1.0)
         assert doc["residual"] < 1e-8
+        assert doc["converged"] is True
         # fitted GKS matrix matches the simulator ground truth
         a_fit = np.array(doc["a_fit_re"]) + 1j * np.array(doc["a_fit_im"])
         gamma = 1 / 4000.0
@@ -191,6 +192,13 @@ class TestLindblad:
                     assert pred[ax] == pytest.approx(meas[ax], abs=1e-6)
         text = capsys.readouterr().out
         assert "relative contribution" in text
+
+    def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
+        out = tmp_path / "lindblad.json"
+        assert run("lindblad", str(record_path), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["converged"] is False
+        assert "stopped on its budget" in capsys.readouterr().err
 
     def test_fits_every_timepoint(self, tmp_path):
         record = tmp_path / "four.json"
@@ -276,6 +284,7 @@ class TestToleranceOverride:
     @pytest.mark.parametrize("text", [
         '{"bloch_ball": ',                 # bad JSON
         '{"no_such_key": 1e-6}',           # unknown key
+        '{"pinv_rcond": 1e-10}',           # deleted key
         '{"bloch_ball": "tiny"}',          # non-numeric value
         '[1e-6]',                          # not an object
     ])
@@ -285,6 +294,17 @@ class TestToleranceOverride:
             tolerances.table()
         assert run("reconstruct", str(record_path), "--time", "20") == 2
         assert "NVQPT_TOLERANCES" in capsys.readouterr().err
+
+    def test_min_eig_floor_override(self, override):
+        rho = np.diag([1 + 1e-7, -1e-7])
+        gks = np.diag([0.01, 0.0, -1e-7])
+        with pytest.raises(qstate.StateError):
+            qstate.validate_density(rho)
+        with pytest.raises(lindblad.LindbladError):
+            lindblad.lindblads_from_gks(gks)
+        override(json.dumps({"min_eig_floor": -1e-6}))
+        qstate.validate_density(rho)
+        assert len(lindblad.lindblads_from_gks(gks).operators) == 1
 
     def test_unreadable_override_is_usage_error(self, monkeypatch, tmp_path, record_path):
         monkeypatch.setenv("NVQPT_TOLERANCES", str(tmp_path / "missing.json"))

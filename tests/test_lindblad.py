@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvqpt import lindblad, qpt
+from nvqpt import lindblad, numkit, qpt
 from nvqpt.lindblad import (
     F_BASIS,
     LindbladError,
@@ -170,6 +170,27 @@ class TestGKSParameterization:
         a = TestDissipator._random_gks(rng)
         x = gks_params_from_matrix(a)
         assert np.linalg.norm(gks_matrix(x) - a) < 1e-10
+        # full rank: the unique factor with a positive diagonal, which the
+        # index-reversed Cholesky factor also is
+        low = np.linalg.cholesky(a[::-1, ::-1])
+        assert np.allclose(gks_cholesky_factor(x), low.conj().T[::-1, ::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_round_trip(self, rng, rank):
+        g = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+        a = 0.01 * g @ g.conj().T
+        x = gks_params_from_matrix(a)
+        assert np.linalg.norm(gks_matrix(x) - a) < 1e-12
+        assert np.all(x[:3] >= 0)
+
+    def test_diagonal_closed_form(self):
+        # the unique factor with a nonnegative diagonal: sqrt of the entries
+        x = gks_params_from_matrix(np.diag([4.0, 9.0, 1.0]))
+        assert np.allclose(x, [2.0, 3.0, 1.0, 0, 0, 0, 0, 0, 0], atol=1e-14)
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(LindbladError):
+            gks_params_from_matrix(np.diag([1.0, 0.5, -1e-6]))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LindbladError):
@@ -219,6 +240,16 @@ class TestGeneratorEstimates:
         fit = fit_generator(props, h_super, schedule, x0)
         assert np.linalg.norm(fit.gks - a) < 1e-6
         assert fit.residual < 1e-12
+        assert fit.converged
+
+    def test_budget_stop_reported(self, rng, monkeypatch):
+        _, h_super, _, gen = self.make_problem(rng)
+        schedule = TimeSchedule(t1=20.0)
+        props = [propagator_from_superop(gen, t) for t in schedule.times()]
+        monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
+        fit = fit_generator(props, h_super, schedule, np.full(9, 0.01))
+        assert not fit.converged
+        assert fit.evaluations <= 10
 
     def test_fit_rejects_count_mismatch(self, rng):
         _, h_super, _, gen = self.make_problem(rng)

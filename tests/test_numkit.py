@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvqpt import numkit
-from nvqpt.numkit import (
-    NotPositiveSemidefinite,
-    NumkitError,
-    ObjectiveDiverged,
-    PrincipalLogUndefined,
-)
+from nvqpt.numkit import NumkitError, ObjectiveDiverged, PrincipalLogUndefined
 
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian
 
 
 class TestEigHermitian:
@@ -50,57 +45,6 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NumkitError):
             numkit.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestCholesky:
-    def test_identity(self):
-        assert np.allclose(numkit.cholesky_lower(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(numkit.cholesky_lower(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_rank_deficient(self, rng):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        m = np.outer(v, v.conj())
-        low = numkit.cholesky_lower(m)
-        assert np.linalg.norm(low @ low.conj().T - m) <= 1e-8
-        # effectively one nonzero column (trailing pivots are round-off)
-        col_norms = np.linalg.norm(low, axis=0)
-        assert np.sum(col_norms > 1e-6 * col_norms[0]) == 1
-
-    def test_round_trip_psd(self, rng):
-        for _ in range(10):
-            m = random_psd(rng, 4)
-            low = numkit.cholesky_lower(m)
-            assert np.linalg.norm(low @ low.conj().T - m) <= 1e-8 * max(1, np.linalg.norm(m))
-            assert np.allclose(np.triu(low, 1), 0)
-            assert np.all(np.diag(low).real >= 0)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveSemidefinite):
-            numkit.cholesky_lower(np.diag([1.0, -0.5]))
-
-
-class TestPseudoinverse:
-    def test_invertible(self, rng):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.linalg.norm(numkit.pseudoinverse(m) - np.linalg.inv(m)) <= 1e-10
-
-    def test_zero(self):
-        assert np.allclose(numkit.pseudoinverse(np.zeros((3, 3))), 0)
-
-    def test_rank_one_closed_form(self, rng):
-        u = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        m = np.outer(u, v.conj())
-        expected = np.outer(v, u.conj()) / (np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2)
-        assert np.allclose(numkit.pseudoinverse(m), expected)
-
-    def test_moore_penrose(self, rng):
-        m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        p = numkit.pseudoinverse(m)
-        assert np.linalg.norm(m @ p @ m - m) <= 1e-8
-        assert np.linalg.norm(p @ m @ p - p) <= 1e-8
 
 
 class TestMatrixExp:
@@ -152,21 +96,24 @@ def _rosenbrock(x):
 
 class TestLevenbergMarquardt:
     def test_parabola(self):
-        x, f, _ = numkit.levenberg_marquardt(lambda x: x - 2, np.array([0.0]))
+        x, f, _, converged = numkit.levenberg_marquardt(lambda x: x - 2, np.array([0.0]))
         assert abs(x[0] - 2) <= 1e-8
         assert f <= 1e-16
+        assert converged
 
     def test_rosenbrock(self):
-        x, f, _ = numkit.levenberg_marquardt(_rosenbrock, np.array([-1.2, 1.0]))
+        x, f, _, converged = numkit.levenberg_marquardt(_rosenbrock, np.array([-1.2, 1.0]))
         assert f < 1e-12
         assert np.allclose(x, [1.0, 1.0], atol=1e-6)
+        assert converged
 
     def test_constant_objective(self):
         x0 = np.array([1.0, -2.0, 3.0])
-        x, f, evals = numkit.levenberg_marquardt(lambda x: np.array([7.0, 1.0]), x0)
+        x, f, evals, converged = numkit.levenberg_marquardt(lambda x: np.array([7.0, 1.0]), x0)
         assert np.array_equal(x, x0)
         assert f == 50.0
         assert evals == 1 + len(x0)  # start point plus one Jacobian
+        assert converged  # a zero gradient gives a zero step
 
     def test_never_worse_than_start(self, rng):
         def bumpy(x):
@@ -174,12 +121,12 @@ class TestLevenbergMarquardt:
 
         for _ in range(5):
             x0 = rng.normal(size=3)
-            _, f, _ = numkit.levenberg_marquardt(bumpy, x0)
+            _, f, _, _ = numkit.levenberg_marquardt(bumpy, x0)
             assert f <= float(np.sum(bumpy(x0) ** 2))
 
     def test_zero_parameter_still_moves(self):
         # x[0] = 0 exactly: the step floor keeps its Jacobian column alive
-        x, f, _ = numkit.levenberg_marquardt(lambda x: np.array([x[0] - 0.3]), np.zeros(1))
+        x, f, _, _ = numkit.levenberg_marquardt(lambda x: np.array([x[0] - 0.3]), np.zeros(1))
         assert abs(x[0] - 0.3) <= 1e-8
 
     def test_diverging_objective(self):
@@ -194,9 +141,10 @@ class TestLevenbergMarquardt:
             return _rosenbrock(x)
 
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
-        x, f, evals = numkit.levenberg_marquardt(counted, np.array([-1.2, 1.0]))
+        x, f, evals, converged = numkit.levenberg_marquardt(counted, np.array([-1.2, 1.0]))
         assert evals == len(calls) <= 10
         assert f > 1e-6  # stopped on the budget, far from the minimum
+        assert not converged
 
     def test_rejects_matrix_start(self):
         with pytest.raises(NumkitError):

@@ -8,7 +8,6 @@ from nvqpt.qpt import (
     ProcessError,
     affine_to_chi,
     apply_chi,
-    build_beta,
     chi_from_outputs,
     chi_to_affine,
     chi_to_choi,
@@ -17,14 +16,13 @@ from nvqpt.qpt import (
     input_states,
     jamiolkowski_state,
     kraus_from_chi,
-    lambda_from_outputs,
     matrix_unit_images,
     matrix_units,
     tp_defect,
     tp_sum,
     unphysicality_norms,
 )
-from nvqpt.qstate import IDENTITY_2, SIGMA_X, SIGMA_Z
+from nvqpt.qstate import IDENTITY_2, SIGMA_X, SIGMA_Z, bloch_to_density, density_to_bloch
 
 CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
@@ -57,6 +55,41 @@ def random_channel_kraus(rng):
     return [q[0:2, :], q[2:4, :]]
 
 
+def build_beta():
+    """The paper's linear-inversion tensor: row (j, k), column (m, n) holds
+    the coefficient of matrix unit k in A_m rho_j A_n^dag, with A the
+    matrix units and rho_j the canonical inputs."""
+    beta = np.zeros((16, 16), dtype=complex)
+    for j, rho in enumerate(input_states()):
+        for m, am in enumerate(matrix_units()):
+            for n, an in enumerate(matrix_units()):
+                beta[4 * j: 4 * j + 4, 4 * m + n] = (am @ rho @ an.conj().T).reshape(4)
+    return beta
+
+
+def chi_by_inversion(outputs):
+    """chi = reshape(pinv(beta) . vec(lambda)), lambda's row j the entries of
+    output j."""
+    lam = np.array([np.asarray(o, dtype=complex).reshape(4) for o in outputs])
+    return (np.linalg.pinv(build_beta()) @ lam.reshape(16)).reshape(4, 4)
+
+
+def affine_by_definition(chi):
+    """Push the Bloch basis through apply_chi to read off (E | t)."""
+    t = density_to_bloch(apply_chi(chi, bloch_to_density([0.0, 0.0, 0.0])))
+    linear = np.column_stack([
+        density_to_bloch(apply_chi(chi, bloch_to_density(r))) - t for r in np.eye(3)
+    ])
+    return AffineMap.from_parts(linear, t)
+
+
+def noisy_outputs(rng, scale=0.05):
+    """Outputs of a random channel plus Hermitian noise: unphysical in general."""
+    outputs = [kraus_channel(random_channel_kraus(rng))(s) for s in input_states()]
+    noise = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    return [o + scale * (h + h.conj().T) for o, h in zip(outputs, noise)]
+
+
 class TestBases:
     def test_matrix_units_order(self):
         units = matrix_units()
@@ -84,27 +117,21 @@ class TestBeta:
     def test_full_rank(self):
         assert np.linalg.matrix_rank(build_beta()) == 16
 
-    def test_dependent_basis_rejected(self):
-        basis = matrix_units()
-        basis[3] = basis[0]
-        with pytest.raises(ProcessError):
-            build_beta(basis=basis)
-
     def test_identity_channel_inverts(self):
         chi = chi_from_outputs(input_states())
         assert np.allclose(chi, CHI_IDENTITY, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, 0.05])
+    def test_matches_linear_inversion(self, rng, scale):
+        for _ in range(20):
+            outputs = noisy_outputs(rng, scale)
+            assert np.abs(chi_from_outputs(outputs) - chi_by_inversion(outputs)).max() <= 1e-12
+
 
 class TestLambda:
-    def test_rows_are_output_entries(self):
-        outs = input_states()
-        lam = lambda_from_outputs(outs)
-        for j in range(4):
-            assert np.allclose(lam[j], outs[j].reshape(4))
-
     def test_wrong_count_rejected(self):
         with pytest.raises(ProcessError):
-            lambda_from_outputs(input_states()[:3])
+            chi_from_outputs(input_states()[:3])
 
     def test_matrix_unit_images_identity(self):
         images = matrix_unit_images(input_states())
@@ -191,6 +218,19 @@ class TestAffine:
         chi = chi_of_kraus(random_channel_kraus(rng))
         aff = chi_to_affine(chi)
         assert np.allclose(affine_to_chi(aff), chi, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.05])
+    def test_matches_bloch_definition(self, rng, scale):
+        for _ in range(20):
+            chi = chi_from_outputs(noisy_outputs(rng, scale))
+            chi = (chi + chi.conj().T) / 2
+            aff = affine_by_definition(chi)
+            assert np.abs(chi_to_affine(chi).matrix - aff.matrix).max() <= 1e-12
+            # the one Hermitian, trace-preserving chi with this Bloch action
+            back = affine_to_chi(aff)
+            assert np.abs(back - back.conj().T).max() <= 1e-12
+            assert tp_defect(back) <= 1e-12
+            assert np.abs(affine_by_definition(back).matrix - aff.matrix).max() <= 1e-12
 
     def test_apply(self):
         aff = AffineMap.from_parts(np.diag([0.5, 0.5, 0.5]), [0, 0, 0.5])
