@@ -170,10 +170,17 @@ class TestGKSParameterization:
         a = TestDissipator._random_gks(rng)
         x = gks_params_from_matrix(a)
         assert np.linalg.norm(gks_matrix(x) - a) < 1e-10
-        # full rank: the unique factor with a positive diagonal, which the
-        # index-reversed Cholesky factor also is
-        low = np.linalg.cholesky(a[::-1, ::-1])
-        assert np.allclose(gks_cholesky_factor(x), low.conj().T[::-1, ::-1], atol=1e-12)
+
+    def test_full_rank_matches_cholesky(self, rng):
+        for _ in range(10):
+            a = TestDissipator._random_gks(rng)
+            x = gks_params_from_matrix(a)
+            assert np.linalg.norm(gks_matrix(x) - a) <= 1e-12
+            assert np.all(x[:3] > 0)
+            # full rank: the unique factor with a positive diagonal, which
+            # the index-reversed Cholesky factor also is
+            low = np.linalg.cholesky(a[::-1, ::-1])
+            assert np.allclose(gks_cholesky_factor(x), low.conj().T[::-1, ::-1], atol=1e-12)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rank_deficient_round_trip(self, rng, rank):
@@ -182,6 +189,10 @@ class TestGKSParameterization:
         x = gks_params_from_matrix(a)
         assert np.linalg.norm(gks_matrix(x) - a) < 1e-12
         assert np.all(x[:3] >= 0)
+
+    def test_identity_closed_form(self):
+        x = gks_params_from_matrix(np.eye(3))
+        assert np.allclose(x, [1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
     def test_diagonal_closed_form(self):
         # the unique factor with a nonnegative diagonal: sqrt of the entries
