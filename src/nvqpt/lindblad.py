@@ -272,8 +272,12 @@ def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.n
     """Real residual vector of exp(-(iH_hat + R_hat(x)) t) - P_t over the
     schedule; its squared norm is the fit cost."""
     gen = 1j * np.asarray(h_super, complex) + dissipator_superop(gks_matrix(x))
-    diff = np.array([propagator_from_superop(gen, t) - np.asarray(p, complex)
-                     for p, t in zip(props, schedule.times())])
+    # TimeSchedule guarantees t_{m+1} = 2 t_m, so P(t_{m+1}) = P(t_m)^2:
+    # one exponential per evaluation, then squarings.
+    p_t = [propagator_from_superop(gen, schedule.t1)]
+    for _ in range(1, schedule.count):
+        p_t.append(p_t[-1] @ p_t[-1])
+    diff = np.array(p_t) - np.asarray(props, complex)
     return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
 

@@ -1,19 +1,20 @@
 """Dense complex linear algebra and optimization kernel.
 
 Everything here operates on small (dimension <= 16) numpy arrays and is a
-pure function of its inputs.  Matrix decompositions are delegated to
-numpy/scipy; the Levenberg-Marquardt least-squares solver and Richardson
-extrapolation are implemented locally, so importing the package never
-pulls in scipy.optimize.
+pure function of its inputs.  Eigendecompositions, QR and linear solves
+come from numpy.linalg.  The matrix exponential (Pade-13 scaling and
+squaring), the principal logarithm (inverse scaling and squaring), the
+Levenberg-Marquardt least-squares solver and Richardson extrapolation are
+implemented here, so the package needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances
 
@@ -34,7 +35,7 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumkitError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise NumkitError(f"{name} has non-finite entries")
     return a
 
@@ -95,18 +96,66 @@ def params_from_triangular(m) -> np.ndarray:
     return np.concatenate([np.diag(m).real, np.column_stack([low.real, low.imag]).ravel()])
 
 
+# Pade [13/13] coefficients and the 1-norm bound theta_13 (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+# 7-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the
+# [7/7] Pade approximant of log(I + X), accurate to unit roundoff for
+# |X|_1 <= 0.25 (Higham, SIAM J. Matrix Anal. Appl. 22, 1126 (2001)).
+_GL_NODES = np.array([0.0254460438286207377, 0.1292344072003027801,
+                      0.2970774243113014165, 0.5, 0.7029225756886985835,
+                      0.8707655927996972199, 0.9745539561713792623])
+_GL_WEIGHTS = np.array([0.0647424830844348466, 0.1398526957446383340,
+                        0.1909150252525594725, 0.2089795918367346939,
+                        0.1909150252525594725, 0.1398526957446383340,
+                        0.0647424830844348466])
+
+
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring (scipy.linalg.expm)."""
-    return scipy.linalg.expm(_as_square(m))
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
+    a = _as_square(m)
+    norm = _norm1(a)
+    eye = np.eye(len(a), dtype=complex)
+    if norm == 0.0:
+        return eye
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def matrix_log_principal(m) -> np.ndarray:
-    """Principal matrix logarithm.
+    """Principal matrix logarithm by inverse scaling and squaring.
 
     Raises PrincipalLogUndefined when an eigenvalue sits on (or within
     `log_branch` of) the closed negative real axis, where the principal
     branch is ambiguous -- for propagators this means the decoherence
     time is too long for an unambiguous branch.
+
+    Product-form Denman-Beavers square roots bring A^(1/2^k) within
+    |A^(1/2^k) - I|_1 <= 0.25; the Gauss-Legendre [7/7] Pade approximant of
+    log(I + X) then gives log A = 2^k log(I + X) (Cheng, Higham, Kenney and
+    Laub, SIAM J. Matrix Anal. Appl. 22, 1112 (2001)).  No eigenvector
+    basis is formed, so defective input such as a Jordan block is fine.
     """
     a = _as_square(m)
     w = np.linalg.eigvals(a)
@@ -117,8 +166,23 @@ def matrix_log_principal(m) -> np.ndarray:
                 "principal log undefined: eigenvalue on the negative real axis "
                 "(decoherence time too long for unambiguous branch)"
             )
-    out = scipy.linalg.logm(a)
-    residual = np.linalg.norm(scipy.linalg.expm(out) - a)
+    eye = np.eye(len(a), dtype=complex)
+    y, k = a, 0
+    while _norm1(y - eye) > 0.25 and k < 64:
+        # y -> y^(1/2) while mk -> I, quadratically: the step taken once
+        # |mk - I|_1 <= 1e-8 brings y to roundoff
+        mk, k = y, k + 1
+        for _ in range(100):
+            mk_inv = np.linalg.inv(mk)
+            y = y @ (eye + mk_inv) / 2
+            gap = _norm1(mk - eye)
+            mk = (eye + (mk + mk_inv) / 2) / 2
+            if gap <= 1e-8:
+                break
+    x = y - eye
+    terms = np.linalg.solve(eye + _GL_NODES[:, None, None] * x, np.broadcast_to(x, (7, *x.shape)))
+    out = 2.0**k * np.tensordot(_GL_WEIGHTS, terms, axes=1)
+    residual = np.linalg.norm(matrix_exp(out) - a)
     if residual > tolerances.get("log_roundtrip") * max(1.0, np.linalg.norm(a)):
         raise PrincipalLogUndefined(f"log round-trip residual {residual:.3g}")
     return out

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nvqpt
 from nvqpt import cli, lindblad, numkit, qstate, tolerances
 
 
@@ -310,3 +314,16 @@ class TestToleranceOverride:
         monkeypatch.setenv("NVQPT_TOLERANCES", str(tmp_path / "missing.json"))
         monkeypatch.setattr(tolerances, "_TABLE", None)
         assert run("reconstruct", str(record_path), "--time", "20") == 2
+
+
+def test_cli_import_is_numpy_only():
+    """Each CLI stage is its own process; importing the CLI must not pull in
+    scipy, whose import costs more than the CLI itself."""
+    src = os.path.dirname(os.path.dirname(nvqpt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, nvqpt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

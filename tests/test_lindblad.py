@@ -11,6 +11,7 @@ from nvqpt.lindblad import (
     devectorize,
     dissipator_superop,
     fit_generator,
+    fit_objective,
     generator_bch_estimate,
     generator_log_estimate,
     gks_cholesky_factor,
@@ -252,6 +253,21 @@ class TestGeneratorEstimates:
         assert np.linalg.norm(fit.gks - a) < 1e-6
         assert fit.residual < 1e-12
         assert fit.converged
+
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_fit_objective_matches_per_time_exponentials(self, rng, count):
+        _, h_super, _, gen = self.make_problem(rng)
+        schedule = TimeSchedule(t1=20.0, count=count)
+        props = [propagator_from_superop(gen, t) for t in schedule.times()]
+        x = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
+        x = x + 1e-3 * rng.normal(size=9)
+        fit_gen = 1j * h_super + dissipator_superop(gks_matrix(x))
+        diff = np.array([propagator_from_superop(fit_gen, t) - p
+                         for p, t in zip(props, schedule.times())])
+        expected = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+        out = fit_objective(x, props, h_super, schedule)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_budget_stop_reported(self, rng, monkeypatch):
         _, h_super, _, gen = self.make_problem(rng)

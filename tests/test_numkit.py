@@ -46,6 +46,13 @@ class TestEigHermitian:
         with pytest.raises(NumkitError):
             numkit.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_infinite_imaginary_part(self):
+        # complex(0, inf): writing 1j * np.inf would give nan + inf j
+        m = np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]])
+        for f in (numkit.eig_hermitian, numkit.matrix_exp, numkit.matrix_log_principal):
+            with pytest.raises(NumkitError, match="non-finite"):
+                f(m)
+
 
 class TestMatrixExp:
     def test_zero_is_identity_exact(self):
@@ -64,6 +71,36 @@ class TestMatrixExp:
         w, v = np.linalg.eig(m)
         expected = (v * np.exp(w)) @ np.linalg.inv(v)
         assert np.linalg.norm(numkit.matrix_exp(m) - expected) <= 1e-9
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.3, np.pi / 2, np.pi, 5.0, 40.0])
+    def test_rotation_closed_form(self, theta):
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        expected = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * sx
+        out = numkit.matrix_exp(-1j * theta / 2 * sx)
+        assert np.linalg.norm(out - expected) <= 1e-13
+
+    def test_large_norm_runs_squaring(self, rng):
+        # normal matrix with |A|_1 = 50, so the Pade step is followed by s = 4 squarings
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        lam = np.array([-3.0 + 20j, 1.0 - 7j, -12.0, 2.5 + 0.5j])
+        a = (q * lam) @ q.conj().T
+        scale = 50.0 / np.abs(a).sum(axis=0).max()
+        a, lam = scale * a, scale * lam
+        expected = (q * np.exp(lam)) @ q.conj().T
+        out = numkit.matrix_exp(a)
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_inverse_is_exp_of_negative(self, rng):
+        for scale in (1e-3, 0.5, 3.0):
+            a = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            e_pos, e_neg = numkit.matrix_exp(a), numkit.matrix_exp(-a)
+            bound = 1e-13 * np.linalg.norm(e_pos) * np.linalg.norm(e_neg)
+            assert np.linalg.norm(e_pos @ e_neg - np.eye(4)) <= bound
+        # anti-Hermitian with |A|_1 of a few tens: exp(A) is unitary, and the
+        # squarings must not lose the inverse
+        a = 10j * random_hermitian(rng, 4)
+        prod = numkit.matrix_exp(a) @ numkit.matrix_exp(-a)
+        assert np.linalg.norm(prod - np.eye(4)) <= 1e-12
 
 
 class TestMatrixLog:
@@ -87,6 +124,27 @@ class TestMatrixLog:
     def test_singular_rejected(self):
         with pytest.raises(PrincipalLogUndefined):
             numkit.matrix_log_principal(np.diag([0.0, 1.0]))
+
+    def test_jordan_block(self):
+        out = numkit.matrix_log_principal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert np.linalg.norm(out - np.array([[0, 1], [0, 0]])) <= 1e-14
+
+    def test_near_defective_propagator(self):
+        # exp([[a, b], [0, a]]) = e^a [[1, b], [0, 1]]: a repeated eigenvalue with
+        # a single eigenvector, so no route through an eigenvector basis works
+        gen = np.array([[-0.1, 1e-3], [0.0, -0.1]])
+        prop = np.exp(-0.1) * np.array([[1.0, 1e-3], [0.0, 1.0]])
+        assert np.linalg.norm(numkit.matrix_log_principal(prop) - gen) <= 1e-15
+
+    def test_many_square_roots(self, rng):
+        # eigenvalues e^-8, e^(2.5 i) and e^(-1 - 2.5 i): the log takes several
+        # square roots before |A^(1/2^k) - I|_1 <= 0.25
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        lam = np.array([-8.0, 2.5j, -2.5j - 1.0])
+        m = (q * np.exp(lam)) @ q.T
+        expected = (q * lam) @ q.T
+        out = numkit.matrix_log_principal(m)
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def _rosenbrock(x):
