@@ -2,7 +2,8 @@
 
 Subcommands: simulate, reconstruct, project, metrics, lindblad,
 ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
-NVQPT_TOLERANCES override), 3 data error, 4 numerical failure.
+argument value or NVQPT_TOLERANCES override), 3 data error (including a
+malformed input document), 4 numerical failure.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -54,9 +55,29 @@ def _load_json(path: str, schema: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
     if doc.get("schema") != schema:
         raise DataError(f"{path}: expected schema {schema!r}, got {doc.get('schema')!r}")
     return doc
+
+
+def _field(doc, path: str, *keys):
+    """doc[k0][k1]...; a missing key or a level that is not an object is a
+    data error."""
+    try:
+        for key in keys:
+            doc = doc[key]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: missing {'/'.join(keys)}") from exc
+    return doc
+
+
+def _real_array(doc, path: str, key: str) -> np.ndarray:
+    try:
+        return np.array(_field(doc, path, key), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {key} is not a rectangular array of numbers") from exc
 
 
 def _matrix_pair(m: np.ndarray) -> tuple[list, list]:
@@ -65,9 +86,10 @@ def _matrix_pair(m: np.ndarray) -> tuple[list, list]:
 
 
 def _chi_from_doc(doc: dict, path: str) -> np.ndarray:
-    chi = np.array(doc["chi_re"]) + 1j * np.array(doc["chi_im"])
-    if chi.shape != (4, 4):
+    re, im = _real_array(doc, path, "chi_re"), _real_array(doc, path, "chi_im")
+    if re.shape != (4, 4) or im.shape != (4, 4):
         raise DataError(f"{path}: chi must be 4x4")
+    chi = re + 1j * im
     if not np.all(np.isfinite(chi)):
         raise DataError(f"{path}: chi has non-finite entries")
     if np.linalg.norm(chi - chi.conj().T) > 1e-6:
@@ -88,27 +110,37 @@ def _process_doc(chi: np.ndarray, diagnostics: dict) -> dict:
     }
 
 
-def _record_times(doc: dict) -> list[float]:
-    return [float(t) for t in doc["times_ns"]]
+def _record_times(doc: dict, path: str) -> list[float]:
+    try:
+        times = [float(t) for t in _field(doc, path, "times_ns")]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: times_ns must be a list of numbers") from exc
+    if not np.all(np.isfinite(times)):
+        raise DataError(f"{path}: times_ns has non-finite entries")
+    return times
 
 
 def _expectations_at(doc: dict, time: float, path: str):
     """MaxEnt-reconstructed output states at one record time, in canonical
     input order; also returns which components were unmeasured."""
-    times = _record_times(doc)
+    times = _record_times(doc, path)
     key = None
     for t in times:
         if abs(t - time) <= 1e-9 * max(1.0, abs(time)):
             key = repr(float(t))
     if key is None:
         raise DataError(f"{path}: time {time} not in record times {times}")
-    if list(doc["inputs"]) != list(nvsim.INPUT_LABELS):
+    if _field(doc, path, "inputs") != list(nvsim.INPUT_LABELS):
         raise DataError(f"{path}: inputs must be {list(nvsim.INPUT_LABELS)}")
     outputs = []
     missing = {}
     for label in nvsim.INPUT_LABELS:
-        entry = doc["expectations"][label][key]
-        e = qstate.PauliExpectations(sx=entry["sx"], sy=entry["sy"], sz=entry["sz"])
+        values = [_field(doc, path, "expectations", label, key, ax)
+                  for ax in ("sx", "sy", "sz")]
+        if any(v is not None and not isinstance(v, (int, float)) for v in values):
+            raise DataError(f"{path}: {label} at {key} ns: expectations must be "
+                            "numbers or null")
+        e = qstate.PauliExpectations(*values)
         gaps = [ax for ax, v in zip(("sx", "sy", "sz"), e.as_tuple()) if v is None]
         if gaps:
             missing[label] = gaps
@@ -126,10 +158,10 @@ def cmd_simulate(args) -> int:
             shots=args.shots,
             seed=args.seed,
         )
-    except nvsim.SimulationError as exc:
+        schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
+    except (nvsim.SimulationError, lindblad.LindbladError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
     record = nvsim.run_experiment(cfg, schedule)
     _dump_json(record.to_record_dict(), args.out)
     return 0
@@ -192,10 +224,10 @@ def _is_cptp(chi: np.ndarray) -> bool:
 def cmd_metrics(args) -> int:
     doc_a = _load_json(args.process_a, PROCESS_SCHEMA)
     doc_b = _load_json(args.process_b, PROCESS_SCHEMA)
-    if doc_a["basis"] != doc_b["basis"]:
-        raise DataError(
-            f"basis mismatch: {doc_a['basis']!r} vs {doc_b['basis']!r}"
-        )
+    basis_a = _field(doc_a, args.process_a, "basis")
+    basis_b = _field(doc_b, args.process_b, "basis")
+    if basis_a != basis_b:
+        raise DataError(f"basis mismatch: {basis_a!r} vs {basis_b!r}")
     chi_a = _chi_from_doc(doc_a, args.process_a)
     chi_b = _chi_from_doc(doc_b, args.process_b)
     norms = qpt.unphysicality_norms(chi_a, chi_b)
@@ -228,7 +260,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_lindblad(args) -> int:
     doc = _load_json(args.record, RECORD_SCHEMA)
-    times = _record_times(doc)
+    times = _record_times(doc, args.record)
     if len(times) < 3:
         raise DataError("need at least three timepoints on a doubling schedule")
     try:
@@ -308,7 +340,7 @@ def cmd_lindblad(args) -> int:
 
 def cmd_ellipsoid(args) -> int:
     doc = _load_json(args.process, PROCESS_SCHEMA)
-    affine = qpt.AffineMap(np.array(doc["affine"]))
+    affine = qpt.AffineMap(_real_array(doc, args.process, "affine"))
     pts, outs, violation = qpt.ellipsoid_samples(affine, args.points)
     lines = ["in_x,in_y,in_z,out_x,out_y,out_z,violation"]
     for p, o, v in zip(pts, outs, violation):

@@ -24,16 +24,10 @@ CONVERGENCE_GAP = 1e-12
 MAX_ITERATIONS = 1000
 
 
-def params_to_matrix(t: np.ndarray) -> np.ndarray:
-    """Assemble the lower-triangular T from the 16 real parameters: the
-    real diagonal, then Re/Im of the subdiagonals (1,0), (2,1), (3,2),
-    (2,0), (3,1), (3,0)."""
-    return triangular_from_params(t, 4)
-
-
 def chi_from_params(t: np.ndarray) -> np.ndarray:
-    """chi~ = T^dag T: positive semidefinite for every parameter vector."""
-    m = params_to_matrix(t)
+    """chi~ = T^dag T: positive semidefinite for every parameter vector.
+    T is lower triangular, from the 16 reals of triangular_from_params."""
+    m = triangular_from_params(t, 4)
     return m.conj().T @ m
 
 

@@ -1,11 +1,14 @@
 """Markovian process tomography in Liouville space.
 
-Density matrices are column-stacked into 4-vectors; channels and
-generators become 4x4 superoperators.  The relaxation generator is
-estimated from propagators at a doubling time schedule (matrix-log and
-symmetric-BCH/Richardson routes), projected onto the positive GKS form,
-refined by a Levenberg-Marquardt fit to the propagators, and finally
-diagonalized into Lindblad operators with relative contributions.
+Density matrices are column-stacked into 4-vectors, so vec(A X B) =
+(B^T (x) A) vec X writes every commutator and GKS term as Kronecker
+products, and a measured channel's superpropagator is the realignment
+P[a+2b, i+2j] = chi[2a+i, 2b+j] of its chi (Choi) matrix.  The
+relaxation generator is estimated from propagators at a doubling time
+schedule (matrix-log and symmetric-BCH/Richardson routes), projected
+onto the positive GKS form, refined by a Levenberg-Marquardt fit to the
+propagators, and diagonalized into Lindblad operators with relative
+contributions.
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
@@ -27,13 +30,10 @@ from .numkit import (
     richardson_derivative,
     triangular_from_params,
 )
-from .qstate import PAULIS, PauliExpectations, density_to_bloch
+from .qstate import IDENTITY_2, PAULIS, PauliExpectations, density_to_bloch
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
 F_BASIS = tuple(s / np.sqrt(2) for s in PAULIS)
-
-# Spin-1 operators for the NV ground-state triplet, basis (m=+1, 0, -1).
-_SZ1 = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
 class LindbladError(ValueError):
@@ -57,39 +57,9 @@ def devectorize(v) -> np.ndarray:
 
 def superop_from_action(action) -> np.ndarray:
     """Assemble a superoperator column-by-column from its action on the
-    matrices behind each vectorized basis vector."""
-    cols = []
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = 1.0
-        cols.append(vectorize(action(devectorize(e))))
-    return np.column_stack(cols)
-
-
-@dataclass(frozen=True)
-class NVParams:
-    """NV ground-triplet Hamiltonian parameters (MHz, Gauss)."""
-
-    zero_field_splitting: float = 2880.0   # D, MHz
-    transverse_splitting: float = 0.0      # E, MHz (0 by axial symmetry)
-    gyromagnetic: float = 2.8025           # g*beta, MHz/Gauss
-    field_gauss: float = 0.0               # B_z
-
-    def __post_init__(self):
-        if self.zero_field_splitting <= 0 or self.gyromagnetic <= 0:
-            raise LindbladError("D and g*beta must be positive")
-
-
-def nv_hamiltonian(p: NVParams) -> tuple[np.ndarray, float]:
-    """Triplet Hamiltonian g*beta*Bz*Sz + D(Sz^2 - 2/3) (MHz) and the
-    |0> <-> |1> transition energy in MHz."""
-    s = 1.0
-    h = (
-        p.gyromagnetic * p.field_gauss * _SZ1
-        + p.zero_field_splitting * (_SZ1 @ _SZ1 - s * (s + 1) / 3 * np.eye(3))
-    )
-    delta_e = p.zero_field_splitting + p.gyromagnetic * p.field_gauss
-    return h, float(delta_e)
+    matrices behind each vectorized basis vector (a definition-level
+    oracle for the closed forms below)."""
+    return np.column_stack([vectorize(action(devectorize(e))) for e in np.eye(4)])
 
 
 def detuning_hamiltonian(delta: float) -> np.ndarray:
@@ -98,11 +68,12 @@ def detuning_hamiltonian(delta: float) -> np.ndarray:
 
 
 def hamiltonian_superop(h) -> np.ndarray:
-    """Commutator superoperator: devec(H_hat vec(rho)) = H rho - rho H."""
+    """Commutator superoperator: devec(H_hat vec(rho)) = H rho - rho H,
+    i.e. H_hat = I (x) H - H^T (x) I."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2) or np.linalg.norm(h - h.conj().T) > 1e-9:
         raise LindbladError("Hamiltonian must be 2x2 Hermitian")
-    return superop_from_action(lambda m: h @ m - m @ h)
+    return np.kron(IDENTITY_2, h) - np.kron(h.T, IDENTITY_2)
 
 
 @dataclass(frozen=True)
@@ -113,8 +84,8 @@ class TimeSchedule:
     count: int = 3
 
     def __post_init__(self):
-        if self.t1 <= 0:
-            raise LindbladError("t1 must be positive")
+        if not 0 < self.t1 < np.inf:
+            raise LindbladError("t1 must be positive and finite")
         if self.count < 1:
             raise LindbladError("count must be at least 1")
 
@@ -133,13 +104,11 @@ class TimeSchedule:
 
 
 def propagator_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
-    """Superpropagator whose columns are the vectorized images of the
-    matrix units, recovered from the four measured outputs by linearity
-    (inputs ordered as qpt.input_states())."""
-    images = qpt.matrix_unit_images(outputs)
-    # column k acts on devectorize(e_k): E00, E10, E01, E11
-    order = [0, 2, 1, 3]
-    return np.column_stack([vectorize(images[k]) for k in order])
+    """Superpropagator of the channel behind the four measured outputs
+    (inputs ordered as qpt.input_states()): column i+2j is vec E(|i><j|),
+    the realignment P[a+2b, i+2j] = chi[2a+i, 2b+j]."""
+    chi = qpt.chi_from_outputs(outputs)
+    return chi.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def propagator_from_superop(generator: np.ndarray, t: float) -> np.ndarray:
@@ -185,6 +154,16 @@ def gks_matrix(x: np.ndarray) -> np.ndarray:
     return m.conj().T @ m
 
 
+def _psd_eig(a: np.ndarray):
+    """Eigendecomposition of a GKS matrix that must be PSD to min_eig_floor."""
+    res = eig_hermitian(a)
+    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
+        raise LindbladError(
+            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
+        )
+    return res
+
+
 def gks_params_from_matrix(a: np.ndarray) -> np.ndarray:
     """Factor a PSD GKS matrix back into the 9 parameters of a = X^dag X.
 
@@ -192,33 +171,20 @@ def gks_params_from_matrix(a: np.ndarray) -> np.ndarray:
     the index reversal) gives X = J R J, lower triangular; rows of R are
     sign-flipped to a nonnegative diagonal, so full-rank a gets its
     Cholesky factor."""
-    res = eig_hermitian(a)
-    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise LindbladError(
-            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
-        )
+    res = _psd_eig(a)
     f = np.sqrt(np.clip(res.eigenvalues, 0.0, None))[:, None] * res.eigenvectors.conj().T
     r = np.linalg.qr(f[:, ::-1], mode="r")
     r *= np.where(np.diag(r).real < 0, -1.0, 1.0)[:, None]
     return params_from_triangular(r[::-1, ::-1])
 
 
-def _dissipator_tensor() -> np.ndarray:
-    """K[a, b] = superoperator of the elementary GKS term
-    rho -> (1/2)([F_a rho, F_b] + [F_a, rho F_b])."""
-    k = np.zeros((3, 3, 4, 4), dtype=complex)
-    for al in range(3):
-        for be in range(3):
-            fa, fb = F_BASIS[al], F_BASIS[be]
-            k[al, be] = superop_from_action(
-                lambda rho, fa=fa, fb=fb: (
-                    2 * fa @ rho @ fb - fb @ fa @ rho - rho @ fb @ fa
-                ) / 2
-            )
-    return k
-
-
-_DISSIPATOR_TENSOR = _dissipator_tensor()
+# _DISSIPATOR_TENSOR[a, b] is the superoperator of the elementary GKS term
+# rho -> F_a rho F_b - (F_b F_a rho + rho F_b F_a) / 2.
+_DISSIPATOR_TENSOR = np.array([
+    [np.kron(fb.T, fa) - np.kron(IDENTITY_2, fb @ fa) / 2
+     - np.kron((fb @ fa).T, IDENTITY_2) / 2 for fb in F_BASIS]
+    for fa in F_BASIS
+])
 
 
 def dissipator_superop(a: np.ndarray) -> np.ndarray:
@@ -232,31 +198,34 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     return -np.einsum("ab,abij->ij", a, _DISSIPATOR_TENSOR)
 
 
+def _hermitian_from_components(c: np.ndarray) -> np.ndarray:
+    """3x3 Hermitian matrix from 9 reals in the layout of the GKS factor:
+    diagonal, then Re/Im of the (1,0), (2,1), (2,0) entries."""
+    low = triangular_from_params(c, 3)
+    return low + np.tril(low, -1).conj().T
+
+
+def _real_view(m) -> np.ndarray:
+    """Re and Im of a complex array, raveled into one real vector."""
+    m = np.asarray(m, dtype=complex).ravel()
+    return np.concatenate([m.real, m.imag])
+
+
+# Real design matrix of the GKS start: column k is the dissipator of the k-th
+# unit component of _hermitian_from_components.
+_GKS_DESIGN = np.column_stack([
+    _real_view(dissipator_superop(_hermitian_from_components(c))) for c in np.eye(9)
+])
+
+
 def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     """Project an unconstrained generator estimate onto GKS parameters.
 
     The linear map from the 9 real Hermitian components of a to
     superoperators is inverted in least squares; the recovered a is
     clipped to PSD and Cholesky-factored into x."""
-    r_estimate = np.asarray(r_estimate, dtype=complex)
-    basis = []
-    for idx in range(9):
-        comp = np.zeros(9)
-        comp[idx] = 1.0
-        basis.append(dissipator_superop(_hermitian_from_components(comp)))
-    m = np.column_stack([
-        np.concatenate([b.reshape(16).real, b.reshape(16).imag]) for b in basis
-    ])
-    rhs = np.concatenate([r_estimate.reshape(16).real, r_estimate.reshape(16).imag])
-    comps, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+    comps, *_ = np.linalg.lstsq(_GKS_DESIGN, _real_view(r_estimate), rcond=None)
     return gks_params_from_matrix(clip_negative_eigs(_hermitian_from_components(comps)))
-
-
-def _hermitian_from_components(c: np.ndarray) -> np.ndarray:
-    """3x3 Hermitian matrix from 9 reals in the layout of the GKS factor:
-    diagonal, then Re/Im of the (1,0), (2,1), (2,0) entries."""
-    low = triangular_from_params(c, 3)
-    return low + np.tril(low, -1).conj().T
 
 
 @dataclass(frozen=True)
@@ -277,8 +246,7 @@ def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.n
     p_t = [propagator_from_superop(gen, schedule.t1)]
     for _ in range(1, schedule.count):
         p_t.append(p_t[-1] @ p_t[-1])
-    diff = np.array(p_t) - np.asarray(props, complex)
-    return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+    return _real_view(np.array(p_t) - np.asarray(props, complex))
 
 
 def fit_generator(
@@ -295,13 +263,8 @@ def fit_generator(
         lambda x: fit_objective(x, props, h_super, schedule), x0
     )
     a = gks_matrix(x_best)
-    return GeneratorFit(
-        gks=a,
-        relaxation=dissipator_superop(a),
-        residual=residual,
-        evaluations=evals,
-        converged=converged,
-    )
+    return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=residual,
+                        evaluations=evals, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -315,32 +278,22 @@ class LindbladSet:
 def lindblads_from_gks(a: np.ndarray) -> LindbladSet:
     """Diagonalize the GKS matrix: L_i = sqrt(d_i) sum_j U_ji F_j, dropping
     negligible eigenvalues; contributions are |L_i|_Fro^2 normalized."""
-    res = eig_hermitian(a)
-    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise LindbladError(
-            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
-        )
-    dmax = max(res.eigenvalues[-1], 0.0)
-    ops = []
-    weights = []
-    for i in range(2, -1, -1):  # descending eigenvalue order
-        d = max(res.eigenvalues[i], 0.0)
-        if d < 1e-12 * dmax or d == 0.0:
-            continue
-        op = sum(res.eigenvectors[j, i] * F_BASIS[j] for j in range(3))
-        ops.append(np.sqrt(d) * op)
-        weights.append(float(np.linalg.norm(ops[-1]) ** 2))
-    total = sum(weights)
-    if total == 0:
-        return LindbladSet(operators=[], contributions=[])
-    return LindbladSet(operators=ops, contributions=[w / total for w in weights])
+    res = _psd_eig(a)
+    d = np.clip(res.eigenvalues, 0.0, None)
+    ops = [
+        np.sqrt(d[i]) * sum(res.eigenvectors[j, i] * F_BASIS[j] for j in range(3))
+        for i in (2, 1, 0)  # descending eigenvalue order
+        if d[i] > 0 and d[i] >= 1e-12 * d[2]
+    ]
+    contributions = contributions_from_operators(ops)
+    return LindbladSet(operators=ops if contributions else [], contributions=contributions)
 
 
 def contributions_from_operators(operators) -> list[float]:
-    """Relative contribution |L_i|_Fro^2 / sum_j |L_j|_Fro^2."""
+    """Relative contribution |L_i|_Fro^2 / sum_j |L_j|_Fro^2; [] if all vanish."""
     weights = [float(np.linalg.norm(np.asarray(op)) ** 2) for op in operators]
     total = sum(weights)
-    return [w / total for w in weights]
+    return [w / total for w in weights] if total else []
 
 
 def predict_expectations(

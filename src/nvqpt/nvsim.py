@@ -33,8 +33,10 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.t1_ns <= 0 or self.t2_ns <= 0:
+        if not (self.t1_ns > 0 and self.t2_ns > 0):
             raise SimulationError("relaxation times must be positive")
+        if not np.isfinite(self.detuning):
+            raise SimulationError("detuning must be finite")
         if self.t2_ns > 2 * self.t1_ns + 1e-12:
             raise SimulationError("unphysical T1/T2: T2 must not exceed 2*T1")
         if not 0 <= self.polarization <= 1:

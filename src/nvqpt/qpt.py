@@ -136,6 +136,8 @@ class AffineMap:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ProcessError("affine matrix must be 4x4")
+        if not np.all(np.isfinite(m)):
+            raise ProcessError("affine matrix has non-finite entries")
         if not np.array_equal(m[0], [1.0, 0.0, 0.0, 0.0]):
             raise ProcessError("affine first row must be exactly (1, 0, 0, 0)")
         object.__setattr__(self, "matrix", m)

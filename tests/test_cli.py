@@ -59,11 +59,86 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unphysical_config_is_usage_error(self, tmp_path):
-        code = run(
-            "simulate", "--t1", "100", "--t2", "500",
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 2
+        for args in [
+            ("--t1", "100", "--t2", "500"),   # T2 > 2 T1
+            ("--t1", "-5"),
+            ("--timepoints", "0"),
+            ("--t1ns", "-1"),
+            ("--t1", "nan"),
+            ("--t2", "nan"),
+            ("--detuning", "nan"),
+            ("--t1ns", "nan"),
+            ("--t1ns", "inf"),
+        ]:
+            code = run("simulate", *args, "--out", str(tmp_path / "x.json"))
+            assert code == 2, args
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+def _put(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("stage, edit", [
+    pytest.param("reconstruct", _drop("inputs"), id="no-inputs"),
+    pytest.param("reconstruct", _drop("expectations", "x+", "20.0"), id="no-time-entry"),
+    pytest.param("reconstruct", _drop("expectations", "z+", "20.0", "sx"), id="no-sx"),
+    pytest.param("reconstruct", _put("abc", "expectations", "z+", "20.0", "sx"),
+                 id="sx-string"),
+    pytest.param("reconstruct", _put([], "expectations", "y+"), id="label-not-object"),
+    pytest.param("reconstruct", lambda doc: [doc], id="record-list"),
+    pytest.param("lindblad", _put(["x", 40.0, 80.0], "times_ns"), id="time-string"),
+    pytest.param("lindblad", _put(5, "times_ns"), id="times-not-list"),
+    pytest.param("project", _drop("chi_re"), id="no-chi-re"),
+    pytest.param("project", _put([[0.0]] * 4, "chi_re"), id="chi-re-4x1"),
+    pytest.param("project", _put([[0.0] * 4] * 3 + [[0.0]], "chi_re"), id="chi-re-ragged"),
+    pytest.param("project", _put("abc", "chi_im"), id="chi-im-string"),
+    pytest.param("project", lambda doc: [doc], id="process-list"),
+    pytest.param("metrics", _drop("basis"), id="no-basis"),
+    pytest.param("ellipsoid", _drop("affine"), id="no-affine"),
+    pytest.param("ellipsoid", _put([[1.0, 0.0, 0.0, 0.0], [0.0]], "affine"),
+                 id="affine-ragged"),
+])
+def test_malformed_document_is_data_error(record_path, process_path, tmp_path,
+                                          stage, edit, capsys):
+    """Missing keys, wrong types and ragged arrays exit 3 with a message,
+    not with a traceback."""
+    source = record_path if stage in ("reconstruct", "lindblad") else process_path
+    doc = json.loads(source.read_text())
+    doc = edit(doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = ("--out", str(tmp_path / "x.out"))
+    argv = {
+        "reconstruct": ("reconstruct", str(bad), "--time", "20", *out),
+        "lindblad": ("lindblad", str(bad), *out),
+        "project": ("project", str(bad), *out),
+        "metrics": ("metrics", str(bad), str(process_path)),
+        "ellipsoid": ("ellipsoid", str(bad), "--points", "8", *out),
+    }[stage]
+    assert run(*argv) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unmeasured_axis_is_not_an_error(record_path, tmp_path):
+    doc = json.loads(record_path.read_text())
+    doc["expectations"]["z+"]["20.0"]["sx"] = None
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "raw.json"
+    assert run("reconstruct", str(path), "--time", "20", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["diagnostics"]["unmeasured"] == {"z+": ["sx"]}
 
 
 class TestReconstruct:
@@ -258,6 +333,15 @@ class TestEllipsoid:
             fields = line.split(",")
             assert len(fields) == 7
             assert fields[6] in ("0", "1")
+
+    def test_non_finite_affine_is_data_error(self, process_path, tmp_path, capsys):
+        doc = json.loads(process_path.read_text())
+        doc["affine"][2][1] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "cloud.csv"
+        assert run("ellipsoid", str(bad), "--points", "8", "--out", str(out)) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_zero_points_is_usage_error(self, process_path):
         with pytest.raises(SystemExit) as exc:

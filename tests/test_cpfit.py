@@ -5,10 +5,10 @@ from nvqpt import cpfit, qpt, reference
 from nvqpt.cpfit import (
     chi_from_params,
     clip_negative_eigs,
-    params_to_matrix,
     project_to_cp,
     tp_project,
 )
+from nvqpt.numkit import triangular_from_params
 
 CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
@@ -16,16 +16,20 @@ CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 class TestParameterization:
     def test_matrix_is_lower_triangular(self, rng):
         t = rng.normal(size=16)
-        m = params_to_matrix(t)
+        m = triangular_from_params(t, 4)
         assert np.allclose(np.triu(m, 1), 0)
+        # real diagonal first, then Re/Im of (1,0), (2,1), (3,2), (2,0), (3,1), (3,0)
+        assert np.array_equal(np.diag(m).real, t[:4])
+        low = [(1, 0), (2, 1), (3, 2), (2, 0), (3, 1), (3, 0)]
+        assert np.array_equal([m[ij] for ij in low], t[4::2] + 1j * t[5::2])
 
     def test_diagonal_is_real(self, rng):
-        m = params_to_matrix(rng.normal(size=16))
+        m = triangular_from_params(rng.normal(size=16), 4)
         assert np.allclose(np.diag(m).imag, 0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            params_to_matrix(np.zeros(15))
+            triangular_from_params(np.zeros(15), 4)
 
     def test_chi_always_psd(self, rng):
         for _ in range(50):

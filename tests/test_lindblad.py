@@ -5,8 +5,8 @@ from nvqpt import lindblad, numkit, qpt
 from nvqpt.lindblad import (
     F_BASIS,
     LindbladError,
-    NVParams,
     TimeSchedule,
+    contributions_from_operators,
     detuning_hamiltonian,
     devectorize,
     dissipator_superop,
@@ -20,7 +20,6 @@ from nvqpt.lindblad import (
     gks_start_from_generator,
     hamiltonian_superop,
     lindblads_from_gks,
-    nv_hamiltonian,
     predict_expectations,
     propagator_from_outputs,
     propagator_from_superop,
@@ -59,24 +58,6 @@ class TestVectorization:
 
 
 class TestHamiltonians:
-    def test_transition_energy_zero_field(self):
-        _, delta_e = nv_hamiltonian(NVParams())
-        assert np.isclose(delta_e, 2880.0)
-
-    def test_transition_energy_with_field(self):
-        _, delta_e = nv_hamiltonian(NVParams(field_gauss=100.0))
-        assert np.isclose(delta_e, 2880.0 + 2.8025 * 100.0)
-
-    def test_triplet_matrix(self):
-        h, _ = nv_hamiltonian(NVParams(field_gauss=50.0))
-        d, gb = 2880.0, 2.8025
-        expected = np.diag([gb * 50 + d / 3, -2 * d / 3, -gb * 50 + d / 3])
-        assert np.allclose(h, expected)
-
-    def test_rejects_nonpositive_splitting(self):
-        with pytest.raises(LindbladError):
-            NVParams(zero_field_splitting=0.0)
-
     def test_detuning_hamiltonian(self):
         assert np.allclose(detuning_hamiltonian(0.4), 0.2 * PAULIS[2])
 
@@ -85,6 +66,13 @@ class TestHamiltonians:
         sup = hamiltonian_superop(h)
         rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert np.allclose(devectorize(sup @ vectorize(rho)), h @ rho - rho @ h)
+
+    def test_closed_form_matches_oracle(self, rng):
+        for _ in range(20):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = m + m.conj().T
+            oracle = superop_from_action(lambda rho: h @ rho - rho @ h)
+            assert np.max(np.abs(hamiltonian_superop(h) - oracle)) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(LindbladError):
@@ -118,6 +106,16 @@ class TestPropagators:
         prop = propagator_from_outputs(outputs)
         assert np.allclose(prop, propagator_from_superop(gen, 20.0), atol=1e-10)
 
+    def test_realignment_matches_oracle(self, rng):
+        # any linear map, given by its outputs on the canonical inputs
+        g = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+
+        def channel(m):
+            return sum(k @ m @ k.conj().T for k in g)
+
+        prop = propagator_from_outputs([channel(s) for s in qpt.input_states()])
+        assert np.max(np.abs(prop - superop_from_action(channel))) <= 1e-12
+
 
 class TestDissipator:
     def test_pure_dephasing_decay_rate(self):
@@ -140,6 +138,15 @@ class TestDissipator:
         a = self._random_gks(rng)
         r_hat = dissipator_superop(a)
         assert np.allclose(TRACE_ROW @ r_hat, 0, atol=1e-12)
+
+    def test_tensor_matches_oracle(self):
+        for a, fa in enumerate(F_BASIS):
+            for b, fb in enumerate(F_BASIS):
+                oracle = superop_from_action(
+                    lambda rho: fa @ rho @ fb - (fb @ fa @ rho + rho @ fb @ fa) / 2
+                )
+                diff = lindblad._DISSIPATOR_TENSOR[a, b] - oracle
+                assert np.max(np.abs(diff)) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(LindbladError):
@@ -327,6 +334,10 @@ class TestLindbladDecomposition:
     def test_zero_gks_empty(self):
         lset = lindblads_from_gks(np.zeros((3, 3)))
         assert lset.operators == [] and lset.contributions == []
+
+    def test_contributions_of_vanishing_operators_empty(self):
+        assert contributions_from_operators([]) == []
+        assert contributions_from_operators([np.zeros((2, 2))]) == []
 
 
 class TestPrediction:

@@ -195,6 +195,13 @@ class TestAffine:
         with pytest.raises(ProcessError):
             AffineMap(m)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        m = np.eye(4)
+        m[2, 3] = value
+        with pytest.raises(ProcessError):
+            AffineMap(m)
+
     def test_identity_channel(self):
         aff = chi_to_affine(CHI_IDENTITY)
         assert np.allclose(aff.matrix, np.eye(4), atol=1e-12)
