@@ -7,8 +7,8 @@ P[a+2b, i+2j] = chi[2a+i, 2b+j] of its chi (Choi) matrix.  The
 relaxation generator is estimated from propagators at a doubling time
 schedule (matrix-log and symmetric-BCH/Richardson routes), projected
 onto the positive GKS form, refined by a Levenberg-Marquardt fit to the
-propagators, and diagonalized into Lindblad operators with relative
-contributions.
+propagators with the exact Jacobian (block-triangular exponentials), and
+diagonalized into Lindblad operators with relative contributions.
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
@@ -64,6 +64,8 @@ def superop_from_action(action) -> np.ndarray:
 
 def detuning_hamiltonian(delta: float) -> np.ndarray:
     """Rotating-frame qubit Hamiltonian (delta/2) sigma_z, rad/ns."""
+    if not np.isfinite(delta):
+        raise LindbladError("detuning must be finite")
     return delta / 2 * PAULIS[2]
 
 
@@ -71,8 +73,8 @@ def hamiltonian_superop(h) -> np.ndarray:
     """Commutator superoperator: devec(H_hat vec(rho)) = H rho - rho H,
     i.e. H_hat = I (x) H - H^T (x) I."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2) or np.linalg.norm(h - h.conj().T) > 1e-9:
-        raise LindbladError("Hamiltonian must be 2x2 Hermitian")
+    if h.shape != (2, 2) or not np.isfinite(h).all() or np.linalg.norm(h - h.conj().T) > 1e-9:
+        raise LindbladError("Hamiltonian must be 2x2 Hermitian with finite entries")
     return np.kron(IDENTITY_2, h) - np.kron(h.T, IDENTITY_2)
 
 
@@ -188,14 +190,14 @@ _DISSIPATOR_TENSOR = np.array([
 
 
 def dissipator_superop(a: np.ndarray) -> np.ndarray:
-    """Relaxation superoperator R_hat for a GKS matrix a over the F basis.
+    """Relaxation superoperator R_hat of a GKS matrix a (or a stack) over the F basis.
 
     -R_hat acts as rho -> (1/2) sum a_ab ([F_a rho, F_b] + [F_a, rho F_b]);
     the trace row of R_hat vanishes, so exp(-R_hat t) preserves trace."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (3, 3) or np.linalg.norm(a - a.conj().T) > 1e-9:
+    if a.shape[-2:] != (3, 3) or np.linalg.norm(a - a.conj().swapaxes(-1, -2)) > 1e-9:
         raise LindbladError("GKS matrix must be 3x3 Hermitian")
-    return -np.einsum("ab,abij->ij", a, _DISSIPATOR_TENSOR)
+    return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
 
 
 def _hermitian_from_components(c: np.ndarray) -> np.ndarray:
@@ -233,7 +235,8 @@ class GeneratorFit:
     gks: np.ndarray            # fitted PSD GKS matrix
     relaxation: np.ndarray     # fitted R_hat superoperator
     residual: float
-    evaluations: int
+    evaluations: int           # fit_objective calls
+    jacobians: int             # fit_jacobian calls
     converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
 
 
@@ -249,6 +252,30 @@ def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.n
     return _real_view(np.array(p_t) - np.asarray(props, complex))
 
 
+# dX/dx_k for the GKS factor X = gks_cholesky_factor(x).
+_FACTOR_BASIS = np.array([triangular_from_params(c, 3) for c in np.eye(9)])
+
+
+def fit_jacobian(x: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
+    """Exact Jacobian of fit_objective (column k: d residuals / dx_k).
+
+    dG_k = R_hat(E_k^dag X + X^dag E_k) for a = X^dag X, E_k = dX/dx_k; the
+    derivative of exp(-G t1) along dG_k is the upper-right block of
+    exp([[-G t1, -dG_k t1], [0, -G t1]]) (Najfeld and Havel, Adv. Appl. Math.
+    16, 321 (1995)), and dP_{m+1} = dP_m P_m + P_m dP_m along the schedule."""
+    xm = gks_cholesky_factor(x)
+    da = _FACTOR_BASIS.conj().swapaxes(1, 2) @ xm + xm.conj().T @ _FACTOR_BASIS
+    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(xm.conj().T @ xm)
+    g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
+    blocks = matrix_exp(np.block([[g, -dissipator_superop(da) * schedule.t1], [0 * g, g]]))
+    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
+    for _ in range(1, schedule.count):
+        dps.append(dps[-1] @ p + p @ dps[-1])
+        p = p @ p
+    dps = np.stack(dps, axis=1).reshape(9, -1)  # row k: d vec(P_t) / dx_k
+    return np.concatenate([dps.real, dps.imag], axis=1).T
+
+
 def fit_generator(
     props: list[np.ndarray],
     h_super: np.ndarray,
@@ -256,15 +283,16 @@ def fit_generator(
     x0: np.ndarray,
 ) -> GeneratorFit:
     """Least-squares fit of the GKS parameters to measured propagators at
-    every schedule time; `evaluations` counts fit_objective calls."""
+    every schedule time, by Levenberg-Marquardt with the exact Jacobian."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
-    x_best, residual, evals, converged = levenberg_marquardt(
-        lambda x: fit_objective(x, props, h_super, schedule), x0
+    x_best, residual, evals, jacs, converged = levenberg_marquardt(
+        lambda x: fit_objective(x, props, h_super, schedule),
+        lambda x: fit_jacobian(x, h_super, schedule), x0
     )
     a = gks_matrix(x_best)
     return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=residual,
-                        evaluations=evals, converged=converged)
+                        evaluations=evals, jacobians=jacs, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -300,12 +328,12 @@ def predict_expectations(
     r_hat: np.ndarray, h_super: np.ndarray, rho0, times
 ) -> list[PauliExpectations]:
     """Evolve a state under exp(-(iH_hat + R_hat)t) and read out Pauli
-    expectations at each requested time."""
+    expectations at each requested time (one stacked exponential)."""
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
     v0 = vectorize(np.asarray(rho0, dtype=complex))
     out = []
-    for t in times:
-        rho = devectorize(matrix_exp(-gen * float(t)) @ v0)
+    for prop in matrix_exp(-gen * np.asarray(times, dtype=float)[:, None, None]):
+        rho = devectorize(prop @ v0)
         rho = (rho + rho.conj().T) / 2
         r = np.clip(density_to_bloch(rho), -1.0, 1.0)
         out.append(PauliExpectations(sx=float(r[0]), sy=float(r[1]), sz=float(r[2])))

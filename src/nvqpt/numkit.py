@@ -3,9 +3,10 @@
 Everything here operates on small (dimension <= 16) numpy arrays and is a
 pure function of its inputs.  Eigendecompositions, QR and linear solves
 come from numpy.linalg.  The matrix exponential (Pade-13 scaling and
-squaring), the principal logarithm (inverse scaling and squaring), the
-Levenberg-Marquardt least-squares solver and Richardson extrapolation are
-implemented here, so the package needs numpy only.
+squaring, also of stacks), the principal logarithm (inverse scaling and
+squaring), the Levenberg-Marquardt least-squares solver (analytic
+Jacobian) and Richardson extrapolation are implemented here, so the
+package needs numpy only.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class ObjectiveDiverged(NumkitError):
     pass
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
+def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise NumkitError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumkitError(f"{name} has non-finite entries")
@@ -117,16 +118,17 @@ _GL_WEIGHTS = np.array([0.0647424830844348466, 0.1398526957446383340,
 
 
 def _norm1(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
+    return float(np.abs(a).sum(axis=-2).max(initial=0.0))
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
-    a = _as_square(m)
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005); a
+    stack (..., n, n) shares one scaling exponent, set by its largest 1-norm."""
+    a = _as_square(m, stack=True)
     norm = _norm1(a)
-    eye = np.eye(len(a), dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
     if norm == 0.0:
-        return eye
+        return np.broadcast_to(eye, a.shape).copy()
     s = max(0, math.ceil(math.log2(norm / _THETA13)))
     a = a / 2.0**s
     b = _PADE13
@@ -191,20 +193,20 @@ def matrix_log_principal(m) -> np.ndarray:
 MAX_EVALUATIONS = 2000
 
 
-def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize sum(residuals(x)**2); returns (x_best, cost, evaluations,
-    converged).
+def levenberg_marquardt(residuals, jacobian, x0) -> tuple[np.ndarray, float, int, int, bool]:
+    """Minimize sum(residuals(x)**2) given jacobian(x) = d residuals / dx;
+    returns (x_best, cost, evaluations, jacobians, converged).
 
-    Forward-difference Jacobian with step 1e-6 * max(|x_i|, 1e-2), so a
-    parameter at exactly zero still moves; damping lam * max(diag J^T J).
-    Converges on a relative cost change <= 1e-15 or a step below 1e-12
-    relative to x; stops unconverged before a Jacobian or trial step that
-    would exceed MAX_EVALUATIONS calls.
+    Damping lam * max(diag J^T J).  Converges on a relative cost change
+    <= 1e-15 or a step below 1e-12 relative to x.  Each Jacobian is charged
+    len(x) evaluations against MAX_EVALUATIONS, the price of a
+    finite-difference one; the solver stops unconverged before a Jacobian
+    or trial step that would exceed the budget.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1:
         raise NumkitError("x0 must be a 1-D real vector")
-    evals = 0
+    evals = jacs = 0
 
     def f(x: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal evals
@@ -216,16 +218,14 @@ def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int, bool]:
 
     r, cost = f(x)
     lam = 1e-3
-    while evals + len(x) < MAX_EVALUATIONS:
-        h = 1e-6 * np.maximum(np.abs(x), 1e-2)
-        jac = np.column_stack([(f(x + h[i] * e)[0] - r) / h[i]
-                               for i, e in enumerate(np.eye(len(x)))])
+    while evals + len(x) * (jacs + 1) < MAX_EVALUATIONS:
+        jac, jacs = np.asarray(jacobian(x), dtype=float), jacs + 1
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(np.max(np.diag(jtj)), np.finfo(float).tiny) * np.eye(len(x))
-        while evals < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
+        while evals + len(x) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
             step = np.linalg.solve(jtj + lam * damping, -grad)
             if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(x) + 1e-12):
-                return x, cost, evals, True
+                return x, cost, evals, jacs, True
             r_new, cost_new = f(x + step)
             if cost_new < cost:
                 break
@@ -234,8 +234,8 @@ def levenberg_marquardt(residuals, x0) -> tuple[np.ndarray, float, int, bool]:
             break
         x, r, lam, cost_old, cost = x + step, r_new, max(lam / 10, 1e-12), cost, cost_new
         if cost_old - cost <= 1e-15 * cost_old:
-            return x, cost, evals, True
-    return x, cost, evals, False
+            return x, cost, evals, jacs, True
+    return x, cost, evals, jacs, False
 
 
 def richardson_derivative(samples: Sequence[np.ndarray], base_value, t1: float) -> np.ndarray:

@@ -96,6 +96,9 @@ def _put(value, *keys):
     pytest.param("reconstruct", _drop("expectations", "z+", "20.0", "sx"), id="no-sx"),
     pytest.param("reconstruct", _put("abc", "expectations", "z+", "20.0", "sx"),
                  id="sx-string"),
+    pytest.param("reconstruct", _put(True, "expectations", "z+", "20.0", "sz"),
+                 id="sz-bool"),
+    pytest.param("reconstruct", _put("20", "times_ns", 0), id="time-numeric-string"),
     pytest.param("reconstruct", _put([], "expectations", "y+"), id="label-not-object"),
     pytest.param("reconstruct", lambda doc: [doc], id="record-list"),
     pytest.param("lindblad", _put(["x", 40.0, 80.0], "times_ns"), id="time-string"),
@@ -272,12 +275,22 @@ class TestLindblad:
         text = capsys.readouterr().out
         assert "relative contribution" in text
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hamiltonian_is_usage_error(self, record_path, tmp_path, value,
+                                                   capsys):
+        out = tmp_path / "lindblad.json"
+        assert run("lindblad", str(record_path), "--hamiltonian", value,
+                   "--out", str(out)) == 2
+        assert "--hamiltonian" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
         out = tmp_path / "lindblad.json"
         assert run("lindblad", str(record_path), "--out", str(out)) == 0
         assert json.loads(out.read_text())["converged"] is False
-        assert "stopped on its budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stopped on its budget" in err and "Jacobians" in err
 
     def test_fits_every_timepoint(self, tmp_path):
         record = tmp_path / "four.json"

@@ -11,6 +11,7 @@ from nvqpt.lindblad import (
     devectorize,
     dissipator_superop,
     fit_generator,
+    fit_jacobian,
     fit_objective,
     generator_bch_estimate,
     generator_log_estimate,
@@ -77,6 +78,13 @@ class TestHamiltonians:
     def test_rejects_non_hermitian(self):
         with pytest.raises(LindbladError):
             hamiltonian_superop(np.array([[0, 1], [0, 0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(LindbladError, match="finite"):
+            hamiltonian_superop(np.array([[bad, 0], [0, 0]]))
+        with pytest.raises(LindbladError, match="finite"):
+            detuning_hamiltonian(bad)
 
 
 class TestSchedule:
@@ -276,6 +284,21 @@ class TestGeneratorEstimates:
         assert out.shape == expected.shape
         assert np.max(np.abs(out - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_fit_jacobian_matches_central_differences(self, rng, count):
+        schedule = TimeSchedule(t1=20.0, count=count)
+        for _ in range(3):
+            a, h_super, _, gen = self.make_problem(rng)
+            props = [propagator_from_superop(gen, t) for t in schedule.times()]
+            x = gks_params_from_matrix(a) + 1e-3 * rng.normal(size=9)
+            jac = fit_jacobian(x, h_super, schedule)
+            central = np.empty_like(jac)
+            for k, e in enumerate(np.eye(9)):
+                h = 1e-6 * max(abs(x[k]), 1e-2)
+                central[:, k] = (fit_objective(x + h * e, props, h_super, schedule)
+                                 - fit_objective(x - h * e, props, h_super, schedule)) / (2 * h)
+            assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(central)
+
     def test_budget_stop_reported(self, rng, monkeypatch):
         _, h_super, _, gen = self.make_problem(rng)
         schedule = TimeSchedule(t1=20.0)
@@ -283,7 +306,7 @@ class TestGeneratorEstimates:
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
         fit = fit_generator(props, h_super, schedule, np.full(9, 0.01))
         assert not fit.converged
-        assert fit.evaluations <= 10
+        assert fit.evaluations + 9 * fit.jacobians <= 10
 
     def test_fit_rejects_count_mismatch(self, rng):
         _, h_super, _, gen = self.make_problem(rng)
@@ -361,3 +384,13 @@ class TestPrediction:
         (e,) = predict_expectations(r_hat, h_super, rho0, [t])
         assert np.isclose(e.sx, np.cos(delta * t), atol=1e-9)
         assert np.isclose(abs(e.sy), abs(np.sin(delta * t)), atol=1e-9)
+
+    def test_matches_per_time_exponentials(self, rng):
+        _, h_super, r_hat, gen = TestGeneratorEstimates().make_problem(rng)
+        rho0 = bloch_to_density([0.6, -0.3, 0.5])
+        times = [3.0, 20.0, 40.0, 80.0, 250.0]
+        out = predict_expectations(r_hat, h_super, rho0, times)
+        for e, t in zip(out, times):
+            rho = devectorize(matrix_exp(-gen * t) @ vectorize(rho0))
+            expected = density_to_bloch((rho + rho.conj().T) / 2)
+            assert np.max(np.abs(np.array(e.as_tuple()) - expected)) <= 1e-14

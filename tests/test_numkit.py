@@ -90,6 +90,19 @@ class TestMatrixExp:
         out = numkit.matrix_exp(a)
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_stack_matches_loop(self, rng):
+        # 1-norms of about 0.01 to 70 need scaling exponents 0 to 4 on their
+        # own; the stack takes the largest for every matrix
+        stack = np.array([scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+                          for scale in (1e-3, 0.5, 3.0, 12.0)])
+        out = numkit.matrix_exp(stack)
+        assert out.shape == stack.shape
+        for m, e in zip(stack, out):
+            expected = numkit.matrix_exp(m)
+            assert np.linalg.norm(e - expected) <= 1e-14 * np.linalg.norm(expected)
+        zeros = numkit.matrix_exp(np.zeros((2, 3, 3)))
+        assert np.array_equal(zeros, np.broadcast_to(np.eye(3), (2, 3, 3)))
+
     def test_inverse_is_exp_of_negative(self, rng):
         for scale in (1e-3, 0.5, 3.0):
             a = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -152,61 +165,85 @@ def _rosenbrock(x):
     return np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]])
 
 
+def _rosenbrock_jacobian(x):
+    return np.array([[-20 * x[0], 10.0], [-1.0, 0.0]])
+
+
+def _identity_jacobian(x):
+    return np.eye(len(x))
+
+
 class TestLevenbergMarquardt:
     def test_parabola(self):
-        x, f, _, converged = numkit.levenberg_marquardt(lambda x: x - 2, np.array([0.0]))
+        x, f, _, _, converged = numkit.levenberg_marquardt(
+            lambda x: x - 2, _identity_jacobian, np.array([0.0]))
         assert abs(x[0] - 2) <= 1e-8
         assert f <= 1e-16
         assert converged
 
     def test_rosenbrock(self):
-        x, f, _, converged = numkit.levenberg_marquardt(_rosenbrock, np.array([-1.2, 1.0]))
+        x, f, _, _, converged = numkit.levenberg_marquardt(
+            _rosenbrock, _rosenbrock_jacobian, np.array([-1.2, 1.0]))
         assert f < 1e-12
         assert np.allclose(x, [1.0, 1.0], atol=1e-6)
         assert converged
 
-    def test_constant_objective(self):
+    def test_constant_objective_takes_one_jacobian(self):
         x0 = np.array([1.0, -2.0, 3.0])
-        x, f, evals, converged = numkit.levenberg_marquardt(lambda x: np.array([7.0, 1.0]), x0)
+        x, f, evals, jacs, converged = numkit.levenberg_marquardt(
+            lambda x: np.array([7.0, 1.0]), lambda x: np.zeros((2, 3)), x0)
         assert np.array_equal(x, x0)
         assert f == 50.0
-        assert evals == 1 + len(x0)  # start point plus one Jacobian
+        assert (evals, jacs) == (1, 1)  # start point plus one Jacobian
         assert converged  # a zero gradient gives a zero step
 
     def test_never_worse_than_start(self, rng):
         def bumpy(x):
             return np.concatenate([x, [np.sin(5 * x[0])]])
 
+        def bumpy_jacobian(x):
+            return np.vstack([np.eye(3), [5 * np.cos(5 * x[0]), 0.0, 0.0]])
+
         for _ in range(5):
             x0 = rng.normal(size=3)
-            _, f, _, _ = numkit.levenberg_marquardt(bumpy, x0)
+            _, f, _, _, _ = numkit.levenberg_marquardt(bumpy, bumpy_jacobian, x0)
             assert f <= float(np.sum(bumpy(x0) ** 2))
 
-    def test_zero_parameter_still_moves(self):
-        # x[0] = 0 exactly: the step floor keeps its Jacobian column alive
-        x, f, _, _ = numkit.levenberg_marquardt(lambda x: np.array([x[0] - 0.3]), np.zeros(1))
+    def test_zero_parameter_moves_on_exact_jacobian(self):
+        # x[0] = 0 exactly: the exact Jacobian column does not depend on x
+        x, f, _, _, _ = numkit.levenberg_marquardt(
+            lambda x: np.array([x[0] - 0.3]), _identity_jacobian, np.zeros(1))
         assert abs(x[0] - 0.3) <= 1e-8
 
     def test_diverging_objective(self):
         with pytest.raises(ObjectiveDiverged):
-            numkit.levenberg_marquardt(lambda x: np.array([np.inf]), np.array([0.0]))
+            numkit.levenberg_marquardt(lambda x: np.array([np.inf]), _identity_jacobian,
+                                       np.array([0.0]))
 
-    def test_budget_respected(self, monkeypatch):
-        calls = []
+    def test_budget_charges_each_jacobian(self, monkeypatch):
+        calls, jac_calls = [], []
 
         def counted(x):
             calls.append(1)
             return _rosenbrock(x)
 
+        def counted_jacobian(x):
+            jac_calls.append(1)
+            return _rosenbrock_jacobian(x)
+
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
-        x, f, evals, converged = numkit.levenberg_marquardt(counted, np.array([-1.2, 1.0]))
-        assert evals == len(calls) <= 10
+        x, f, evals, jacs, converged = numkit.levenberg_marquardt(
+            counted, counted_jacobian, np.array([-1.2, 1.0]))
+        assert (evals, jacs) == (len(calls), len(jac_calls))
+        assert jacs >= 1
+        assert evals + len(x) * jacs <= 10  # each Jacobian costs len(x) evaluations
         assert f > 1e-6  # stopped on the budget, far from the minimum
         assert not converged
 
     def test_rejects_matrix_start(self):
         with pytest.raises(NumkitError):
-            numkit.levenberg_marquardt(lambda x: x.ravel(), np.zeros((2, 2)))
+            numkit.levenberg_marquardt(lambda x: x.ravel(), _identity_jacobian,
+                                       np.zeros((2, 2)))
 
 
 class TestRichardson:
