@@ -26,6 +26,7 @@ EXIT_NUMERICAL = 4
 RECORD_SCHEMA = "qpt-record/1"
 PROCESS_SCHEMA = "qpt-process/1"
 LINDBLAD_SCHEMA = "qpt-lindblad/1"
+AXES = ("sx", "sy", "sz")
 
 
 class DataError(Exception):
@@ -40,13 +41,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _dump_json(obj: dict, path: str) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: str) -> None:
+    """Write text to the file at path, or to stdout when path is "-"."""
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _dump_json(obj: dict, path: str) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _load_json(path: str, schema: str) -> dict:
@@ -80,12 +85,19 @@ def _real_array(doc, path: str, key: str) -> np.ndarray:
         raise DataError(f"{path}: {key} is not a rectangular array of numbers") from exc
 
 
-def _matrix_pair(m: np.ndarray) -> tuple[list, list]:
+def _matrix_fields(name: str, m: np.ndarray) -> dict:
+    """{name}_re and {name}_im entries holding the parts of a complex matrix."""
     m = np.asarray(m, dtype=complex)
-    return m.real.tolist(), m.imag.tolist()
+    return {f"{name}_re": m.real.tolist(), f"{name}_im": m.imag.tolist()}
 
 
-def _chi_from_doc(doc: dict, path: str) -> np.ndarray:
+def _read_process(path: str) -> np.ndarray:
+    """The Hermitian-symmetrized chi of a qpt-process/1 file, which must be
+    in the normal (matrix-unit) basis."""
+    doc = _load_json(path, PROCESS_SCHEMA)
+    basis = _field(doc, path, "basis")
+    if basis != "normal":
+        raise DataError(f"{path}: basis must be 'normal', got {basis!r}")
     re, im = _real_array(doc, path, "chi_re"), _real_array(doc, path, "chi_im")
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise DataError(f"{path}: chi must be 4x4")
@@ -99,53 +111,44 @@ def _chi_from_doc(doc: dict, path: str) -> np.ndarray:
 
 def _process_doc(chi: np.ndarray, diagnostics: dict) -> dict:
     affine = qpt.chi_to_affine(chi)
-    re, im = _matrix_pair(chi)
     return {
         "schema": PROCESS_SCHEMA,
         "basis": "normal",
-        "chi_re": re,
-        "chi_im": im,
+        **_matrix_fields("chi", chi),
         "affine": affine.matrix.tolist(),
         "diagnostics": diagnostics,
     }
 
 
-def _record_times(doc: dict, path: str) -> list[float]:
-    times = _field(doc, path, "times_ns")
+def _read_record(path: str) -> tuple[list[float], list[list[qstate.PauliExpectations]]]:
+    """Validate a whole qpt-record/1 file; return (times, grid), where
+    grid[i][k] is the qstate.PauliExpectations of input nvsim.INPUT_LABELS[k]
+    at times[i] (None marks an unmeasured axis)."""
+    doc = _load_json(path, RECORD_SCHEMA)
+    raw = _field(doc, path, "times_ns")
     # type(), not isinstance(): a JSON true is a bool, an int subclass
-    if not isinstance(times, list) or any(type(t) not in (int, float) for t in times):
+    if not isinstance(raw, list) or any(type(t) not in (int, float) for t in raw):
         raise DataError(f"{path}: times_ns must be a list of numbers")
+    try:
+        times = [float(t) for t in raw]
+    except OverflowError as exc:
+        raise DataError(f"{path}: times_ns has an entry beyond float range") from exc
     if not np.all(np.isfinite(times)):
         raise DataError(f"{path}: times_ns has non-finite entries")
-    return [float(t) for t in times]
-
-
-def _expectations_at(doc: dict, time: float, path: str):
-    """MaxEnt-reconstructed output states at one record time, in canonical
-    input order; also returns which components were unmeasured."""
-    times = _record_times(doc, path)
-    key = None
-    for t in times:
-        if abs(t - time) <= 1e-9 * max(1.0, abs(time)):
-            key = repr(float(t))
-    if key is None:
-        raise DataError(f"{path}: time {time} not in record times {times}")
     if _field(doc, path, "inputs") != list(nvsim.INPUT_LABELS):
         raise DataError(f"{path}: inputs must be {list(nvsim.INPUT_LABELS)}")
-    outputs = []
-    missing = {}
-    for label in nvsim.INPUT_LABELS:
-        values = [_field(doc, path, "expectations", label, key, ax)
-                  for ax in ("sx", "sy", "sz")]
-        if any(v is not None and type(v) not in (int, float) for v in values):
-            raise DataError(f"{path}: {label} at {key} ns: expectations must be "
-                            "numbers or null")
-        e = qstate.PauliExpectations(*values)
-        gaps = [ax for ax, v in zip(("sx", "sy", "sz"), e.as_tuple()) if v is None]
-        if gaps:
-            missing[label] = gaps
-        outputs.append(qstate.maxent_reconstruct(e))
-    return outputs, missing
+    grid = []
+    for t in times:
+        key = repr(t)
+        row = []
+        for label in nvsim.INPUT_LABELS:
+            values = [_field(doc, path, "expectations", label, key, ax) for ax in AXES]
+            if any(v is not None and type(v) not in (int, float) for v in values):
+                raise DataError(f"{path}: {label} at {key} ns: expectations must be "
+                                "numbers or null")
+            row.append(qstate.PauliExpectations(*values))
+        grid.append(row)
+    return times, grid
 
 
 def cmd_simulate(args) -> int:
@@ -168,9 +171,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    doc = _load_json(args.record, RECORD_SCHEMA)
-    outputs, missing = _expectations_at(doc, args.time, args.record)
-    chi = qpt.chi_from_outputs(outputs)
+    times, grid = _read_record(args.record)
+    matches = [i for i, t in enumerate(times)
+               if abs(t - args.time) <= 1e-9 * max(1.0, abs(args.time))]
+    if not matches:
+        raise DataError(f"{args.record}: time {args.time} not in record times {times}")
+    row = grid[matches[-1]]
+    missing = {}
+    for label, e in zip(nvsim.INPUT_LABELS, row):
+        gaps = [ax for ax, v in zip(AXES, e.as_tuple()) if v is None]
+        if gaps:
+            missing[label] = gaps
+    chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])
     chi = (chi + chi.conj().T) / 2
     diagnostics = {
         "time_ns": args.time,
@@ -188,8 +200,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_project(args) -> int:
-    doc = _load_json(args.process, PROCESS_SCHEMA)
-    chi = _chi_from_doc(doc, args.process)
+    chi = _read_process(args.process)
     result = cpfit.project_to_cp(chi)
     norms = qpt.unphysicality_norms(chi, result.chi_tilde)
     diagnostics = {
@@ -222,14 +233,8 @@ def _is_cptp(chi: np.ndarray) -> bool:
 
 
 def cmd_metrics(args) -> int:
-    doc_a = _load_json(args.process_a, PROCESS_SCHEMA)
-    doc_b = _load_json(args.process_b, PROCESS_SCHEMA)
-    basis_a = _field(doc_a, args.process_a, "basis")
-    basis_b = _field(doc_b, args.process_b, "basis")
-    if basis_a != basis_b:
-        raise DataError(f"basis mismatch: {basis_a!r} vs {basis_b!r}")
-    chi_a = _chi_from_doc(doc_a, args.process_a)
-    chi_b = _chi_from_doc(doc_b, args.process_b)
+    chi_a = _read_process(args.process_a)
+    chi_b = _read_process(args.process_b)
     norms = qpt.unphysicality_norms(chi_a, chi_b)
     table: dict[str, float | None] = dict(norms)
     warning = None
@@ -264,25 +269,19 @@ def cmd_lindblad(args) -> int:
     except lindblad.LindbladError as exc:
         print(f"error: --hamiltonian: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = _load_json(args.record, RECORD_SCHEMA)
-    times = _record_times(doc, args.record)
+    times, grid = _read_record(args.record)
     if len(times) < 3:
         raise DataError("need at least three timepoints on a doubling schedule")
     try:
         schedule = lindblad.TimeSchedule.from_times(times)
     except lindblad.LindbladError as exc:
         raise DataError(str(exc)) from exc
-
-    props = []
-    measured = {}
-    for t in schedule.times():
-        outputs, _ = _expectations_at(doc, t, args.record)
-        props.append(lindblad.propagator_from_outputs(outputs))
-        for label, rho in zip(nvsim.INPUT_LABELS, outputs):
-            r = qstate.density_to_bloch(rho)
-            measured.setdefault(label, {})[repr(float(t))] = {
-                "sx": float(r[0]), "sy": float(r[1]), "sz": float(r[2]),
-            }
+    outputs = [[qstate.maxent_reconstruct(e) for e in row] for row in grid]
+    props = [lindblad.propagator_from_outputs(out) for out in outputs]
+    measured = nvsim.expectation_table(schedule.times(), [
+        [qstate.PauliExpectations(*qstate.density_to_bloch(rho)) for rho in out]
+        for out in outputs
+    ])
 
     try:
         r_log = lindblad.generator_log_estimate(props[0], h_super, schedule.t1)
@@ -294,29 +293,19 @@ def cmd_lindblad(args) -> int:
     fit = lindblad.fit_generator(props, h_super, schedule, x0)
     lset = lindblad.lindblads_from_gks(fit.gks)
 
-    predicted = {}
-    for label, rho0 in zip(nvsim.INPUT_LABELS, qpt.input_states()):
-        per_time = lindblad.predict_expectations(
-            fit.relaxation, h_super, rho0, schedule.times()
-        )
-        predicted[label] = {
-            repr(float(t)): {"sx": e.sx, "sy": e.sy, "sz": e.sz}
-            for t, e in zip(schedule.times(), per_time)
-        }
+    per_input = [
+        lindblad.predict_expectations(fit.relaxation, h_super, rho0, schedule.times())
+        for rho0 in qpt.input_states()
+    ]
+    predicted = nvsim.expectation_table(schedule.times(), zip(*per_input))
 
-    a_start_re, a_start_im = _matrix_pair(a_start)
-    a_fit_re, a_fit_im = _matrix_pair(fit.gks)
-    log_re, log_im = _matrix_pair(r_log)
     report = {
         "schema": LINDBLAD_SCHEMA,
         "times_ns": schedule.times(),
         "detuning": args.hamiltonian,
-        "a_start_re": a_start_re,
-        "a_start_im": a_start_im,
-        "a_fit_re": a_fit_re,
-        "a_fit_im": a_fit_im,
-        "log_estimate_re": log_re,
-        "log_estimate_im": log_im,
+        **_matrix_fields("a_start", a_start),
+        **_matrix_fields("a_fit", fit.gks),
+        **_matrix_fields("log_estimate", r_log),
         "lindblads": [
             {"re": op.real.tolist(), "im": op.imag.tolist()}
             for op in lset.operators
@@ -349,12 +338,7 @@ def cmd_ellipsoid(args) -> int:
         lines.append(
             ",".join([repr(float(x)) for x in (*p, *o)] + [str(int(v))])
         )
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     print(f"{args.points} points, {int(violation.sum())} Bloch-ball violations",
           file=sys.stderr)
     return 0

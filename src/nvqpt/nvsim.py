@@ -1,10 +1,10 @@
 """Synthetic NV-qubit experiment generator.
 
 Serves as the end-to-end oracle for the analysis pipeline: canonical
-input preparation by ideal (or slightly miscalibrated) pulses, ground
-truth Markovian decoherence from a standard T1/T2 channel, and Pauli
-expectation readout with Gaussian shot noise after reference
-normalization.
+input preparation by ideal pulses, ground truth Markovian decoherence
+from a standard T1/T2 channel, Pauli expectation readout with Gaussian
+shot noise after reference normalization, and the qpt-record/1
+expectation table.
 """
 
 from __future__ import annotations
@@ -61,27 +61,16 @@ def _pulse_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
     return matrix_exp(-1j * angle / 2 * n_dot_sigma)
 
 
-def prepare_inputs(
-    cfg: SimConfig, pulse_error: float = 0.0, fold_polarization: bool = False
-) -> list[np.ndarray]:
-    """The four tomography inputs produced by pulses on |0><0|.
-
-    `pulse_error` scales each rotation angle by (1 + pulse_error); with
-    `fold_polarization` the pseudopure identity component is kept, scaling
-    every Bloch vector by the polarization alpha (normally it is dropped
-    and the inputs are treated as pure).
-    """
+def prepare_inputs() -> list[np.ndarray]:
+    """The four tomography inputs produced by ideal pulses on |0><0|."""
     rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
     states = []
     for axis, angle in _PULSES:
         if axis is None:
-            rho = rho0.copy()
+            states.append(rho0.copy())
         else:
-            u = _pulse_unitary(axis, (1 + pulse_error) * angle)
-            rho = u @ rho0 @ u.conj().T
-        if fold_polarization:
-            rho = (1 - cfg.polarization) / 2 * np.eye(2) + cfg.polarization * rho
-        states.append(rho)
+            u = _pulse_unitary(axis, angle)
+            states.append(u @ rho0 @ u.conj().T)
     return states
 
 
@@ -128,6 +117,17 @@ def measure_expectations(
     return PauliExpectations(sx=float(r[0]), sy=float(r[1]), sz=float(r[2]))
 
 
+def expectation_table(times, rows) -> dict:
+    """The qpt-record/1 expectations object, input label -> repr(time) ->
+    {sx, sy, sz}, from rows[i][k], the PauliExpectations of input
+    INPUT_LABELS[k] at times[i]."""
+    table: dict[str, dict] = {label: {} for label in INPUT_LABELS}
+    for t, row in zip(times, rows):
+        for label, e in zip(INPUT_LABELS, row):
+            table[label][repr(float(t))] = {"sx": e.sx, "sy": e.sy, "sz": e.sz}
+    return table
+
+
 @dataclass(frozen=True)
 class ExperimentRecord:
     schedule: lindblad.TimeSchedule
@@ -137,17 +137,13 @@ class ExperimentRecord:
 
     def to_record_dict(self) -> dict:
         """Serialize to the qpt-record/1 JSON schema."""
-        exp = {}
-        for label, per_time in self.expectations.items():
-            exp[label] = {
-                repr(float(t)): {"sx": e.sx, "sy": e.sy, "sz": e.sz}
-                for t, e in per_time.items()
-            }
+        times = self.schedule.times()
+        rows = [[self.expectations[label][t] for label in INPUT_LABELS] for t in times]
         return {
             "schema": "qpt-record/1",
-            "times_ns": self.schedule.times(),
+            "times_ns": times,
             "inputs": list(INPUT_LABELS),
-            "expectations": exp,
+            "expectations": expectation_table(times, rows),
             "config": {
                 "t1_ns": self.config.t1_ns,
                 "t2_ns": self.config.t2_ns,
@@ -165,7 +161,7 @@ def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> Experimen
     """Evolve each canonical input under the true generator, measure at
     every schedule time, and package the record for the CLI pipeline."""
     rng = np.random.default_rng(cfg.seed)
-    inputs = prepare_inputs(cfg)
+    inputs = prepare_inputs()
     expectations: dict[str, dict[float, PauliExpectations]] = {}
     for label, rho in zip(INPUT_LABELS, inputs):
         per_time: dict[float, PauliExpectations] = {}

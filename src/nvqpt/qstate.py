@@ -1,4 +1,4 @@
-"""Single-qubit states: Bloch conversions, pseudopure preparation,
+"""Single-qubit states: Bloch conversions, a density-matrix check,
 maximum-entropy reconstruction from partial Pauli data, and distance
 metrics.
 
@@ -58,17 +58,6 @@ def validate_density(rho, name: str = "state") -> np.ndarray:
     return rho
 
 
-def make_pseudopure(alpha: float, psi) -> np.ndarray:
-    """(1 - alpha)/2 * I + alpha |psi><psi| for a single qubit."""
-    if not 0 <= alpha <= 1:
-        raise StateError("polarization must lie in [0, 1]")
-    psi = np.asarray(psi, dtype=complex).reshape(2)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1) > 1e-9:
-        raise StateError("psi must be normalized")
-    return (1 - alpha) / 2 * IDENTITY_2 + alpha * np.outer(psi, psi.conj())
-
-
 @dataclass(frozen=True)
 class PauliExpectations:
     """Measured Pauli expectation values; None marks an unmeasured axis."""
@@ -99,11 +88,6 @@ def maxent_reconstruct(e: PauliExpectations) -> np.ndarray:
     if norm > 1:
         r = r / norm
     return bloch_to_density(r)
-
-
-def expectations_of(rho) -> PauliExpectations:
-    r = density_to_bloch(rho)
-    return PauliExpectations(sx=float(r[0]), sy=float(r[1]), sz=float(r[2]))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -100,6 +100,11 @@ def _put(value, *keys):
                  id="sz-bool"),
     pytest.param("reconstruct", _put("20", "times_ns", 0), id="time-numeric-string"),
     pytest.param("reconstruct", _put([], "expectations", "y+"), id="label-not-object"),
+    # the whole record is read, not just the requested time
+    pytest.param("reconstruct", _drop("expectations", "x+", "80.0"),
+                 id="no-entry-at-other-time"),
+    pytest.param("reconstruct", _put(10**400, "times_ns", 0), id="bigint-time-reconstruct"),
+    pytest.param("lindblad", _put(10**400, "times_ns", 0), id="bigint-time-lindblad"),
     pytest.param("reconstruct", lambda doc: [doc], id="record-list"),
     pytest.param("lindblad", _put(["x", 40.0, 80.0], "times_ns"), id="time-string"),
     pytest.param("lindblad", _put(5, "times_ns"), id="times-not-list"),
@@ -162,6 +167,13 @@ class TestReconstruct:
         )
         assert code == 3
 
+    def test_time_matches_within_tolerance(self, record_path, process_path, tmp_path):
+        out = tmp_path / "near.json"
+        assert run("reconstruct", str(record_path), "--time", "20.0000000001",
+                   "--out", str(out)) == 0
+        near, exact = json.loads(out.read_text()), json.loads(process_path.read_text())
+        assert near["chi_re"] == exact["chi_re"] and near["chi_im"] == exact["chi_im"]
+
     def test_wrong_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "other/1"}))
@@ -202,6 +214,17 @@ class TestProject:
         bad.write_text(json.dumps(doc))
         assert run("project", str(bad), "--out", str(tmp_path / "x.json")) == 3
         assert run("metrics", str(bad), str(process_path)) == 3
+
+    @pytest.mark.parametrize("stage", ["project", "metrics"])
+    def test_non_normal_basis_is_data_error(self, process_path, tmp_path, stage, capsys):
+        doc = json.loads(process_path.read_text())
+        doc["basis"] = "pauli"
+        bad = tmp_path / "pauli.json"
+        bad.write_text(json.dumps(doc))
+        argv = {"project": ("project", str(bad), "--out", str(tmp_path / "x.json")),
+                "metrics": ("metrics", str(bad), str(bad))}[stage]
+        assert run(*argv) == 3
+        assert "basis must be 'normal'" in capsys.readouterr().err
 
     def test_small_anti_hermitian_part_is_symmetrized(self, process_path, tmp_path):
         # above numkit's 1e-8 check, below the CLI's 1e-6 acceptance
@@ -411,6 +434,27 @@ class TestToleranceOverride:
         monkeypatch.setenv("NVQPT_TOLERANCES", str(tmp_path / "missing.json"))
         monkeypatch.setattr(tolerances, "_TABLE", None)
         assert run("reconstruct", str(record_path), "--time", "20") == 2
+
+
+def test_chain_is_byte_deterministic(tmp_path, capsys):
+    """Every stage of a seeded, noisy chain writes the same bytes twice."""
+    outputs = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        run_dir.mkdir()
+        rec, raw, fixed = (str(run_dir / n) for n in ("rec.json", "raw.json", "fixed.json"))
+        assert run("simulate", "--seed", "7", "--detuning", "0.01", "--out", rec) == 0
+        assert run("reconstruct", rec, "--time", "20", "--out", raw) == 0
+        assert run("project", raw, "--out", fixed) == 0
+        assert run("lindblad", rec, "--hamiltonian", "0.01",
+                   "--out", str(run_dir / "gen.json")) == 0
+        capsys.readouterr()
+        assert run("metrics", raw, fixed, "--json") == 0
+        (run_dir / "metrics.json").write_text(capsys.readouterr().out)
+        assert run("ellipsoid", fixed, "--points", "32",
+                   "--out", str(run_dir / "cloud.csv")) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())})
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_import_is_numpy_only():

@@ -43,32 +43,15 @@ class TestConfig:
 
 class TestPreparation:
     def test_ideal_pulses_give_canonical_inputs(self):
-        states = prepare_inputs(SimConfig())
+        states = prepare_inputs()
         for got, want in zip(states, qpt.input_states()):
             assert np.allclose(got, want, atol=1e-12)
 
     def test_labels_match_bloch_directions(self):
-        states = prepare_inputs(SimConfig())
+        states = prepare_inputs()
         directions = {"z+": [0, 0, 1], "z-": [0, 0, -1], "x+": [1, 0, 0], "y+": [0, 1, 0]}
         for label, rho in zip(INPUT_LABELS, states):
             assert np.allclose(density_to_bloch(rho), directions[label], atol=1e-12)
-
-    def test_pulse_error_tilts_states(self):
-        states = prepare_inputs(SimConfig(), pulse_error=0.02)
-        # z+ needs no pulse and is unaffected; the rest move
-        assert np.allclose(states[0], qpt.input_states()[0])
-        for got, want in zip(states[1:], qpt.input_states()[1:]):
-            assert not np.allclose(got, want, atol=1e-6)
-        # a pi pulse overshooting by 2% misses the south pole by ~sin(0.02*pi)
-        z = density_to_bloch(states[1])[2]
-        assert np.isclose(z, -np.cos(0.02 * np.pi), atol=1e-12)
-
-    def test_fold_polarization_scales_bloch(self):
-        cfg = SimConfig(polarization=0.4)
-        states = prepare_inputs(cfg, fold_polarization=True)
-        for rho in states:
-            assert np.isclose(np.linalg.norm(density_to_bloch(rho)), 0.4)
-            validate_density(rho)
 
 
 class TestGroundTruth:

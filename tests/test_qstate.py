@@ -13,9 +13,7 @@ from nvqpt.qstate import (
     bures,
     c_metric,
     density_to_bloch,
-    expectations_of,
     fidelity,
-    make_pseudopure,
     maxent_reconstruct,
     trace_distance,
     validate_density,
@@ -76,26 +74,6 @@ class TestValidateDensity:
             validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
-class TestPseudopure:
-    def test_alpha_one_is_pure(self):
-        assert np.allclose(make_pseudopure(1.0, [1, 0]), KET0)
-
-    def test_alpha_zero_is_mixed(self):
-        assert np.allclose(make_pseudopure(0.0, [1, 0]), MIXED)
-
-    def test_bloch_vector_scales_with_alpha(self):
-        rho = make_pseudopure(0.4, [1, 0])
-        assert np.allclose(density_to_bloch(rho), [0, 0, 0.4])
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(StateError):
-            make_pseudopure(1.5, [1, 0])
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(StateError):
-            make_pseudopure(0.5, [1, 1])
-
-
 class TestPauliExpectations:
     def test_range_validated(self):
         with pytest.raises(StateError):
@@ -109,7 +87,7 @@ class TestPauliExpectations:
 class TestMaxEnt:
     def test_full_data_reproduces_state(self):
         rho = bloch_to_density([0.3, -0.2, 0.5])
-        assert np.allclose(maxent_reconstruct(expectations_of(rho)), rho)
+        assert np.allclose(maxent_reconstruct(PauliExpectations(*density_to_bloch(rho))), rho)
 
     def test_unmeasured_axis_dropped(self):
         rho = maxent_reconstruct(PauliExpectations(sz=0.8))
