@@ -176,7 +176,7 @@ def cmd_reconstruct(args) -> int:
                if abs(t - args.time) <= 1e-9 * max(1.0, abs(args.time))]
     if not matches:
         raise DataError(f"{args.record}: time {args.time} not in record times {times}")
-    row = grid[matches[-1]]
+    time, row = times[matches[-1]], grid[matches[-1]]
     missing = {}
     for label, e in zip(nvsim.INPUT_LABELS, row):
         gaps = [ax for ax, v in zip(AXES, e.as_tuple()) if v is None]
@@ -185,14 +185,14 @@ def cmd_reconstruct(args) -> int:
     chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])
     chi = (chi + chi.conj().T) / 2
     diagnostics = {
-        "time_ns": args.time,
+        "time_ns": time,
         "min_eigenvalue": float(eig_hermitian(chi).eigenvalues[0]),
         "tp_defect": qpt.tp_defect(chi),
         "unmeasured": missing,
     }
     _dump_json(_process_doc(chi, diagnostics), args.out)
     print(
-        f"reconstructed process at {_fmt(args.time)} ns: "
+        f"reconstructed process at {_fmt(time)} ns: "
         f"min eigenvalue {_fmt(diagnostics['min_eigenvalue'])}, "
         f"tp defect {_fmt(diagnostics['tp_defect'])}"
     )
@@ -356,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=1e6, help="T1 in ns")
     p.add_argument("--t2", type=float, default=2000.0, help="T2 in ns")
     p.add_argument("--detuning", type=float, default=0.0, help="rad/ns")
-    p.add_argument("--alpha", type=float, default=0.4, help="pseudopure polarization")
+    p.add_argument("--alpha", type=float, default=0.4,
+                   help="pseudopure polarization, recorded in the record's config only; "
+                   "inputs are prepared pure")
     p.add_argument("--shots", type=int, default=10000, help="0 = noise-free")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--t1ns", type=float, default=20.0, help="first schedule time (ns)")

@@ -34,8 +34,11 @@ def chi_from_params(t: np.ndarray) -> np.ndarray:
 def tp_project(chi: np.ndarray) -> np.ndarray:
     """Nearest matrix with tp_sum = I: both diagonal 2x2 blocks shift by
     half the (transposed) defect."""
-    shift = (qpt.tp_sum(chi) - np.eye(2)).T / 2
-    return np.asarray(chi, dtype=complex) - np.kron(np.eye(2), shift)
+    out = np.array(chi, dtype=complex)
+    shift = (qpt.tp_sum(out) - np.eye(2)).T / 2
+    out[:2, :2] -= shift
+    out[2:, 2:] -= shift
+    return out
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,12 @@ def eig_hermitian(m) -> EigResult:
     rejected.
     """
     a = _as_square(m)
-    defect = np.linalg.norm(a - a.conj().T)
-    if defect > tolerances.get("hermitian_input") * max(1.0, np.linalg.norm(a)):
+    h = a.conj().T
+    skew = a - h
+    defect = math.sqrt(np.vdot(skew, skew).real)
+    if defect > tolerances.get("hermitian_input") * max(1.0, math.sqrt(np.vdot(a, a).real)):
         raise NumkitError(f"matrix is not Hermitian (defect {defect:.3g})")
-    a = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(a)
-    return EigResult(eigenvalues=w, eigenvectors=v)
+    return EigResult(*np.linalg.eigh((a + h) / 2))
 
 
 def clip_negative_eigs(m) -> np.ndarray:
@@ -70,7 +70,7 @@ def clip_negative_eigs(m) -> np.ndarray:
     positive semidefinite matrix in Frobenius norm."""
     res = eig_hermitian(m)
     v = res.eigenvectors
-    return (v * np.clip(res.eigenvalues, 0.0, None)) @ v.conj().T
+    return (v * np.maximum(res.eigenvalues, 0.0)) @ v.conj().T
 
 
 def _strict_lower(n: int) -> tuple[list[int], list[int]]:
@@ -172,13 +172,15 @@ def matrix_log_principal(m) -> np.ndarray:
     y, k = a, 0
     while _norm1(y - eye) > 0.25 and k < 64:
         # y -> y^(1/2) while mk -> I, quadratically: the step taken once
-        # |mk - I|_1 <= 1e-8 brings y to roundoff
+        # |mk - I|_1 <= 1e-8 brings y to roundoff.  Far from I, each step is
+        # scaled by mu = |det mk|^(-1/2n), which keeps |det mk| at 1.
         mk, k = y, k + 1
         for _ in range(100):
             mk_inv = np.linalg.inv(mk)
-            y = y @ (eye + mk_inv) / 2
             gap = _norm1(mk - eye)
-            mk = (eye + (mk + mk_inv) / 2) / 2
+            mu = abs(np.linalg.det(mk)) ** (-0.5 / len(a)) if gap > 1e-2 else 1.0
+            y = mu * y @ (eye + mk_inv / mu**2) / 2
+            mk = (eye + (mu**2 * mk + mk_inv / mu**2) / 2) / 2
             if gap <= 1e-8:
                 break
     x = y - eye

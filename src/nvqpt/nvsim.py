@@ -27,7 +27,8 @@ class SimConfig:
     t1_ns: float = 1e6            # longitudinal relaxation time
     t2_ns: float = 2000.0         # transverse relaxation time
     detuning: float = 0.0         # rad/ns
-    polarization: float = 0.4     # pseudopure alpha
+    polarization: float = 0.4     # pseudopure alpha, recorded in the record's config
+                                  # only; inputs are prepared pure
     rabi_frequency: float = 0.1   # rad/ns, metadata only
     shots: int = 10000            # 0 disables readout noise
     seed: int | None = None

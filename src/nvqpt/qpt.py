@@ -32,13 +32,7 @@ class NotCompletelyPositive(ProcessError):
 
 def matrix_units() -> list[np.ndarray]:
     """|i><j| in row-major order: E00, E01, E10, E11."""
-    units = []
-    for i in range(2):
-        for j in range(2):
-            u = np.zeros((2, 2), dtype=complex)
-            u[i, j] = 1
-            units.append(u)
-    return units
+    return list(np.eye(4, dtype=complex).reshape(4, 2, 2))
 
 
 _NORMAL_BASIS = tuple(matrix_units())
@@ -194,8 +188,8 @@ def tp_sum(chi: np.ndarray) -> np.ndarray:
 
     For the normal basis A_n^dag A_m = delta(i_n, i_m) |j_n><j_m|, so the
     sum collapses to S[a, b] = sum_i chi[2i+b, 2i+a]."""
-    chi4 = np.asarray(chi, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("ibia->ab", chi4)
+    chi = np.asarray(chi, dtype=complex)
+    return (chi[:2, :2] + chi[2:, 2:]).T
 
 
 def tp_defect(chi: np.ndarray) -> float:

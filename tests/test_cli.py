@@ -58,6 +58,15 @@ class TestSimulate:
             assert run("simulate", "--seed", "11", "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_alpha_is_config_metadata_only(self, tmp_path):
+        docs = []
+        for alpha in ("0.1", "0.9"):
+            path = tmp_path / f"alpha{alpha}.json"
+            assert run("simulate", "--seed", "3", "--alpha", alpha, "--out", str(path)) == 0
+            docs.append(json.loads(path.read_text()))
+        assert [d["config"].pop("polarization") for d in docs] == [0.1, 0.9]
+        assert docs[0] == docs[1]
+
     def test_unphysical_config_is_usage_error(self, tmp_path):
         for args in [
             ("--t1", "100", "--t2", "500"),   # T2 > 2 T1
@@ -173,6 +182,8 @@ class TestReconstruct:
                    "--out", str(out)) == 0
         near, exact = json.loads(out.read_text()), json.loads(process_path.read_text())
         assert near["chi_re"] == exact["chi_re"] and near["chi_im"] == exact["chi_im"]
+        # the report names the matched record time, not the requested one
+        assert near["diagnostics"]["time_ns"] == 20.0
 
     def test_wrong_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,6 +10,8 @@ from nvqpt.cpfit import (
 )
 from nvqpt.numkit import triangular_from_params
 
+from conftest import random_hermitian
+
 CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
 
@@ -70,6 +72,16 @@ class TestTraceProjection:
         move = chi - tp_project(chi)
         assert abs(np.vdot(move, a - b)) < 1e-10
 
+    def test_equals_kronecker_form(self, rng):
+        # the in-place shift of the two diagonal blocks is exactly
+        # chi - I (x) shift, and leaves its input alone
+        for _ in range(100):
+            chi = random_hermitian(rng, 4)
+            before = chi.copy()
+            shift = (qpt.tp_sum(chi) - np.eye(2)).T / 2
+            assert np.array_equal(tp_project(chi), chi - np.kron(np.eye(2), shift))
+            assert np.array_equal(chi, before)
+
 
 class TestProjection:
     def test_cptp_input_is_fixed_point(self):
@@ -110,6 +122,14 @@ class TestProjection:
             assert result.tp_defect <= 1e-12, key
             assert result.min_eigenvalue >= -1e-9, key
             assert result.iterations < cpfit.MAX_ITERATIONS, key
+
+    def test_reference_iteration_counts(self):
+        # the Dykstra iterates on the published processes; a kernel change
+        # that moves them changes these counts
+        data = reference.load()
+        counts = {key: project_to_cp(qpt.affine_to_chi(affine)).iterations
+                  for key, affine in reference.affine_experimental(data).items()}
+        assert counts == {"20": 23, "40": 25, "80": 22}
 
     def test_projection_is_idempotent(self):
         chi = qpt.affine_to_chi(reference.affine_experimental(reference.load())["40"])

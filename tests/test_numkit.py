@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvqpt import numkit
+from nvqpt import numkit, tolerances
 from nvqpt.numkit import NumkitError, ObjectiveDiverged, PrincipalLogUndefined
 
 from conftest import random_hermitian
@@ -45,6 +45,23 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NumkitError):
             numkit.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("norm", [0.1, 1e6])
+    def test_hermitian_check_is_relative(self, rng, norm):
+        # the anti-Hermitian part may reach hermitian_input * max(1, |a|):
+        # half of that passes, twice that is rejected
+        h = random_hermitian(rng, 4)
+        h *= norm / np.linalg.norm(h)
+        skew = 1j * random_hermitian(rng, 4)
+        bound = tolerances.get("hermitian_input") * max(1.0, norm)
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            a = h + skew * (factor * bound / np.linalg.norm(2 * skew))
+            if accepted:
+                res = numkit.eig_hermitian(a)
+                assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(h), atol=1e-9 * norm)
+            else:
+                with pytest.raises(NumkitError, match="not Hermitian"):
+                    numkit.eig_hermitian(a)
 
     def test_rejects_infinite_imaginary_part(self):
         # complex(0, inf): writing 1j * np.inf would give nan + inf j
@@ -158,6 +175,18 @@ class TestMatrixLog:
         expected = (q * lam) @ q.T
         out = numkit.matrix_log_principal(m)
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_eigenvalue_near_branch_floor(self):
+        # eigenvalue e^-15: without determinant scaling the square roots
+        # lose up to 2.6e-10 (relative) here; with it, at most 2.2e-11
+        worst = 0.0
+        for seed in range(20):
+            q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+            lam = np.array([-15.0, 2.5j, -2.5j - 1.0])
+            expected = (q * lam) @ q.T
+            out = numkit.matrix_log_principal((q * np.exp(lam)) @ q.T)
+            worst = max(worst, np.linalg.norm(out - expected) / np.linalg.norm(expected))
+        assert worst <= 5e-11
 
 
 def _rosenbrock(x):

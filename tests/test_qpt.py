@@ -272,6 +272,12 @@ class TestTracePreservation:
         )
         assert np.allclose(tp_sum(chi), direct, atol=1e-12)
 
+    def test_tp_sum_equals_einsum_form(self, rng):
+        # S[a, b] = sum_i chi[2i+b, 2i+a], summed the same way
+        for _ in range(100):
+            chi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            assert np.array_equal(tp_sum(chi), np.einsum("ibia->ab", chi.reshape(2, 2, 2, 2)))
+
     def test_defect_detects_leakage(self):
         assert tp_defect(0.9 * CHI_IDENTITY) > 0.1
 
