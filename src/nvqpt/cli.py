@@ -171,6 +171,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if not np.isfinite(args.time):
+        print(f"error: --time must be finite, got {args.time}", file=sys.stderr)
+        return EXIT_USAGE
     times, grid = _read_record(args.record)
     matches = [i for i, t in enumerate(times)
                if abs(t - args.time) <= 1e-9 * max(1.0, abs(args.time))]

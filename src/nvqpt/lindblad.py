@@ -30,7 +30,7 @@ from .numkit import (
     richardson_derivative,
     triangular_from_params,
 )
-from .qstate import IDENTITY_2, PAULIS, PauliExpectations, density_to_bloch
+from .qstate import IDENTITY_2, PAULIS, PauliExpectations
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
 F_BASIS = tuple(s / np.sqrt(2) for s in PAULIS)
@@ -75,7 +75,10 @@ def hamiltonian_superop(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2) or not np.isfinite(h).all() or np.linalg.norm(h - h.conj().T) > 1e-9:
         raise LindbladError("Hamiltonian must be 2x2 Hermitian with finite entries")
-    return np.kron(IDENTITY_2, h) - np.kron(h.T, IDENTITY_2)
+    out = np.zeros((2, 2, 2, 2), dtype=complex)  # out[a, i, b, j] is entry (2a+i, 2b+j)
+    out[[0, 1], :, [0, 1]] = h                   # I (x) H: delta_ab H_ij
+    out[:, [0, 1], :, [0, 1]] -= h.T             # H^T (x) I: H_ba delta_ij
+    return out.reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,9 @@ def generator_bch_estimate(
     schedule times t1, 2 t1, 4 t1 and negated."""
     if schedule.count < 3 or len(props) != schedule.count:
         raise LindbladError("need one propagator per time, at three or more doubling times")
-    h_super = np.asarray(h_super, dtype=complex)
-    samples = []
-    for p, t in zip(props, schedule.times()[:3]):
-        half = matrix_exp(1j * t / 2 * h_super)
-        samples.append(half @ np.asarray(p, complex) @ half)
+    times = np.array(schedule.times()[:3])[:, None, None]
+    half = matrix_exp(1j * times / 2 * np.asarray(h_super, dtype=complex))
+    samples = half @ np.asarray(props[:3], complex) @ half
     dfdt = richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
     return -dfdt
 
@@ -252,8 +253,9 @@ def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.n
     return _real_view(np.array(p_t) - np.asarray(props, complex))
 
 
-# dX/dx_k for the GKS factor X = gks_cholesky_factor(x).
+# dX/dx_k for the GKS factor X = gks_cholesky_factor(x), and its adjoints.
 _FACTOR_BASIS = np.array([triangular_from_params(c, 3) for c in np.eye(9)])
+_FACTOR_BASIS_H = _FACTOR_BASIS.conj().swapaxes(1, 2)
 
 
 def fit_jacobian(x: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
@@ -264,10 +266,12 @@ def fit_jacobian(x: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
     exp([[-G t1, -dG_k t1], [0, -G t1]]) (Najfeld and Havel, Adv. Appl. Math.
     16, 321 (1995)), and dP_{m+1} = dP_m P_m + P_m dP_m along the schedule."""
     xm = gks_cholesky_factor(x)
-    da = _FACTOR_BASIS.conj().swapaxes(1, 2) @ xm + xm.conj().T @ _FACTOR_BASIS
+    da = _FACTOR_BASIS_H @ xm + xm.conj().T @ _FACTOR_BASIS
     gen = 1j * np.asarray(h_super, complex) + dissipator_superop(xm.conj().T @ xm)
-    g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
-    blocks = matrix_exp(np.block([[g, -dissipator_superop(da) * schedule.t1], [0 * g, g]]))
+    blocks = np.zeros((9, 8, 8), dtype=complex)
+    blocks[:, :4, :4] = blocks[:, 4:, 4:] = -gen * schedule.t1
+    blocks[:, :4, 4:] = -dissipator_superop(da) * schedule.t1
+    blocks = matrix_exp(blocks)
     p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
     for _ in range(1, schedule.count):
         dps.append(dps[-1] @ p + p @ dps[-1])
@@ -286,6 +290,7 @@ def fit_generator(
     every schedule time, by Levenberg-Marquardt with the exact Jacobian."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
+    props = np.asarray(props, dtype=complex)
     x_best, residual, evals, jacs, converged = levenberg_marquardt(
         lambda x: fit_objective(x, props, h_super, schedule),
         lambda x: fit_jacobian(x, h_super, schedule), x0
@@ -324,6 +329,10 @@ def contributions_from_operators(operators) -> list[float]:
     return [w / total for w in weights] if total else []
 
 
+# Column k is vec(sigma_k^T), so vec(rho) @ _BLOCH_READOUT = tr(rho sigma_k).
+_BLOCH_READOUT = np.column_stack([vectorize(s.T) for s in PAULIS])
+
+
 def predict_expectations(
     r_hat: np.ndarray, h_super: np.ndarray, rho0, times
 ) -> list[PauliExpectations]:
@@ -331,10 +340,6 @@ def predict_expectations(
     expectations at each requested time (one stacked exponential)."""
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
     v0 = vectorize(np.asarray(rho0, dtype=complex))
-    out = []
-    for prop in matrix_exp(-gen * np.asarray(times, dtype=float)[:, None, None]):
-        rho = devectorize(prop @ v0)
-        rho = (rho + rho.conj().T) / 2
-        r = np.clip(density_to_bloch(rho), -1.0, 1.0)
-        out.append(PauliExpectations(sx=float(r[0]), sy=float(r[1]), sz=float(r[2])))
-    return out
+    props = matrix_exp(-gen * np.asarray(times, dtype=float)[:, None, None])
+    bloch = np.clip((props @ v0 @ _BLOCH_READOUT).real, -1.0, 1.0)
+    return [PauliExpectations(*r) for r in bloch.tolist()]

@@ -11,6 +11,7 @@ package needs numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,10 +74,14 @@ def clip_negative_eigs(m) -> np.ndarray:
     return (v * np.maximum(res.eigenvalues, 0.0)) @ v.conj().T
 
 
-def _strict_lower(n: int) -> tuple[list[int], list[int]]:
-    """Indices of the strictly lower triangle: (1,0), (2,1), ..., (2,0), ..."""
-    pairs = [(i, i - k) for k in range(1, n) for i in range(k, n)]
-    return [i for i, _ in pairs], [j for _, j in pairs]
+@functools.cache
+def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the strictly lower triangle: (1,0), (2,1), ..., (2,0), ...
+    Built once per n and shared by every caller, so read-only."""
+    pairs = np.array([(i, i - k) for k in range(1, n) for i in range(k, n)],
+                     dtype=np.intp).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs[:, 0], pairs[:, 1]
 
 
 def triangular_from_params(x, n: int) -> np.ndarray:
@@ -219,11 +224,11 @@ def levenberg_marquardt(residuals, jacobian, x0) -> tuple[np.ndarray, float, int
         return r, float(r @ r)
 
     r, cost = f(x)
-    lam = 1e-3
+    lam, eye = 1e-3, np.eye(len(x))
     while evals + len(x) * (jacs + 1) < MAX_EVALUATIONS:
         jac, jacs = np.asarray(jacobian(x), dtype=float), jacs + 1
         jtj, grad = jac.T @ jac, jac.T @ r
-        damping = max(np.max(np.diag(jtj)), np.finfo(float).tiny) * np.eye(len(x))
+        damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
         while evals + len(x) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
             step = np.linalg.solve(jtj + lam * damping, -grad)
             if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(x) + 1e-12):

@@ -44,6 +44,8 @@ class SimConfig:
             raise SimulationError("polarization must lie in [0, 1]")
         if self.shots < 0:
             raise SimulationError("shots must be non-negative")
+        if self.seed is not None and self.seed < 0:
+            raise SimulationError("seed must be non-negative")
 
 
 INPUT_LABELS = ("z+", "z-", "x+", "y+")

@@ -2,13 +2,14 @@
 
 Every tolerance used across the package lives here so that a single
 override applies consistently.  NVQPT_TOLERANCES may name a JSON file
-holding an object of numeric overrides for a subset of the DEFAULTS keys;
-any problem with that file raises ToleranceError.
+holding an object of finite numeric overrides for a subset of the DEFAULTS
+keys; any problem with that file raises ToleranceError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 DEFAULTS: dict[str, float] = {
@@ -46,8 +47,13 @@ def table() -> dict[str, float]:
                 unknown = sorted(set(overrides) - set(DEFAULTS))
                 if unknown:
                     raise ToleranceError(f"unknown keys {unknown}")
+                for key, value in overrides.items():
+                    # json reads NaN, Infinity and true; a NaN bound disables its
+                    # check, and type() rejects a bool, which is an int subclass
+                    if type(value) not in (int, float) or not math.isfinite(value):
+                        raise ToleranceError(f"{key} must be a finite number, got {value!r}")
                 values.update({k: float(v) for k, v in overrides.items()})
-            except (OSError, ValueError, TypeError) as exc:
+            except (OSError, ValueError, TypeError, OverflowError) as exc:
                 raise ToleranceError(f"NVQPT_TOLERANCES={path}: {exc}") from exc
         _TABLE = values
     return _TABLE

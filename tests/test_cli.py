@@ -78,6 +78,7 @@ class TestSimulate:
             ("--detuning", "nan"),
             ("--t1ns", "nan"),
             ("--t1ns", "inf"),
+            ("--seed", "-1"),
         ]:
             code = run("simulate", *args, "--out", str(tmp_path / "x.json"))
             assert code == 2, args
@@ -184,6 +185,12 @@ class TestReconstruct:
         assert near["chi_re"] == exact["chi_re"] and near["chi_im"] == exact["chi_im"]
         # the report names the matched record time, not the requested one
         assert near["diagnostics"]["time_ns"] == 20.0
+
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time_is_usage_error(self, record_path, time, tmp_path, capsys):
+        assert run("reconstruct", str(record_path), "--time", time,
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert "--time must be finite" in capsys.readouterr().err
 
     def test_wrong_schema_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -421,7 +428,12 @@ class TestToleranceOverride:
         '{"no_such_key": 1e-6}',           # unknown key
         '{"pinv_rcond": 1e-10}',           # deleted key
         '{"bloch_ball": "tiny"}',          # non-numeric value
+        '{"bloch_ball": "1e-6"}',          # numeric string
         '[1e-6]',                          # not an object
+        '{"hermitian_input": NaN}',        # would disable the Hermitian check
+        '{"bloch_ball": Infinity}',
+        '{"bloch_ball": true}',            # would read as 1.0
+        pytest.param('{"bloch_ball": 1' + '0' * 400 + '}', id="beyond-float-range"),
     ])
     def test_bad_override_is_usage_error(self, override, record_path, text, capsys):
         override(text)

@@ -75,6 +75,13 @@ class TestHamiltonians:
             oracle = superop_from_action(lambda rho: h @ rho - rho @ h)
             assert np.max(np.abs(hamiltonian_superop(h) - oracle)) <= 1e-15
 
+    def test_equals_kronecker_form(self, rng):
+        eye = np.eye(2, dtype=complex)
+        for scale in np.logspace(-4, 2, 300):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = scale * (m + m.conj().T)
+            assert np.array_equal(hamiltonian_superop(h), np.kron(eye, h) - np.kron(h.T, eye))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(LindbladError):
             hamiltonian_superop(np.array([[0, 1], [0, 0]]))
@@ -224,6 +231,31 @@ class TestGKSParameterization:
             gks_cholesky_factor(np.zeros(8))
 
 
+def _bch_per_time(props, h_super, schedule):
+    """generator_bch_estimate with one exponential per time."""
+    samples = []
+    for p, t in zip(props, schedule.times()[:3]):
+        half = matrix_exp(1j * t / 2 * h_super)
+        samples.append(half @ p @ half)
+    return -numkit.richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
+
+
+def _jacobian_block_assembly(x, h_super, schedule):
+    """fit_jacobian with its nine 8x8 blocks assembled by np.block."""
+    xm = gks_cholesky_factor(x)
+    basis = np.array([numkit.triangular_from_params(c, 3) for c in np.eye(9)])
+    da = basis.conj().swapaxes(1, 2) @ xm + xm.conj().T @ basis
+    gen = 1j * h_super + dissipator_superop(xm.conj().T @ xm)
+    g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
+    blocks = matrix_exp(np.block([[g, -dissipator_superop(da) * schedule.t1], [0 * g, g]]))
+    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
+    for _ in range(1, schedule.count):
+        dps.append(dps[-1] @ p + p @ dps[-1])
+        p = p @ p
+    dps = np.stack(dps, axis=1).reshape(9, -1)
+    return np.concatenate([dps.real, dps.imag], axis=1).T
+
+
 class TestGeneratorEstimates:
     def make_problem(self, rng, detuning=0.02):
         # rates ~1e-3/ns so the 20/40/80 ns schedule sits in the regime
@@ -246,6 +278,22 @@ class TestGeneratorEstimates:
         props = [propagator_from_superop(gen, t) for t in schedule.times()]
         est = generator_bch_estimate(props, h_super, schedule)
         assert np.linalg.norm(est - r_hat) < 1e-3
+
+    def test_bch_equals_per_time_exponentials(self, rng):
+        schedule = TimeSchedule(t1=20.0)
+        for detuning in (0.0, 0.003, -0.02, 0.1):  # |i t H/2|_1 <= theta_13: one exponent
+            _, h_super, _, gen = self.make_problem(rng, detuning)
+            props = [propagator_from_superop(gen, t) for t in schedule.times()]
+            assert np.array_equal(generator_bch_estimate(props, h_super, schedule),
+                                  _bch_per_time(props, h_super, schedule))
+        # 20/40/80 ns at 1 rad/ns take scaling exponents 1, 2 and 3 in separate
+        # calls but 3 in the stacked one; Richardson divides the differences of
+        # samples near the identity by t1, so bound the error in the samples
+        _, h_super, _, gen = self.make_problem(rng, 1.0)
+        props = [propagator_from_superop(gen, t) for t in schedule.times()]
+        diff = generator_bch_estimate(props, h_super, schedule) - _bch_per_time(
+            props, h_super, schedule)
+        assert 0 < schedule.t1 * np.linalg.norm(diff) <= 1e-12
 
     def test_bch_needs_three_props(self, rng):
         _, h_super, _, gen = self.make_problem(rng)
@@ -298,6 +346,15 @@ class TestGeneratorEstimates:
                 central[:, k] = (fit_objective(x + h * e, props, h_super, schedule)
                                  - fit_objective(x - h * e, props, h_super, schedule)) / (2 * h)
             assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(central)
+
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_fit_jacobian_equals_block_assembly(self, rng, count):
+        schedule = TimeSchedule(t1=20.0, count=count)
+        for _ in range(5):
+            a, h_super, _, _ = self.make_problem(rng, rng.uniform(-0.02, 0.02))
+            x = gks_params_from_matrix(a) + 1e-3 * rng.normal(size=9)
+            assert np.array_equal(fit_jacobian(x, h_super, schedule),
+                                  _jacobian_block_assembly(x, h_super, schedule))
 
     def test_budget_stop_reported(self, rng, monkeypatch):
         _, h_super, _, gen = self.make_problem(rng)
@@ -394,3 +451,23 @@ class TestPrediction:
             rho = devectorize(matrix_exp(-gen * t) @ vectorize(rho0))
             expected = density_to_bloch((rho + rho.conj().T) / 2)
             assert np.max(np.abs(np.array(e.as_tuple()) - expected)) <= 1e-14
+
+    def test_readout_equals_density_loop(self, rng):
+        times = [20.0, 40.0, 80.0, 250.0]
+        clipped = 0
+        for _ in range(10):
+            _, h_super, r_hat, _ = TestGeneratorEstimates().make_problem(
+                rng, rng.uniform(-0.02, 0.02))
+            for r in (r_hat, -r_hat):  # -r_hat pushes Bloch vectors past 1
+                gen = 1j * h_super + r
+                props = matrix_exp(-gen * np.array(times)[:, None, None])
+                for rho0 in [*qpt.input_states(), bloch_to_density(rng.uniform(-0.5, 0.5, 3))]:
+                    expected = []
+                    for prop in props:
+                        rho = devectorize(prop @ vectorize(rho0))
+                        bloch = density_to_bloch((rho + rho.conj().T) / 2)
+                        clipped += np.any(np.abs(bloch) > 1)
+                        expected.append(np.clip(bloch, -1, 1))
+                    out = predict_expectations(r, h_super, rho0, times)
+                    assert np.array_equal([e.as_tuple() for e in out], expected)
+        assert clipped

@@ -202,6 +202,26 @@ def _identity_jacobian(x):
     return np.eye(len(x))
 
 
+class TestTriangular:
+    def test_equals_index_list_form(self, rng):
+        for n in range(1, 6):
+            pairs = [(i, i - k) for k in range(1, n) for i in range(k, n)]
+            rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+            for _ in range(20):
+                x = rng.normal(size=n * n)
+                expected = np.diag(x[:n]).astype(complex)
+                expected[rows, cols] = x[n::2] + 1j * x[n + 1::2]
+                m = numkit.triangular_from_params(x, n)
+                assert np.array_equal(m, expected)
+                assert np.array_equal(numkit.params_from_triangular(m), x)
+
+    def test_shared_indices_are_read_only(self):
+        rows, cols = numkit._strict_lower(3)
+        with pytest.raises(ValueError):
+            rows[0] = 0
+        assert numkit._strict_lower(3) is numkit._strict_lower(3)
+
+
 class TestLevenbergMarquardt:
     def test_parabola(self):
         x, f, _, _, converged = numkit.levenberg_marquardt(
