@@ -52,7 +52,7 @@ def table() -> dict[str, float]:
                     # check, and type() rejects a bool, which is an int subclass
                     if type(value) not in (int, float) or not math.isfinite(value):
                         raise ToleranceError(f"{key} must be a finite number, got {value!r}")
-                values.update({k: float(v) for k, v in overrides.items()})
+                    values[key] = float(value)
             except (OSError, ValueError, TypeError, OverflowError) as exc:
                 raise ToleranceError(f"NVQPT_TOLERANCES={path}: {exc}") from exc
         _TABLE = values
