@@ -3,7 +3,8 @@
 Subcommands: simulate, reconstruct, project, metrics, lindblad,
 ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
 argument value or NVQPT_TOLERANCES override), 3 data error (including a
-malformed input document), 4 numerical failure.
+malformed input document), 4 numerical failure (including any kernel
+error no stage maps itself).
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import cpfit, lindblad, nvsim, qpt, qstate, tolerances
-from .numkit import PrincipalLogUndefined, eig_hermitian
+from .numkit import NumkitError, PrincipalLogUndefined, eig_hermitian
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -419,6 +420,10 @@ def main(argv=None) -> int:
     except (qpt.ProcessError, lindblad.LindbladError, qstate.StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except NumkitError as exc:
+        # a kernel check that no stage maps itself, e.g. an overflow to inf
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import clip_negative_eigs, eig_hermitian, triangular_from_params
+from .numkit import _clip_eigs, clip_negative_eigs, eig_hermitian, triangular_from_params
+from .qstate import IDENTITY_2
 
 # Dykstra converges once the PSD and affine iterates are this close (relative
 # to max(1, |chi|)); reaching MAX_ITERATIONS first fails the projection.
@@ -35,7 +36,7 @@ def tp_project(chi: np.ndarray) -> np.ndarray:
     """Nearest matrix with tp_sum = I: both diagonal 2x2 blocks shift by
     half the (transposed) defect."""
     out = np.array(chi, dtype=complex)
-    shift = (qpt.tp_sum(out) - np.eye(2)).T / 2
+    shift = (qpt.tp_sum(out) - IDENTITY_2).T / 2
     out[:2, :2] -= shift
     out[2:, 2:] -= shift
     return out
@@ -66,8 +67,11 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     correction = chi - psd
     for iterations in range(1, MAX_ITERATIONS + 1):
         chi_tilde = tp_project(psd)
-        psd = clip_negative_eigs(chi_tilde + correction)
-        correction = chi_tilde + correction - psd
+        # y is Hermitian and finite because the checked chi is, so the
+        # clip skips eig_hermitian's checks but symmetrizes alike
+        y = chi_tilde + correction
+        psd = _clip_eigs(*np.linalg.eigh((y + y.conj().T) / 2))
+        correction = y - psd
         converged = float(np.linalg.norm(chi_tilde - psd)) <= gap_tol
         if converged:
             break

@@ -15,6 +15,7 @@ Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,15 @@ class TimeSchedule:
             raise LindbladError("t1 must be positive and finite")
         if self.count < 1:
             raise LindbladError("count must be at least 1")
+        try:
+            math.ldexp(self.t1, self.count - 1)  # the last time, t1 * 2^(count-1)
+        except OverflowError:
+            raise LindbladError(
+                f"last time t1*2^{self.count - 1} ns is beyond float range") from None
 
     def times(self) -> list[float]:
-        return [self.t1 * 2**m for m in range(self.count)]
+        # ldexp scales exactly, as t1 * 2**m does, but never converts 2**m
+        return [math.ldexp(self.t1, m) for m in range(self.count)]
 
     @classmethod
     def from_times(cls, times) -> "TimeSchedule":

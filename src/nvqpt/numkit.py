@@ -70,8 +70,14 @@ def clip_negative_eigs(m) -> np.ndarray:
     """Zero out negative eigenvalues, keeping eigenvectors: the nearest
     positive semidefinite matrix in Frobenius norm."""
     res = eig_hermitian(m)
-    v = res.eigenvectors
-    return (v * np.maximum(res.eigenvalues, 0.0)) @ v.conj().T
+    return _clip_eigs(res.eigenvalues, res.eigenvectors)
+
+
+def _clip_eigs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V max(w, 0) V^dag from an eigendecomposition (w, V): the clip
+    without eig_hermitian's checks, for iterates that are Hermitian and
+    finite by construction."""
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 @functools.cache

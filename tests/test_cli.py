@@ -79,6 +79,8 @@ class TestSimulate:
             ("--t1ns", "nan"),
             ("--t1ns", "inf"),
             ("--seed", "-1"),
+            ("--timepoints", "1100"),         # 2**1099 is beyond float range
+            ("--t1ns", "1e308"),              # the last time overflows to inf
         ]:
             code = run("simulate", *args, "--out", str(tmp_path / "x.json"))
             assert code == 2, args
@@ -325,6 +327,18 @@ class TestLindblad:
         assert "--hamiltonian" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_hamiltonian_is_numerical_error(self, record_path, tmp_path,
+                                                        capsys):
+        # finite, but the generator's exponential overflows inside numkit
+        out = tmp_path / "lindblad.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("lindblad", str(record_path), "--hamiltonian", "1e300",
+                       "--out", str(out))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
         out = tmp_path / "lindblad.json"
@@ -434,6 +448,11 @@ class TestToleranceOverride:
         '{"bloch_ball": Infinity}',
         '{"bloch_ball": true}',            # would read as 1.0
         pytest.param('{"bloch_ball": 1' + '0' * 400 + '}', id="beyond-float-range"),
+        '{"hermitian_input": -1}',         # would reject every eigendecomposition
+        '{"tp_defect_max": -1}',           # would fail every projection
+        '{"log_roundtrip": 0}',            # would fail every principal logarithm
+        '{"min_eig_floor": 1e-3}',         # would reject PSD matrices with a zero eigenvalue
+        '{"kraus_eig_floor": 1}',
     ])
     def test_bad_override_is_usage_error(self, override, record_path, text, capsys):
         override(text)
@@ -441,6 +460,13 @@ class TestToleranceOverride:
             tolerances.table()
         assert run("reconstruct", str(record_path), "--time", "20") == 2
         assert "NVQPT_TOLERANCES" in capsys.readouterr().err
+
+    def test_every_key_has_a_sign_rule(self):
+        assert sorted(tolerances.POSITIVE + tolerances.NON_POSITIVE) == sorted(tolerances.DEFAULTS)
+
+    def test_zero_floor_is_accepted(self, override):
+        override(json.dumps({"min_eig_floor": 0, "kraus_eig_floor": 0.0}))
+        assert tolerances.get("min_eig_floor") == 0.0
 
     def test_min_eig_floor_override(self, override):
         rho = np.diag([1 + 1e-7, -1e-7])

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from nvqpt import cpfit, qpt, reference
+from nvqpt import cpfit, qpt, reference, tolerances
 from nvqpt.cpfit import (
     chi_from_params,
     clip_negative_eigs,
     project_to_cp,
     tp_project,
 )
-from nvqpt.numkit import triangular_from_params
+from nvqpt.numkit import NumkitError, _clip_eigs, triangular_from_params
 
 from conftest import random_hermitian
 
@@ -53,6 +53,78 @@ class TestClipAndStart:
         # a PSD input is its own eigenvalue clip, the projection's start
         chi = chi_from_params(rng.normal(size=16))
         assert np.linalg.norm(project_to_cp(chi).chi_start - chi) < 1e-8
+
+
+class TestUncheckedSteps:
+    """project_to_cp checks its input once and runs each Dykstra step on
+    the unchecked clip; the results must equal the loop that checks every
+    step, bit for bit."""
+
+    @staticmethod
+    def checked_dykstra(chi):
+        chi = np.asarray(chi, dtype=complex)
+        gap_tol = cpfit.CONVERGENCE_GAP * max(1.0, float(np.linalg.norm(chi)))
+        psd = chi_start = clip_negative_eigs(chi)
+        correction = chi - psd
+        for iterations in range(1, cpfit.MAX_ITERATIONS + 1):
+            chi_tilde = tp_project(psd)
+            psd = clip_negative_eigs(chi_tilde + correction)
+            correction = chi_tilde + correction - psd
+            converged = float(np.linalg.norm(chi_tilde - psd)) <= gap_tol
+            if converged:
+                break
+        return chi_tilde, iterations, converged, chi_start
+
+    def assert_equal_to_checked(self, chi):
+        result = project_to_cp(chi)
+        chi_tilde, iterations, converged, chi_start = self.checked_dykstra(chi)
+        assert np.array_equal(result.chi_tilde, chi_tilde)
+        assert np.array_equal(result.chi_start, chi_start)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        return result
+
+    @staticmethod
+    def unphysical_chis(rng, count):
+        """Reference processes plus Hermitian noise, kept when a negative
+        eigenvalue makes them unphysical."""
+        base = [qpt.affine_to_chi(a)
+                for a in reference.affine_experimental(reference.load()).values()]
+        chis = []
+        while len(chis) < count:
+            chi = base[len(chis) % 3] + rng.uniform(0.01, 0.4) * random_hermitian(rng, 4)
+            if np.linalg.eigvalsh(chi)[0] < 0:
+                chis.append(chi)
+        return base, chis
+
+    def test_equals_checked_steps(self, rng):
+        base, chis = self.unphysical_chis(rng, 1000)
+        steps = [self.assert_equal_to_checked(chi).iterations for chi in base + chis]
+        assert steps[:3] == [23, 25, 22] and max(steps) > 30
+
+    def test_budget_stop_equals_checked_steps(self, monkeypatch, rng):
+        monkeypatch.setattr(cpfit, "MAX_ITERATIONS", 5)
+        for chi in self.unphysical_chis(rng, 20)[1]:
+            result = self.assert_equal_to_checked(chi)
+            assert result.iterations == 5 and not result.converged and not result.success
+
+    def test_input_is_still_checked(self):
+        bad = CHI_IDENTITY.copy()
+        bad[0, 3] = np.nan
+        with pytest.raises(NumkitError, match="non-finite"):
+            project_to_cp(bad)
+        # an anti-Hermitian part twice the hermitian_input bound
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 3], skew[3, 0] = 1.0, -1.0
+        bound = tolerances.get("hermitian_input") * np.linalg.norm(CHI_IDENTITY)
+        with pytest.raises(NumkitError, match="not Hermitian"):
+            project_to_cp(CHI_IDENTITY + bound * skew / np.linalg.norm(skew))
+
+    def test_clip_equals_core(self, rng):
+        for scale in (1e-6, 1.0, 1e3):
+            for _ in range(100):
+                h = scale * random_hermitian(rng, 4)
+                core = _clip_eigs(*np.linalg.eigh((h + h.conj().T) / 2))
+                assert np.array_equal(clip_negative_eigs(h), core)
 
 
 class TestTraceProjection:

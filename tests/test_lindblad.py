@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,17 @@ class TestSchedule:
     def test_rejects_nonpositive(self):
         with pytest.raises(LindbladError):
             TimeSchedule(t1=0.0)
+
+    def test_rejects_overflowing_last_time(self):
+        for t1, count in [(1e308, 2), (20.0, 1100), (1e-300, 3000)]:
+            with pytest.raises(LindbladError, match="beyond float range"):
+                TimeSchedule(t1=t1, count=count)
+
+    def test_times_scale_exactly_past_float_range_of_2_to_the_m(self):
+        # 2**1099 alone is no float, but 1e-300 * 2**1099 is
+        times = TimeSchedule(t1=1e-300, count=1100).times()
+        assert times[:3] == [1e-300, 2e-300, 4e-300]
+        assert times[-1] == math.ldexp(1e-300, 1099) and math.isfinite(times[-1])
 
 
 class TestPropagators:

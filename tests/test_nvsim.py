@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,45 @@ class TestRecord:
         d1 = run_experiment(SimConfig(seed=1), schedule).to_record_dict()
         d2 = run_experiment(SimConfig(seed=2), schedule).to_record_dict()
         assert d1["expectations"] != d2["expectations"]
+
+
+class TestRunExperiment:
+    @staticmethod
+    def per_state_record(cfg, schedule):
+        """The record of evolve() and one measurement per (input, time),
+        drawn label-major from one generator seeded like run_experiment."""
+        rng = np.random.default_rng(cfg.seed)
+        expectations = {
+            label: {t: measure_expectations(evolve(rho, cfg, t), cfg, rng)
+                    for t in schedule.times()}
+            for label, rho in zip(INPUT_LABELS, prepare_inputs())
+        }
+        reference = {"rabi_frequency": cfg.rabi_frequency, "contrast": 1.0}
+        return ExperimentRecord(schedule, expectations, cfg, reference).to_record_dict()
+
+    @pytest.mark.parametrize("cfg, schedule", [
+        (SimConfig(seed=3), lindblad.TimeSchedule(t1=20.0)),
+        (SimConfig(shots=0), lindblad.TimeSchedule(t1=20.0)),
+        (SimConfig(t1_ns=4000.0, t2_ns=400.0, detuning=0.03, shots=400, seed=11),
+         lindblad.TimeSchedule(t1=15.0, count=4)),
+        (SimConfig(t1_ns=300.0, t2_ns=90.0, detuning=-0.05, shots=0),
+         lindblad.TimeSchedule(t1=7.5, count=4)),
+    ])
+    def test_equals_per_state_loop(self, cfg, schedule):
+        record = run_experiment(cfg, schedule).to_record_dict()
+        assert json.dumps(record) == json.dumps(self.per_state_record(cfg, schedule))
+
+    def test_equals_per_state_loop_on_random_configs(self, rng):
+        for _ in range(100):
+            t1 = float(rng.uniform(100.0, 1e6))
+            cfg = SimConfig(t1_ns=t1, t2_ns=float(rng.uniform(10.0, 2 * t1)),
+                            detuning=float(rng.uniform(-0.05, 0.05)),
+                            shots=int(rng.choice([0, 100, 10_000, 100_000])),
+                            seed=int(rng.integers(2**31)))
+            schedule = lindblad.TimeSchedule(t1=float(rng.uniform(1.0, 200.0)),
+                                             count=int(rng.integers(1, 6)))
+            record = run_experiment(cfg, schedule).to_record_dict()
+            assert json.dumps(record) == json.dumps(self.per_state_record(cfg, schedule))
 
 
 def _reconstruct_chi(record, t):
