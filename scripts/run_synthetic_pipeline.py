@@ -57,10 +57,10 @@ def main() -> None:
     h_super = lindblad.hamiltonian_superop(
         lindblad.detuning_hamiltonian(cfg.detuning)
     )
-    x0 = lindblad.gks_start_from_generator(
+    start = lindblad.gks_start_from_generator(
         lindblad.generator_bch_estimate(props, h_super, schedule)
     )
-    fit = lindblad.fit_generator(props, h_super, schedule, x0)
+    fit = lindblad.fit_generator(props, h_super, schedule, start)
     truth = nvsim.true_gks_matrix(cfg)
     rel_err = np.linalg.norm(fit.gks - truth) / np.linalg.norm(truth)
 

@@ -292,9 +292,8 @@ def cmd_lindblad(args) -> int:
     except PrincipalLogUndefined as exc:
         raise NumericalError(f"{exc}; reduce t1") from exc
     r_re = lindblad.generator_bch_estimate(props, h_super, schedule)
-    x0 = lindblad.gks_start_from_generator(r_re)
-    a_start = lindblad.gks_matrix(x0)
-    fit = lindblad.fit_generator(props, h_super, schedule, x0)
+    a_start = lindblad.gks_start_from_generator(r_re)
+    fit = lindblad.fit_generator(props, h_super, schedule, a_start)
     lset = lindblad.lindblads_from_gks(fit.gks)
 
     per_input = [
@@ -325,11 +324,9 @@ def cmd_lindblad(args) -> int:
     for i, c in enumerate(lset.contributions, start=1):
         print(f"  L{i} relative contribution {_fmt(100 * c)}%")
     if not fit.converged:
-        # A budget stop is not an error: 2 of the 40 noisy cli-benchmark records
-        # crawl to an optimum on the PSD boundary in the X^dag X fit, and the
-        # best point found is still a valid, PSD generator.
         print(f"warning: generator fit stopped on its budget after {fit.evaluations} "
               f"evaluations and {fit.jacobians} Jacobians before converging", file=sys.stderr)
+        return EXIT_NUMERICAL
     return 0
 
 

@@ -5,10 +5,12 @@ Density matrices are column-stacked into 4-vectors, so vec(A X B) =
 products, and a measured channel's superpropagator is the realignment
 P[a+2b, i+2j] = chi[2a+i, 2b+j] of its chi (Choi) matrix.  The
 relaxation generator is estimated from propagators at a doubling time
-schedule (matrix-log and symmetric-BCH/Richardson routes), projected
-onto the positive GKS form, refined by a Levenberg-Marquardt fit to the
-propagators with the exact Jacobian (block-triangular exponentials), and
-diagonalized into Lindblad operators with relative contributions.
+schedule (matrix-log and symmetric-BCH/Richardson routes), clipped to a
+PSD GKS matrix, refined by a least-squares fit to the propagators on the
+PSD cone (Levenberg-Marquardt in the GKS matrix itself, in which the
+generator is linear, with the exact Jacobian from block-triangular
+exponentials), and diagonalized into Lindblad operators with relative
+contributions.
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
@@ -24,10 +26,10 @@ from . import qpt, tolerances
 from .numkit import (
     clip_negative_eigs,
     eig_hermitian,
+    hermitian_basis,
     levenberg_marquardt,
     matrix_exp,
     matrix_log_principal,
-    params_from_triangular,
     richardson_derivative,
     triangular_from_params,
 )
@@ -149,43 +151,10 @@ def generator_bch_estimate(
     return -dfdt
 
 
-def gks_cholesky_factor(x: np.ndarray) -> np.ndarray:
-    """GKS parameterization a = X^dag X over the F basis: X is lower
-    triangular with a real diagonal x[0:3], then Re/Im of the (1,0),
-    (2,1) and (2,0) entries."""
-    if np.shape(x) != (9,):
-        raise LindbladError("expected 9 real parameters")
-    return triangular_from_params(x, 3)
-
-
 def gks_matrix(x: np.ndarray) -> np.ndarray:
-    """a = X^dag X: positive semidefinite by construction."""
-    m = gks_cholesky_factor(x)
+    """a = X^dag X for X = triangular_from_params(x, 3): PSD by construction."""
+    m = triangular_from_params(x, 3)
     return m.conj().T @ m
-
-
-def _psd_eig(a: np.ndarray):
-    """Eigendecomposition of a GKS matrix that must be PSD to min_eig_floor."""
-    res = eig_hermitian(a)
-    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise LindbladError(
-            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
-        )
-    return res
-
-
-def gks_params_from_matrix(a: np.ndarray) -> np.ndarray:
-    """Factor a PSD GKS matrix back into the 9 parameters of a = X^dag X.
-
-    With a = F^dag F, F = diag(sqrt(w)) V^dag, the QR factor R of F J (J
-    the index reversal) gives X = J R J, lower triangular; rows of R are
-    sign-flipped to a nonnegative diagonal, so full-rank a gets its
-    Cholesky factor."""
-    res = _psd_eig(a)
-    f = np.sqrt(np.clip(res.eigenvalues, 0.0, None))[:, None] * res.eigenvectors.conj().T
-    r = np.linalg.qr(f[:, ::-1], mode="r")
-    r *= np.where(np.diag(r).real < 0, -1.0, 1.0)[:, None]
-    return params_from_triangular(r[::-1, ::-1])
 
 
 # _DISSIPATOR_TENSOR[a, b] is the superoperator of the elementary GKS term
@@ -203,16 +172,10 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     -R_hat acts as rho -> (1/2) sum a_ab ([F_a rho, F_b] + [F_a, rho F_b]);
     the trace row of R_hat vanishes, so exp(-R_hat t) preserves trace."""
     a = np.asarray(a, dtype=complex)
-    if a.shape[-2:] != (3, 3) or np.linalg.norm(a - a.conj().swapaxes(-1, -2)) > 1e-9:
+    if a.shape[-2:] != (3, 3) or (np.linalg.norm(a - a.conj().swapaxes(-1, -2))
+                                  > 1e-9 * max(1.0, np.linalg.norm(a))):
         raise LindbladError("GKS matrix must be 3x3 Hermitian")
     return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
-
-
-def _hermitian_from_components(c: np.ndarray) -> np.ndarray:
-    """3x3 Hermitian matrix from 9 reals in the layout of the GKS factor:
-    diagonal, then Re/Im of the (1,0), (2,1), (2,0) entries."""
-    low = triangular_from_params(c, 3)
-    return low + np.tril(low, -1).conj().T
 
 
 def _real_view(m) -> np.ndarray:
@@ -221,21 +184,16 @@ def _real_view(m) -> np.ndarray:
     return np.concatenate([m.real, m.imag])
 
 
-# Real design matrix of the GKS start: column k is the dissipator of the k-th
-# unit component of _hermitian_from_components.
-_GKS_DESIGN = np.column_stack([
-    _real_view(dissipator_superop(_hermitian_from_components(c))) for c in np.eye(9)
-])
+# R_hat of each fit basis matrix (its constant derivatives) and their design matrix.
+_BASIS_SUPEROPS = dissipator_superop(hermitian_basis(3))
+_GKS_DESIGN = np.column_stack([_real_view(d) for d in _BASIS_SUPEROPS])
 
 
 def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
-    """Project an unconstrained generator estimate onto GKS parameters.
-
-    The linear map from the 9 real Hermitian components of a to
-    superoperators is inverted in least squares; the recovered a is
-    clipped to PSD and Cholesky-factored into x."""
+    """The fit's start: the GKS matrix a whose R_hat(a) is nearest an
+    unconstrained generator estimate in least squares, clipped to PSD."""
     comps, *_ = np.linalg.lstsq(_GKS_DESIGN, _real_view(r_estimate), rcond=None)
-    return gks_params_from_matrix(clip_negative_eigs(_hermitian_from_components(comps)))
+    return clip_negative_eigs(np.tensordot(comps, hermitian_basis(3), 1))
 
 
 @dataclass(frozen=True)
@@ -248,10 +206,10 @@ class GeneratorFit:
     converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
 
 
-def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.ndarray:
-    """Real residual vector of exp(-(iH_hat + R_hat(x)) t) - P_t over the
+def fit_objective(a: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.ndarray:
+    """Real residual vector of exp(-(iH_hat + R_hat(a)) t) - P_t over the
     schedule; its squared norm is the fit cost."""
-    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(gks_matrix(x))
+    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(a)
     # TimeSchedule guarantees t_{m+1} = 2 t_m, so P(t_{m+1}) = P(t_m)^2:
     # one exponential per evaluation, then squarings.
     p_t = [propagator_from_superop(gen, schedule.t1)]
@@ -260,30 +218,23 @@ def fit_objective(x: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.n
     return _real_view(np.array(p_t) - np.asarray(props, complex))
 
 
-# dX/dx_k for the GKS factor X = gks_cholesky_factor(x), and its adjoints.
-_FACTOR_BASIS = np.array([triangular_from_params(c, 3) for c in np.eye(9)])
-_FACTOR_BASIS_H = _FACTOR_BASIS.conj().swapaxes(1, 2)
+def fit_jacobian(a: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
+    """Exact Jacobian of fit_objective (column k: d residuals / dc_k for the
+    components c of a in hermitian_basis(3)).
 
-
-def fit_jacobian(x: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
-    """Exact Jacobian of fit_objective (column k: d residuals / dx_k).
-
-    dG_k = R_hat(E_k^dag X + X^dag E_k) for a = X^dag X, E_k = dX/dx_k; the
-    derivative of exp(-G t1) along dG_k is the upper-right block of
-    exp([[-G t1, -dG_k t1], [0, -G t1]]) (Najfeld and Havel, Adv. Appl. Math.
-    16, 321 (1995)), and dP_{m+1} = dP_m P_m + P_m dP_m along the schedule."""
-    xm = gks_cholesky_factor(x)
-    da = _FACTOR_BASIS_H @ xm + xm.conj().T @ _FACTOR_BASIS
-    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(xm.conj().T @ xm)
+    dG_k = R_hat(B_k); the derivative of exp(-G t1) along it is the upper-right
+    block of exp([[-G t1, -dG_k t1], [0, -G t1]]) (Najfeld and Havel, Adv.
+    Appl. Math. 16, 321 (1995)); dP_{m+1} = dP_m P_m + P_m dP_m."""
+    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(a)
     blocks = np.zeros((9, 8, 8), dtype=complex)
     blocks[:, :4, :4] = blocks[:, 4:, 4:] = -gen * schedule.t1
-    blocks[:, :4, 4:] = -dissipator_superop(da) * schedule.t1
+    blocks[:, :4, 4:] = -_BASIS_SUPEROPS * schedule.t1
     blocks = matrix_exp(blocks)
     p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
     for _ in range(1, schedule.count):
         dps.append(dps[-1] @ p + p @ dps[-1])
         p = p @ p
-    dps = np.stack(dps, axis=1).reshape(9, -1)  # row k: d vec(P_t) / dx_k
+    dps = np.stack(dps, axis=1).reshape(9, -1)  # row k: d vec(P_t) / dc_k
     return np.concatenate([dps.real, dps.imag], axis=1).T
 
 
@@ -291,18 +242,18 @@ def fit_generator(
     props: list[np.ndarray],
     h_super: np.ndarray,
     schedule: TimeSchedule,
-    x0: np.ndarray,
+    start: np.ndarray,
 ) -> GeneratorFit:
-    """Least-squares fit of the GKS parameters to measured propagators at
-    every schedule time, by Levenberg-Marquardt with the exact Jacobian."""
+    """Least-squares fit of the PSD GKS matrix to measured propagators at
+    every schedule time, from the GKS matrix `start`, by Levenberg-Marquardt
+    on the PSD cone with the exact Jacobian."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
     props = np.asarray(props, dtype=complex)
-    x_best, residual, evals, jacs, converged = levenberg_marquardt(
-        lambda x: fit_objective(x, props, h_super, schedule),
-        lambda x: fit_jacobian(x, h_super, schedule), x0
+    a, residual, evals, jacs, converged = levenberg_marquardt(
+        lambda a: fit_objective(a, props, h_super, schedule),
+        lambda a: fit_jacobian(a, h_super, schedule), start
     )
-    a = gks_matrix(x_best)
     return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=residual,
                         evaluations=evals, jacobians=jacs, converged=converged)
 
@@ -318,7 +269,9 @@ class LindbladSet:
 def lindblads_from_gks(a: np.ndarray) -> LindbladSet:
     """Diagonalize the GKS matrix: L_i = sqrt(d_i) sum_j U_ji F_j, dropping
     negligible eigenvalues; contributions are |L_i|_Fro^2 normalized."""
-    res = _psd_eig(a)
+    res = eig_hermitian(a)
+    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
+        raise LindbladError(f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}")
     d = np.clip(res.eigenvalues, 0.0, None)
     ops = [
         np.sqrt(d[i]) * sum(res.eigenvectors[j, i] * F_BASIS[j] for j in range(3))

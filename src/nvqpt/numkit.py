@@ -4,9 +4,9 @@ Everything here operates on small (dimension <= 16) numpy arrays and is a
 pure function of its inputs.  Eigendecompositions, QR and linear solves
 come from numpy.linalg.  The matrix exponential (Pade-13 scaling and
 squaring, also of stacks), the principal logarithm (inverse scaling and
-squaring), the Levenberg-Marquardt least-squares solver (analytic
-Jacobian) and Richardson extrapolation are implemented here, so the
-package needs numpy only.
+squaring), the Levenberg-Marquardt least-squares solver over the
+positive semidefinite cone (analytic Jacobian) and Richardson
+extrapolation are implemented here, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -101,11 +101,25 @@ def triangular_from_params(x, n: int) -> np.ndarray:
     return m
 
 
-def params_from_triangular(m) -> np.ndarray:
-    """Inverse of triangular_from_params; the upper triangle is ignored."""
-    m = np.asarray(m, dtype=complex)
-    low = m[_strict_lower(len(m))]
-    return np.concatenate([np.diag(m).real, np.column_stack([low.real, low.imag]).ravel()])
+@functools.cache
+def hermitian_basis(n: int) -> np.ndarray:
+    """Frobenius-orthonormal basis B_k of n x n Hermitian matrices, laid out as
+    triangular_from_params (E_ii; (E_ij + E_ji)/sqrt(2), i(E_ij - E_ji)/sqrt(2)
+    per lower (i, j)), so components tr(B_k a) are real.  Shared, read-only."""
+    low = np.array([triangular_from_params(e, n) for e in np.eye(n * n)])
+    basis = low + low.conj().swapaxes(1, 2)
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    basis.flags.writeable = False
+    return basis
+
+
+def _from_components(c: np.ndarray) -> np.ndarray:
+    n = math.isqrt(len(c))
+    return (c @ hermitian_basis(n).reshape(n * n, n * n)).reshape(n, n)
+
+
+def _to_components(a: np.ndarray) -> np.ndarray:
+    return (hermitian_basis(len(a)).reshape(a.size, a.size).conj() @ a.ravel()).real
 
 
 # Pade [13/13] coefficients and the 1-norm bound theta_13 (Higham, SIAM J.
@@ -151,8 +165,10 @@ def matrix_exp(m) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    # an overflow leaves inf or nan, which the next kernel call rejects, unprinted
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
     return r
 
 
@@ -206,49 +222,82 @@ def matrix_log_principal(m) -> np.ndarray:
 MAX_EVALUATIONS = 2000
 
 
-def levenberg_marquardt(residuals, jacobian, x0) -> tuple[np.ndarray, float, int, int, bool]:
-    """Minimize sum(residuals(x)**2) given jacobian(x) = d residuals / dx;
-    returns (x_best, cost, evaluations, jacobians, converged).
+def psd_model_step(metric, grad, c) -> np.ndarray:
+    """Components (in hermitian_basis) of the PSD y minimizing the model
+    (y - c)^T metric (y - c) / 2 + grad^T (y - c): the unconstrained
+    minimizer if PSD, else the clipped iterate of over-relaxed ADMM (Boyd et
+    al., Found. Trends Mach. Learn. 3, 1 (2011)): up to 500 rounds of a solve
+    with the cached (metric + rho I)^-1, rho = sqrt(lambda_min lambda_max),
+    and one eigenvalue clip, stopping on 1e-13 primal and dual residuals,
+    relative as in OSQP (Stellato et al., Math. Prog. Comp. 12, 637 (2020))."""
+    def clip(y: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(_from_components(y))
+        return y if w[0] >= 0 else _to_components(_clip_eigs(w, v))
 
-    Damping lam * max(diag J^T J).  Converges on a relative cost change
-    <= 1e-15 or a step below 1e-12 relative to x.  Each Jacobian is charged
-    len(x) evaluations against MAX_EVALUATIONS, the price of a
+    y = c - np.linalg.solve(metric, grad)
+    z = clip(y)
+    if z is y:
+        return y
+    lam = np.linalg.eigvalsh(metric)
+    rho = math.sqrt(lam[0] * lam[-1])
+    inv = np.linalg.inv(metric + rho * np.eye(len(c)))
+    q = metric @ c - grad
+    u = (q - metric @ z) / rho  # the scaled multiplier that fits z
+    for _ in range(500):
+        y = inv @ (q + rho * (z - u))
+        relaxed = 1.8 * y - 0.8 * z
+        z_old, z = z, clip(relaxed + u)
+        u += relaxed - z
+        prim, dual = y - z, rho * (z - z_old)
+        if (prim @ prim <= 1e-26 * max(y @ y, z @ z)
+                and dual @ dual <= 1e-26 * max(q @ q, rho * rho * (u @ u))):
+            break
+    return z
+
+
+def levenberg_marquardt(residuals, jacobian, a0) -> tuple[np.ndarray, float, int, int, bool]:
+    """Minimize sum(residuals(a)**2) over PSD a from a0 (clipped to PSD),
+    given jacobian(a) = d residuals / dc for the components c of a in
+    hermitian_basis; returns (a_best, cost, evaluations, jacobians, converged).
+
+    Each step minimizes the Gauss-Newton model, damped by lam * max(diag
+    J^T J), on the PSD cone (psd_model_step).  Converges on a relative cost
+    change <= 1e-15 or a step below 1e-12 relative to c.  Each Jacobian is
+    charged len(c) evaluations against MAX_EVALUATIONS, the price of a
     finite-difference one; the solver stops unconverged before a Jacobian
     or trial step that would exceed the budget.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.ndim != 1:
-        raise NumkitError("x0 must be a 1-D real vector")
+    c = _to_components(clip_negative_eigs(a0))
     evals = jacs = 0
 
-    def f(x: np.ndarray) -> tuple[np.ndarray, float]:
+    def f(c: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal evals
         evals += 1
-        r = np.asarray(residuals(x), dtype=float)
+        r = np.asarray(residuals(_from_components(c)), dtype=float)
         if not np.all(np.isfinite(r)):
-            raise ObjectiveDiverged(f"objective diverged at {x}")
+            raise ObjectiveDiverged(f"objective diverged at components {c}")
         return r, float(r @ r)
 
-    r, cost = f(x)
-    lam, eye = 1e-3, np.eye(len(x))
-    while evals + len(x) * (jacs + 1) < MAX_EVALUATIONS:
-        jac, jacs = np.asarray(jacobian(x), dtype=float), jacs + 1
+    r, cost = f(c)
+    lam, eye = 1e-3, np.eye(len(c))
+    while evals + len(c) * (jacs + 1) < MAX_EVALUATIONS:
+        jac, jacs = np.asarray(jacobian(_from_components(c)), dtype=float), jacs + 1
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
-        while evals + len(x) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
-            step = np.linalg.solve(jtj + lam * damping, -grad)
-            if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(x) + 1e-12):
-                return x, cost, evals, jacs, True
-            r_new, cost_new = f(x + step)
+        while evals + len(c) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
+            step = psd_model_step(jtj + lam * damping, grad, c) - c
+            if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(c) + 1e-12):
+                return _from_components(c), cost, evals, jacs, True
+            r_new, cost_new = f(c + step)
             if cost_new < cost:
                 break
             lam *= 10.0
         else:
             break
-        x, r, lam, cost_old, cost = x + step, r_new, max(lam / 10, 1e-12), cost, cost_new
+        c, r, lam, cost_old, cost = c + step, r_new, max(lam / 10, 1e-12), cost, cost_new
         if cost_old - cost <= 1e-15 * cost_old:
-            return x, cost, evals, jacs, True
-    return x, cost, evals, jacs, False
+            return _from_components(c), cost, evals, jacs, True
+    return _from_components(c), cost, evals, jacs, False
 
 
 def richardson_derivative(samples: Sequence[np.ndarray], base_value, t1: float) -> np.ndarray:

@@ -331,18 +331,27 @@ class TestLindblad:
                                                         capsys):
         # finite, but the generator's exponential overflows inside numkit
         out = tmp_path / "lindblad.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run("lindblad", str(record_path), "--hamiltonian", "1e300",
-                       "--out", str(out))
+        code = run("lindblad", str(record_path), "--hamiltonian", "1e300", "--out", str(out))
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflow_stderr_is_one_error_line(self, record_path, tmp_path):
+        # a subprocess, so numpy's warnings reach stderr as they would for a user
+        out = tmp_path / "lindblad.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvqpt.cli", "lindblad", str(record_path),
+             "--hamiltonian", "1e300", "--out", str(out)],
+            env=_env_with_src(), capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
         out = tmp_path / "lindblad.json"
-        assert run("lindblad", str(record_path), "--out", str(out)) == 0
+        assert run("lindblad", str(record_path), "--out", str(out)) == 4
         assert json.loads(out.read_text())["converged"] is False
         err = capsys.readouterr().err
         assert "stopped on its budget" in err and "Jacobians" in err
@@ -506,14 +515,18 @@ def test_chain_is_byte_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def _env_with_src() -> dict:
+    """The environment with this nvqpt's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(nvqpt.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_is_numpy_only():
     """Each CLI stage is its own process; importing the CLI must not pull in
     scipy, whose import costs more than the CLI itself."""
-    src = os.path.dirname(os.path.dirname(nvqpt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, nvqpt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -17,9 +17,7 @@ from nvqpt.lindblad import (
     fit_objective,
     generator_bch_estimate,
     generator_log_estimate,
-    gks_cholesky_factor,
     gks_matrix,
-    gks_params_from_matrix,
     gks_start_from_generator,
     hamiltonian_superop,
     lindblads_from_gks,
@@ -29,8 +27,10 @@ from nvqpt.lindblad import (
     superop_from_action,
     vectorize,
 )
-from nvqpt.numkit import matrix_exp
+from nvqpt.numkit import NumkitError, hermitian_basis, matrix_exp
 from nvqpt.qstate import PAULIS, bloch_to_density, density_to_bloch
+
+from conftest import random_hermitian
 
 TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 
@@ -180,6 +180,17 @@ class TestDissipator:
         with pytest.raises(LindbladError):
             dissipator_superop(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
+    def test_hermitian_check_is_relative(self, rng):
+        # X^dag X at scale 1e4 carries roundoff far above an absolute 1e-9
+        for _ in range(200):
+            dissipator_superop(gks_matrix(1e4 * rng.normal(size=9)))
+
+    def test_rejects_non_hermitian_at_scale(self, rng):
+        a = gks_matrix(1e4 * rng.normal(size=9))
+        skew = 1e-6 * np.linalg.norm(a) * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        with pytest.raises(LindbladError):
+            dissipator_superop(a + skew)
+
     @staticmethod
     def _affine_of(r_hat, t):
         outputs = channel_outputs(r_hat, t)
@@ -191,12 +202,12 @@ class TestDissipator:
         return 0.01 * x @ x.conj().T
 
 
-class TestGKSParameterization:
-    def test_factor_lower_triangular(self, rng):
-        m = gks_cholesky_factor(rng.normal(size=9))
-        assert np.allclose(np.triu(m, 1), 0)
-        assert np.allclose(np.diag(m).imag, 0)
+def _gks_components(a):
+    """Components of a GKS matrix in the fit's basis, hermitian_basis(3)."""
+    return np.einsum("kij,ij->k", hermitian_basis(3).conj(), a).real
 
+
+class TestGKSParameterization:
     def test_matrix_always_psd(self, rng):
         for _ in range(50):
             a = gks_matrix(rng.normal(size=9))
@@ -204,44 +215,36 @@ class TestGKSParameterization:
 
     def test_params_round_trip(self, rng):
         a = TestDissipator._random_gks(rng)
-        x = gks_params_from_matrix(a)
-        assert np.linalg.norm(gks_matrix(x) - a) < 1e-10
-
-    def test_full_rank_matches_cholesky(self, rng):
-        for _ in range(10):
-            a = TestDissipator._random_gks(rng)
-            x = gks_params_from_matrix(a)
-            assert np.linalg.norm(gks_matrix(x) - a) <= 1e-12
-            assert np.all(x[:3] > 0)
-            # full rank: the unique factor with a positive diagonal, which
-            # the index-reversed Cholesky factor also is
-            low = np.linalg.cholesky(a[::-1, ::-1])
-            assert np.allclose(gks_cholesky_factor(x), low.conj().T[::-1, ::-1], atol=1e-12)
+        c = _gks_components(a)
+        assert np.linalg.norm(np.tensordot(c, hermitian_basis(3), 1) - a) <= 1e-15
+        assert np.isclose(np.linalg.norm(c), np.linalg.norm(a), rtol=1e-14)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rank_deficient_round_trip(self, rng, rank):
+        # the start recovers a rank-deficient GKS matrix from its dissipator
         g = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
         a = 0.01 * g @ g.conj().T
-        x = gks_params_from_matrix(a)
-        assert np.linalg.norm(gks_matrix(x) - a) < 1e-12
-        assert np.all(x[:3] >= 0)
+        start = gks_start_from_generator(dissipator_superop(a))
+        assert np.linalg.norm(start - a) < 1e-12
+        assert np.linalg.matrix_rank(start, tol=1e-12) == rank
 
     def test_identity_closed_form(self):
-        x = gks_params_from_matrix(np.eye(3))
-        assert np.allclose(x, [1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0], atol=1e-14)
+        assert np.allclose(_gks_components(np.eye(3)), [1, 1, 1, 0, 0, 0, 0, 0, 0], atol=1e-15)
 
     def test_diagonal_closed_form(self):
-        # the unique factor with a nonnegative diagonal: sqrt of the entries
-        x = gks_params_from_matrix(np.diag([4.0, 9.0, 1.0]))
-        assert np.allclose(x, [2.0, 3.0, 1.0, 0, 0, 0, 0, 0, 0], atol=1e-14)
+        # diagonal entries directly; off-diagonal Re/Im scaled by sqrt(2)
+        a = np.diag([4.0, 9.0, 1.0]).astype(complex)
+        a[1, 0], a[0, 1] = 1 + 2j, 1 - 2j
+        expected = [4, 9, 1, math.sqrt(2), 2 * math.sqrt(2), 0, 0, 0, 0]
+        assert np.allclose(_gks_components(a), expected, atol=1e-14)
 
-    def test_indefinite_rejected(self):
-        with pytest.raises(LindbladError):
-            gks_params_from_matrix(np.diag([1.0, 0.5, -1e-6]))
+    def test_indefinite_start_is_clipped(self):
+        start = gks_start_from_generator(dissipator_superop(np.diag([1.0, 0.5, -1e-6])))
+        assert np.allclose(start, np.diag([1.0, 0.5, 0.0]), atol=1e-12)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(LindbladError):
-            gks_cholesky_factor(np.zeros(8))
+        with pytest.raises(NumkitError):
+            gks_matrix(np.zeros(8))
 
 
 def _bch_per_time(props, h_super, schedule):
@@ -253,14 +256,12 @@ def _bch_per_time(props, h_super, schedule):
     return -numkit.richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
 
 
-def _jacobian_block_assembly(x, h_super, schedule):
+def _jacobian_block_assembly(a, h_super, schedule):
     """fit_jacobian with its nine 8x8 blocks assembled by np.block."""
-    xm = gks_cholesky_factor(x)
-    basis = np.array([numkit.triangular_from_params(c, 3) for c in np.eye(9)])
-    da = basis.conj().swapaxes(1, 2) @ xm + xm.conj().T @ basis
-    gen = 1j * h_super + dissipator_superop(xm.conj().T @ xm)
+    gen = 1j * h_super + dissipator_superop(a)
     g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
-    blocks = matrix_exp(np.block([[g, -dissipator_superop(da) * schedule.t1], [0 * g, g]]))
+    da = dissipator_superop(hermitian_basis(3))
+    blocks = matrix_exp(np.block([[g, -da * schedule.t1], [0 * g, g]]))
     p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
     for _ in range(1, schedule.count):
         dps.append(dps[-1] @ p + p @ dps[-1])
@@ -317,15 +318,14 @@ class TestGeneratorEstimates:
 
     def test_gks_start_recovers_exact(self, rng):
         a, _, r_hat, _ = self.make_problem(rng)
-        x0 = gks_start_from_generator(r_hat)
-        assert np.linalg.norm(gks_matrix(x0) - a) < 1e-9
+        assert np.linalg.norm(gks_start_from_generator(r_hat) - a) < 1e-9
 
     def test_fit_recovers_ground_truth(self, rng):
         a, h_super, _, gen = self.make_problem(rng)
         schedule = TimeSchedule(t1=20.0)
         props = [propagator_from_superop(gen, t) for t in schedule.times()]
-        x0 = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
-        fit = fit_generator(props, h_super, schedule, x0)
+        start = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
+        fit = fit_generator(props, h_super, schedule, start)
         assert np.linalg.norm(fit.gks - a) < 1e-6
         assert fit.residual < 1e-12
         assert fit.converged
@@ -335,13 +335,13 @@ class TestGeneratorEstimates:
         _, h_super, _, gen = self.make_problem(rng)
         schedule = TimeSchedule(t1=20.0, count=count)
         props = [propagator_from_superop(gen, t) for t in schedule.times()]
-        x = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
-        x = x + 1e-3 * rng.normal(size=9)
-        fit_gen = 1j * h_super + dissipator_superop(gks_matrix(x))
+        a = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
+        a = a + 1e-5 * random_hermitian(rng, 3)
+        fit_gen = 1j * h_super + dissipator_superop(a)
         diff = np.array([propagator_from_superop(fit_gen, t) - p
                          for p, t in zip(props, schedule.times())])
         expected = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-        out = fit_objective(x, props, h_super, schedule)
+        out = fit_objective(a, props, h_super, schedule)
         assert out.shape == expected.shape
         assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -351,13 +351,13 @@ class TestGeneratorEstimates:
         for _ in range(3):
             a, h_super, _, gen = self.make_problem(rng)
             props = [propagator_from_superop(gen, t) for t in schedule.times()]
-            x = gks_params_from_matrix(a) + 1e-3 * rng.normal(size=9)
-            jac = fit_jacobian(x, h_super, schedule)
+            a = a + 1e-5 * random_hermitian(rng, 3)
+            jac = fit_jacobian(a, h_super, schedule)
             central = np.empty_like(jac)
-            for k, e in enumerate(np.eye(9)):
-                h = 1e-6 * max(abs(x[k]), 1e-2)
-                central[:, k] = (fit_objective(x + h * e, props, h_super, schedule)
-                                 - fit_objective(x - h * e, props, h_super, schedule)) / (2 * h)
+            h = 1e-6 * np.linalg.norm(a)
+            for k, e in enumerate(hermitian_basis(3)):
+                central[:, k] = (fit_objective(a + h * e, props, h_super, schedule)
+                                 - fit_objective(a - h * e, props, h_super, schedule)) / (2 * h)
             assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(central)
 
     @pytest.mark.parametrize("count", [3, 4])
@@ -365,16 +365,16 @@ class TestGeneratorEstimates:
         schedule = TimeSchedule(t1=20.0, count=count)
         for _ in range(5):
             a, h_super, _, _ = self.make_problem(rng, rng.uniform(-0.02, 0.02))
-            x = gks_params_from_matrix(a) + 1e-3 * rng.normal(size=9)
-            assert np.array_equal(fit_jacobian(x, h_super, schedule),
-                                  _jacobian_block_assembly(x, h_super, schedule))
+            a = a + 1e-5 * random_hermitian(rng, 3)
+            assert np.array_equal(fit_jacobian(a, h_super, schedule),
+                                  _jacobian_block_assembly(a, h_super, schedule))
 
     def test_budget_stop_reported(self, rng, monkeypatch):
         _, h_super, _, gen = self.make_problem(rng)
         schedule = TimeSchedule(t1=20.0)
         props = [propagator_from_superop(gen, t) for t in schedule.times()]
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
-        fit = fit_generator(props, h_super, schedule, np.full(9, 0.01))
+        fit = fit_generator(props, h_super, schedule, gks_matrix(np.full(9, 0.01)))
         assert not fit.converged
         assert fit.evaluations + 9 * fit.jacobians <= 10
 
@@ -385,7 +385,7 @@ class TestGeneratorEstimates:
                 [propagator_from_superop(gen, 20.0)],
                 h_super,
                 TimeSchedule(t1=20.0),
-                np.zeros(9),
+                np.zeros((3, 3)),
             )
 
 

@@ -189,17 +189,28 @@ class TestMatrixLog:
         assert worst <= 5e-11
 
 
-def _rosenbrock(x):
-    # 100 (x1 - x0^2)^2 + (1 - x0)^2 as a sum of squares
-    return np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]])
+def _components(a):
+    """Components of a Hermitian matrix in numkit.hermitian_basis."""
+    basis = numkit.hermitian_basis(len(a)).reshape(a.size, a.size)
+    return (basis.conj() @ np.asarray(a, dtype=complex).ravel()).real
 
 
-def _rosenbrock_jacobian(x):
-    return np.array([[-20 * x[0], 10.0], [-1.0, 0.0]])
+def _rosenbrock(a):
+    # 100 (a11 - a00^2)^2 + (1 - a00)^2 as a sum of squares; the off-diagonal
+    # components are pinned to zero, so the minimum diag(1, 1) is PSD
+    c = _components(a)
+    return np.array([10 * (c[1] - c[0] ** 2), 1 - c[0], c[2], c[3]])
 
 
-def _identity_jacobian(x):
-    return np.eye(len(x))
+def _rosenbrock_jacobian(a):
+    c = _components(a)
+    jac = np.eye(4)
+    jac[:2, :2] = [[-20 * c[0], 10.0], [-1.0, 0.0]]
+    return jac
+
+
+def _identity_jacobian(a):
+    return np.eye(np.size(a))
 
 
 class TestTriangular:
@@ -211,9 +222,7 @@ class TestTriangular:
                 x = rng.normal(size=n * n)
                 expected = np.diag(x[:n]).astype(complex)
                 expected[rows, cols] = x[n::2] + 1j * x[n + 1::2]
-                m = numkit.triangular_from_params(x, n)
-                assert np.array_equal(m, expected)
-                assert np.array_equal(numkit.params_from_triangular(m), x)
+                assert np.array_equal(numkit.triangular_from_params(x, n), expected)
 
     def test_shared_indices_are_read_only(self):
         rows, cols = numkit._strict_lower(3)
@@ -222,77 +231,147 @@ class TestTriangular:
         assert numkit._strict_lower(3) is numkit._strict_lower(3)
 
 
+class TestHermitianBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orthonormal_hermitian(self, n):
+        basis = numkit.hermitian_basis(n)
+        assert basis.shape == (n * n, n, n)
+        assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+        gram = np.einsum("kij,lij->kl", basis.conj(), basis)
+        assert np.allclose(gram, np.eye(n * n), atol=1e-15)
+
+    def test_components_round_trip(self, rng):
+        for n in range(1, 5):
+            a = random_hermitian(rng, n)
+            c = _components(a)
+            assert np.linalg.norm(np.tensordot(c, numkit.hermitian_basis(n), 1) - a) <= 1e-14
+            assert abs(np.linalg.norm(c) - np.linalg.norm(a)) <= 1e-14
+
+    def test_shared_and_read_only(self):
+        basis = numkit.hermitian_basis(3)
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 2.0
+        assert numkit.hermitian_basis(3) is basis
+
+
+class TestPsdModelStep:
+    def test_identity_metric_is_the_clip(self, rng):
+        # (y - c)^2 / 2 + g (y - c) is |y - (c - g)|^2 / 2 up to a constant
+        for n in (2, 3):
+            for _ in range(20):
+                c, g = _components(random_hermitian(rng, n)), rng.normal(size=n * n)
+                oracle = _components(numkit.clip_negative_eigs(
+                    np.tensordot(c - g, numkit.hermitian_basis(n), 1)))
+                y = numkit.psd_model_step(np.eye(n * n), g, c)
+                assert np.linalg.norm(y - oracle) <= 1e-12
+
+    def test_optimality(self, rng):
+        # KKT: Y PSD, the model gradient G = M (y - c) + g PSD, and tr(G Y) = 0
+        basis = numkit.hermitian_basis(3)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
+            metric = (q * rng.uniform(1.0, 10.0, 9)) @ q.T
+            c, g = rng.normal(size=9), rng.normal(size=9)
+            y = numkit.psd_model_step(metric, g, c)
+            ymat = np.tensordot(y, basis, 1)
+            gmat = np.tensordot(metric @ (y - c) + g, basis, 1)
+            scale = np.linalg.norm(metric) * max(np.linalg.norm(c), np.linalg.norm(y))
+            assert np.linalg.eigvalsh(ymat).min() >= -1e-14
+            assert np.linalg.eigvalsh(gmat).min() >= -1e-12 * scale
+            assert abs(np.trace(gmat @ ymat)) <= 1e-12 * scale * np.linalg.norm(y)
+
+    def test_psd_unconstrained_step_is_taken(self, rng):
+        metric, c = np.diag(rng.uniform(1.0, 2.0, 9)), _components(np.eye(3))
+        g = 0.01 * rng.normal(size=9)
+        assert np.allclose(numkit.psd_model_step(metric, g, c), c - g / np.diag(metric),
+                           rtol=0, atol=1e-15)
+
+
 class TestLevenbergMarquardt:
     def test_parabola(self):
-        x, f, _, _, converged = numkit.levenberg_marquardt(
-            lambda x: x - 2, _identity_jacobian, np.array([0.0]))
-        assert abs(x[0] - 2) <= 1e-8
+        a, f, _, _, converged = numkit.levenberg_marquardt(
+            lambda a: a.real.ravel() - 2, _identity_jacobian, np.zeros((1, 1)))
+        assert abs(a[0, 0] - 2) <= 1e-8
         assert f <= 1e-16
         assert converged
 
     def test_rosenbrock(self):
-        x, f, _, _, converged = numkit.levenberg_marquardt(
-            _rosenbrock, _rosenbrock_jacobian, np.array([-1.2, 1.0]))
+        a, f, _, _, converged = numkit.levenberg_marquardt(
+            _rosenbrock, _rosenbrock_jacobian, np.diag([-1.2, 1.0]))  # clipped to diag(0, 1)
         assert f < 1e-12
-        assert np.allclose(x, [1.0, 1.0], atol=1e-6)
+        assert np.allclose(a, np.eye(2), atol=1e-6)
         assert converged
 
+    def test_clips_to_nearest_psd(self, rng):
+        # min |a - T|_F over PSD a is the eigenvalue clip of T; once the cost
+        # change drops below roundoff, no trial step is accepted, so the point
+        # is only as close as the cost can tell
+        for _ in range(10):
+            target = random_hermitian(rng, 3)
+            a, f, _, _, converged = numkit.levenberg_marquardt(
+                lambda a: _components(a - target), _identity_jacobian, np.eye(3))
+            w = np.linalg.eigvalsh(target)
+            assert f <= float(w[w < 0] @ w[w < 0]) * (1 + 1e-14)
+            assert np.linalg.norm(a - numkit.clip_negative_eigs(target)) <= 1e-7
+            assert converged
+
     def test_constant_objective_takes_one_jacobian(self):
-        x0 = np.array([1.0, -2.0, 3.0])
-        x, f, evals, jacs, converged = numkit.levenberg_marquardt(
-            lambda x: np.array([7.0, 1.0]), lambda x: np.zeros((2, 3)), x0)
-        assert np.array_equal(x, x0)
+        a0 = np.diag([1.0, 2.0, 3.0])
+        a, f, evals, jacs, converged = numkit.levenberg_marquardt(
+            lambda a: np.array([7.0, 1.0]), lambda a: np.zeros((2, 9)), a0)
+        assert np.allclose(a, a0, rtol=0, atol=1e-15)
         assert f == 50.0
         assert (evals, jacs) == (1, 1)  # start point plus one Jacobian
         assert converged  # a zero gradient gives a zero step
 
     def test_never_worse_than_start(self, rng):
-        def bumpy(x):
-            return np.concatenate([x, [np.sin(5 * x[0])]])
+        def bumpy(a):
+            c = _components(a)
+            return np.concatenate([c, [np.sin(5 * c[0])]])
 
-        def bumpy_jacobian(x):
-            return np.vstack([np.eye(3), [5 * np.cos(5 * x[0]), 0.0, 0.0]])
+        def bumpy_jacobian(a):
+            return np.vstack([np.eye(4), [5 * np.cos(5 * _components(a)[0]), 0.0, 0.0, 0.0]])
 
         for _ in range(5):
-            x0 = rng.normal(size=3)
-            _, f, _, _, _ = numkit.levenberg_marquardt(bumpy, bumpy_jacobian, x0)
-            assert f <= float(np.sum(bumpy(x0) ** 2))
+            a0 = numkit.clip_negative_eigs(random_hermitian(rng, 2))
+            _, f, _, _, _ = numkit.levenberg_marquardt(bumpy, bumpy_jacobian, a0)
+            assert f <= float(np.sum(bumpy(a0) ** 2))
 
     def test_zero_parameter_moves_on_exact_jacobian(self):
-        # x[0] = 0 exactly: the exact Jacobian column does not depend on x
-        x, f, _, _, _ = numkit.levenberg_marquardt(
-            lambda x: np.array([x[0] - 0.3]), _identity_jacobian, np.zeros(1))
-        assert abs(x[0] - 0.3) <= 1e-8
+        # the start a = 0 sits on the boundary of the cone
+        a, f, _, _, _ = numkit.levenberg_marquardt(
+            lambda a: a.real.ravel() - 0.3, _identity_jacobian, np.zeros((1, 1)))
+        assert abs(a[0, 0] - 0.3) <= 1e-8
 
     def test_diverging_objective(self):
         with pytest.raises(ObjectiveDiverged):
-            numkit.levenberg_marquardt(lambda x: np.array([np.inf]), _identity_jacobian,
-                                       np.array([0.0]))
+            numkit.levenberg_marquardt(lambda a: np.array([np.inf]), _identity_jacobian,
+                                       np.zeros((1, 1)))
 
     def test_budget_charges_each_jacobian(self, monkeypatch):
         calls, jac_calls = [], []
 
-        def counted(x):
+        def counted(a):
             calls.append(1)
-            return _rosenbrock(x)
+            return _rosenbrock(a)
 
-        def counted_jacobian(x):
+        def counted_jacobian(a):
             jac_calls.append(1)
-            return _rosenbrock_jacobian(x)
+            return _rosenbrock_jacobian(a)
 
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
-        x, f, evals, jacs, converged = numkit.levenberg_marquardt(
-            counted, counted_jacobian, np.array([-1.2, 1.0]))
+        a, f, evals, jacs, converged = numkit.levenberg_marquardt(
+            counted, counted_jacobian, np.diag([-1.2, 1.0]))
         assert (evals, jacs) == (len(calls), len(jac_calls))
         assert jacs >= 1
-        assert evals + len(x) * jacs <= 10  # each Jacobian costs len(x) evaluations
+        assert evals + a.size * jacs <= 10  # each Jacobian costs n^2 evaluations
         assert f > 1e-6  # stopped on the budget, far from the minimum
         assert not converged
 
-    def test_rejects_matrix_start(self):
-        with pytest.raises(NumkitError):
-            numkit.levenberg_marquardt(lambda x: x.ravel(), _identity_jacobian,
-                                       np.zeros((2, 2)))
+    def test_rejects_non_hermitian_start(self):
+        for a0 in (np.zeros((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(NumkitError):
+                numkit.levenberg_marquardt(lambda a: a.real.ravel(), _identity_jacobian, a0)
 
 
 class TestRichardson:

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from nvqpt.nvsim import (
     true_generator,
     true_gks_matrix,
 )
+from nvqpt.numkit import hermitian_basis
 from nvqpt.qstate import bloch_to_density, density_to_bloch, validate_density
 
 
@@ -215,25 +217,48 @@ class TestPipelineStatistics:
     def test_noisy_fit_recovers_rates(self):
         """With ~0.5% readout noise the fitted GKS matrix stays within 10%
         (median over seeds) of the ground truth."""
-        schedule = lindblad.TimeSchedule(t1=20.0)
         errors = []
-        for seed in range(8):
-            cfg = SimConfig(t1_ns=4000.0, t2_ns=400.0, shots=40000, seed=seed)
-            record = run_experiment(cfg, schedule)
-            props = []
-            for t in schedule.times():
-                outputs = [
-                    _maxent(record.expectations[label][t]) for label in INPUT_LABELS
-                ]
-                props.append(lindblad.propagator_from_outputs(outputs))
-            h_super, _ = true_generator(cfg)
-            x0 = lindblad.gks_start_from_generator(
-                lindblad.generator_bch_estimate(props, h_super, schedule)
-            )
-            fit = lindblad.fit_generator(props, h_super, schedule, x0)
+        for cfg, _, fit in _noisy_fits():
             truth = true_gks_matrix(cfg)
             errors.append(np.linalg.norm(fit.gks - truth) / np.linalg.norm(truth))
         assert float(np.median(errors)) < 0.10
+
+    def test_noisy_fit_is_first_order_optimal(self):
+        """KKT on the PSD cone: the Hermitian gradient S of the cost is PSD
+        and orthogonal to the fitted a, to 1e-8 of |J|_F |r|.  (At a
+        noise-free optimum r is at roundoff, so only noisy fits test this.)"""
+        for _, (props, h_super, schedule), fit in _noisy_fits():
+            a = fit.gks
+            r = lindblad.fit_objective(a, props, h_super, schedule)
+            jac = lindblad.fit_jacobian(a, h_super, schedule)
+            grad = np.tensordot(2 * jac.T @ r, hermitian_basis(3), 1)
+            scale = np.linalg.norm(jac) * np.linalg.norm(r)
+            assert fit.converged
+            assert np.linalg.eigvalsh(grad).min() >= -1e-8 * scale
+            assert abs(np.trace(grad @ a)) <= 1e-8 * scale * np.linalg.norm(a)
+
+
+@functools.cache
+def _noisy_fits():
+    """(config, (props, h_super, schedule), fit) for 8 seeded 40k-shot records."""
+    schedule = lindblad.TimeSchedule(t1=20.0)
+    out = []
+    for seed in range(8):
+        cfg = SimConfig(t1_ns=4000.0, t2_ns=400.0, shots=40000, seed=seed)
+        record = run_experiment(cfg, schedule)
+        props = []
+        for t in schedule.times():
+            outputs = [
+                _maxent(record.expectations[label][t]) for label in INPUT_LABELS
+            ]
+            props.append(lindblad.propagator_from_outputs(outputs))
+        h_super, _ = true_generator(cfg)
+        start = lindblad.gks_start_from_generator(
+            lindblad.generator_bch_estimate(props, h_super, schedule)
+        )
+        fit = lindblad.fit_generator(props, h_super, schedule, start)
+        out.append((cfg, (props, h_super, schedule), fit))
+    return out
 
 
 def _maxent(e):
