@@ -6,11 +6,9 @@ products, and a measured channel's superpropagator is the realignment
 P[a+2b, i+2j] = chi[2a+i, 2b+j] of its chi (Choi) matrix.  The
 relaxation generator is estimated from propagators at a doubling time
 schedule (matrix-log and symmetric-BCH/Richardson routes), clipped to a
-PSD GKS matrix, refined by a least-squares fit to the propagators on the
-PSD cone (Levenberg-Marquardt in the GKS matrix itself, in which the
-generator is linear, with the exact Jacobian from block-triangular
-exponentials), and diagonalized into Lindblad operators with relative
-contributions.
+PSD GKS matrix, refined by a Levenberg-Marquardt fit of that matrix on the
+PSD cone to the propagators, with the exact Jacobian (block-triangular
+exponentials), and diagonalized into Lindblad operators with contributions.
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
@@ -271,7 +269,9 @@ def lindblads_from_gks(a: np.ndarray) -> LindbladSet:
     negligible eigenvalues; contributions are |L_i|_Fro^2 normalized."""
     res = eig_hermitian(a)
     if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise LindbladError(f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}")
+        raise LindbladError(
+            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
+        )
     d = np.clip(res.eigenvalues, 0.0, None)
     ops = [
         np.sqrt(d[i]) * sum(res.eigenvectors[j, i] * F_BASIS[j] for j in range(3))

@@ -230,23 +230,19 @@ def psd_model_step(metric, grad, c) -> np.ndarray:
     with the cached (metric + rho I)^-1, rho = sqrt(lambda_min lambda_max),
     and one eigenvalue clip, stopping on 1e-13 primal and dual residuals,
     relative as in OSQP (Stellato et al., Math. Prog. Comp. 12, 637 (2020))."""
-    def clip(y: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(_from_components(y))
-        return y if w[0] >= 0 else _to_components(_clip_eigs(w, v))
-
     y = c - np.linalg.solve(metric, grad)
-    z = clip(y)
-    if z is y:
+    if np.linalg.eigvalsh(_from_components(y))[0] >= 0:
         return y
     lam = np.linalg.eigvalsh(metric)
     rho = math.sqrt(lam[0] * lam[-1])
     inv = np.linalg.inv(metric + rho * np.eye(len(c)))
     q = metric @ c - grad
-    u = (q - metric @ z) / rho  # the scaled multiplier that fits z
+    z, u = c, -grad / rho  # start at c, with the scaled multiplier that fits it
     for _ in range(500):
         y = inv @ (q + rho * (z - u))
         relaxed = 1.8 * y - 0.8 * z
-        z_old, z = z, clip(relaxed + u)
+        w, v = np.linalg.eigh(_from_components(relaxed + u))
+        z_old, z = z, _to_components(_clip_eigs(w, v))
         u += relaxed - z
         prim, dual = y - z, rho * (z - z_old)
         if (prim @ prim <= 1e-26 * max(y @ y, z @ z)
@@ -285,16 +281,16 @@ def levenberg_marquardt(residuals, jacobian, a0) -> tuple[np.ndarray, float, int
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
         while evals + len(c) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
-            step = psd_model_step(jtj + lam * damping, grad, c) - c
-            if np.linalg.norm(step) <= 1e-12 * (np.linalg.norm(c) + 1e-12):
+            y = psd_model_step(jtj + lam * damping, grad, c)
+            if np.linalg.norm(y - c) <= 1e-12 * (np.linalg.norm(c) + 1e-12):
                 return _from_components(c), cost, evals, jacs, True
-            r_new, cost_new = f(c + step)
+            r_new, cost_new = f(y)
             if cost_new < cost:
                 break
             lam *= 10.0
         else:
             break
-        c, r, lam, cost_old, cost = c + step, r_new, max(lam / 10, 1e-12), cost, cost_new
+        c, r, lam, cost_old, cost = y, r_new, max(lam / 10, 1e-12), cost, cost_new
         if cost_old - cost <= 1e-15 * cost_old:
             return _from_components(c), cost, evals, jacs, True
     return _from_components(c), cost, evals, jacs, False
