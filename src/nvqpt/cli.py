@@ -163,10 +163,10 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
         schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
+        record = nvsim.run_experiment(cfg, schedule)
     except (nvsim.SimulationError, lindblad.LindbladError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    record = nvsim.run_experiment(cfg, schedule)
     _dump_json(record.to_record_dict(), args.out)
     return 0
 

@@ -289,8 +289,8 @@ def contributions_from_operators(operators) -> list[float]:
     return [w / total for w in weights] if total else []
 
 
-# Column k is vec(sigma_k^T), so vec(rho) @ _BLOCH_READOUT = tr(rho sigma_k).
-_BLOCH_READOUT = np.column_stack([vectorize(s.T) for s in PAULIS])
+# Column k is vec(sigma_k^T), so vec(rho) @ BLOCH_READOUT = tr(rho sigma_k).
+BLOCH_READOUT = np.column_stack([vectorize(s.T) for s in PAULIS])
 
 
 def predict_expectations(
@@ -301,5 +301,5 @@ def predict_expectations(
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
     v0 = vectorize(np.asarray(rho0, dtype=complex))
     props = matrix_exp(-gen * np.asarray(times, dtype=float)[:, None, None])
-    bloch = np.clip((props @ v0 @ _BLOCH_READOUT).real, -1.0, 1.0)
+    bloch = np.clip((props @ v0 @ BLOCH_READOUT).real, -1.0, 1.0)
     return [PauliExpectations(*r) for r in bloch.tolist()]

@@ -257,9 +257,10 @@ def levenberg_marquardt(residuals, jacobian, a0) -> tuple[np.ndarray, float, int
     hermitian_basis; returns (a_best, cost, evaluations, jacobians, converged).
 
     Each step minimizes the Gauss-Newton model, damped by lam * max(diag
-    J^T J), on the PSD cone (psd_model_step).  Converges on a relative cost
-    change <= 1e-15 or a step below 1e-12 relative to c.  Each Jacobian is
-    charged len(c) evaluations against MAX_EVALUATIONS, the price of a
+    J^T J), on the PSD cone (psd_model_step).  Converges before evaluating a
+    trial step y when the undamped model |r + J (y - c)|^2 lowers the cost
+    by <= 1e-15 of it, or y - c is below 1e-12 relative to c.  Each Jacobian
+    is charged len(c) evaluations against MAX_EVALUATIONS, the price of a
     finite-difference one; the solver stops unconverged before a Jacobian
     or trial step that would exceed the budget.
     """
@@ -282,7 +283,9 @@ def levenberg_marquardt(residuals, jacobian, a0) -> tuple[np.ndarray, float, int
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
         while evals + len(c) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
             y = psd_model_step(jtj + lam * damping, grad, c)
-            if np.linalg.norm(y - c) <= 1e-12 * (np.linalg.norm(c) + 1e-12):
+            model = r + jac @ (y - c)  # the linearized residual at y
+            if (cost - model @ model <= 1e-15 * cost
+                    or np.linalg.norm(y - c) <= 1e-12 * (np.linalg.norm(c) + 1e-12)):
                 return _from_components(c), cost, evals, jacs, True
             r_new, cost_new = f(y)
             if cost_new < cost:
@@ -290,9 +293,7 @@ def levenberg_marquardt(residuals, jacobian, a0) -> tuple[np.ndarray, float, int
             lam *= 10.0
         else:
             break
-        c, r, lam, cost_old, cost = y, r_new, max(lam / 10, 1e-12), cost, cost_new
-        if cost_old - cost <= 1e-15 * cost_old:
-            return _from_components(c), cost, evals, jacs, True
+        c, r, lam, cost = y, r_new, max(lam / 10, 1e-12), cost_new
     return _from_components(c), cost, evals, jacs, False
 
 

@@ -1,21 +1,20 @@
 """Synthetic NV-qubit experiment generator.
 
-Serves as the end-to-end oracle for the analysis pipeline: canonical
-input preparation by ideal pulses, ground truth Markovian decoherence
-from a standard T1/T2 channel, Pauli expectation readout with Gaussian
-shot noise after reference normalization, and the qpt-record/1
-expectation table.
+Serves as the end-to-end oracle for the analysis pipeline: the canonical
+inputs of qpt.input_states(), ground truth Markovian decoherence from a
+standard T1/T2 channel, Pauli expectation readout with Gaussian shot noise
+after reference normalization, and the qpt-record/1 expectation table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import lindblad
+from . import lindblad, qpt, tolerances
 from .numkit import matrix_exp
-from .qstate import PAULIS, PauliExpectations, density_to_bloch
+from .qstate import PauliExpectations
 
 
 class SimulationError(ValueError):
@@ -29,7 +28,6 @@ class SimConfig:
     detuning: float = 0.0         # rad/ns
     polarization: float = 0.4     # pseudopure alpha, recorded in the record's config
                                   # only; inputs are prepared pure
-    rabi_frequency: float = 0.1   # rad/ns, metadata only
     shots: int = 10000            # 0 disables readout noise
     seed: int | None = None
 
@@ -49,32 +47,6 @@ class SimConfig:
 
 
 INPUT_LABELS = ("z+", "z-", "x+", "y+")
-
-# (axis on the Bloch sphere, rotation angle) turning |0> into each input.
-_PULSES = (
-    (None, 0.0),
-    (np.array([1.0, 0, 0]), np.pi),
-    (np.array([0, 1.0, 0]), np.pi / 2),
-    (np.array([1.0, 0, 0]), -np.pi / 2),
-)
-
-
-def _pulse_unitary(axis: np.ndarray, angle: float) -> np.ndarray:
-    n_dot_sigma = sum(axis[i] * PAULIS[i] for i in range(3))
-    return matrix_exp(-1j * angle / 2 * n_dot_sigma)
-
-
-def prepare_inputs() -> list[np.ndarray]:
-    """The four tomography inputs produced by ideal pulses on |0><0|."""
-    rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    states = []
-    for axis, angle in _PULSES:
-        if axis is None:
-            states.append(rho0.copy())
-        else:
-            u = _pulse_unitary(axis, angle)
-            states.append(u @ rho0 @ u.conj().T)
-    return states
 
 
 def true_gks_matrix(cfg: SimConfig) -> np.ndarray:
@@ -105,19 +77,15 @@ def evolve(rho, cfg: SimConfig, t: float) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def measure_expectations(
-    rho, cfg: SimConfig, rng: np.random.Generator | None = None
-) -> PauliExpectations:
-    """Pauli readout with additive Gaussian noise of sd 1/sqrt(shots)
-    (binomial shot noise after reference normalization), clamped to
-    [-1, 1].  shots == 0 means noise-free."""
-    r = density_to_bloch(rho)
+def measure_expectations(bloch, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Pauli readout of Bloch vectors (..., 3) with additive Gaussian noise of
+    sd 1/sqrt(shots) (binomial shot noise after reference normalization),
+    drawn from rng in one call in C order, and clipped to [-1, 1].  shots == 0
+    means noise-free."""
+    r = np.asarray(bloch, dtype=float)
     if cfg.shots > 0:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        r = r + rng.normal(0.0, 1.0 / np.sqrt(cfg.shots), size=3)
-    r = np.clip(r, -1.0, 1.0)
-    return PauliExpectations(sx=float(r[0]), sy=float(r[1]), sz=float(r[2]))
+        r = r + rng.normal(0.0, 1.0 / np.sqrt(cfg.shots), size=r.shape)
+    return np.clip(r, -1.0, 1.0)
 
 
 def expectation_table(times, rows) -> dict:
@@ -136,7 +104,6 @@ class ExperimentRecord:
     schedule: lindblad.TimeSchedule
     expectations: dict[str, dict[float, PauliExpectations]]
     config: SimConfig
-    reference_nutation: dict[str, float] = field(default_factory=dict)
 
     def to_record_dict(self) -> dict:
         """Serialize to the qpt-record/1 JSON schema."""
@@ -152,36 +119,31 @@ class ExperimentRecord:
                 "t2_ns": self.config.t2_ns,
                 "detuning": self.config.detuning,
                 "polarization": self.config.polarization,
-                "rabi_frequency": self.config.rabi_frequency,
                 "shots": self.config.shots,
-                "reference_nutation": self.reference_nutation,
             },
             "seed": self.config.seed,
         }
 
 
 def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> ExperimentRecord:
-    """Evolve each canonical input under the true generator, measure at
-    every schedule time, and package the record for the CLI pipeline."""
-    rng = np.random.default_rng(cfg.seed)
-    # evolve() per (input, time), with the generator built once and one
-    # propagator per time; the label-major loop keeps the RNG draw order
+    """Evolve each input of qpt.input_states() under the true generator, measure
+    at every schedule time, and package the record for the CLI pipeline.  Raises
+    SimulationError when a propagator's trace defect |vec(I)^T P - vec(I)^T|
+    exceeds `tp_defect_max`, as at relaxation times far below the schedule's."""
     h_super, r_hat = true_generator(cfg)
     gen = 1j * h_super + r_hat
     times = schedule.times()
-    props = [matrix_exp(-gen * t) for t in times]
-    expectations: dict[str, dict[float, PauliExpectations]] = {}
-    for label, rho in zip(INPUT_LABELS, prepare_inputs()):
-        vec = lindblad.vectorize(rho)
-        per_time: dict[float, PauliExpectations] = {}
-        for t, prop in zip(times, props):
-            out = lindblad.devectorize(prop @ vec)
-            per_time[t] = measure_expectations((out + out.conj().T) / 2, cfg, rng)
-        expectations[label] = per_time
-    reference = {"rabi_frequency": cfg.rabi_frequency, "contrast": 1.0}
-    return ExperimentRecord(
-        schedule=schedule,
-        expectations=expectations,
-        config=cfg,
-        reference_nutation=reference,
-    )
+    props = np.array([matrix_exp(-gen * t) for t in times])
+    trace_row = lindblad.vectorize(np.eye(2))
+    defect = np.linalg.norm(trace_row @ props - trace_row, axis=-1).max()
+    if not defect <= tolerances.get("tp_defect_max"):
+        raise SimulationError(f"propagator trace defect {defect:.3g} exceeds tp_defect_max")
+    # states[k, m] is input k at times[m], by evolve()'s matrix-vector product;
+    # the noise is drawn label-major
+    vecs = np.array([lindblad.vectorize(rho) for rho in qpt.input_states()])
+    states = (props @ vecs[:, None, :, None])[..., 0]
+    bloch = measure_expectations((states @ lindblad.BLOCH_READOUT).real, cfg,
+                                 np.random.default_rng(cfg.seed))
+    expectations = {label: {t: PauliExpectations(*r) for t, r in zip(times, rows)}
+                    for label, rows in zip(INPUT_LABELS, bloch.tolist())}
+    return ExperimentRecord(schedule=schedule, expectations=expectations, config=cfg)

@@ -81,9 +81,11 @@ class TestSimulate:
             ("--seed", "-1"),
             ("--timepoints", "1100"),         # 2**1099 is beyond float range
             ("--t1ns", "1e308"),              # the last time overflows to inf
+            ("--t1", "1e-12", "--t2", "1e-12"),  # propagators lose trace
         ]:
             code = run("simulate", *args, "--out", str(tmp_path / "x.json"))
             assert code == 2, args
+            assert not (tmp_path / "x.json").exists(), args
 
 
 def _drop(*keys):

@@ -303,9 +303,9 @@ class TestLevenbergMarquardt:
         assert converged
 
     def test_clips_to_nearest_psd(self, rng):
-        # min |a - T|_F over PSD a is the eigenvalue clip of T; once the cost
-        # change drops below roundoff, no trial step is accepted, so the point
-        # is only as close as the cost can tell
+        # min |a - T|_F over PSD a is the eigenvalue clip of T; the fit stops
+        # once the model predicts a decrease below 1e-15 of the cost, so the
+        # point is only as close as the cost can tell (|a - a*|^2 ~ 1e-15 f)
         for _ in range(10):
             target = random_hermitian(rng, 3)
             a, f, _, _, converged = numkit.levenberg_marquardt(
