@@ -170,8 +170,10 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     -R_hat acts as rho -> (1/2) sum a_ab ([F_a rho, F_b] + [F_a, rho F_b]);
     the trace row of R_hat vanishes, so exp(-R_hat t) preserves trace."""
     a = np.asarray(a, dtype=complex)
-    if a.shape[-2:] != (3, 3) or (np.linalg.norm(a - a.conj().swapaxes(-1, -2))
-                                  > 1e-9 * max(1.0, np.linalg.norm(a))):
+    if a.shape[-2:] != (3, 3) or not np.isfinite(a).all():
+        raise LindbladError("GKS matrix must be 3x3 Hermitian with finite entries")
+    u = a / max(1.0, np.abs(a).max())  # the norms below cannot overflow
+    if np.linalg.norm(u - u.conj().swapaxes(-1, -2)) > 1e-9 * max(1.0, np.linalg.norm(u)):
         raise LindbladError("GKS matrix must be 3x3 Hermitian")
     return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
 
@@ -184,6 +186,7 @@ def _real_view(m) -> np.ndarray:
 
 # R_hat of each fit basis matrix (its constant derivatives) and their design matrix.
 _BASIS_SUPEROPS = dissipator_superop(hermitian_basis(3))
+_BASIS_NORM1 = np.abs(_BASIS_SUPEROPS).sum(axis=1).max()
 _GKS_DESIGN = np.column_stack([_real_view(d) for d in _BASIS_SUPEROPS])
 
 
@@ -222,13 +225,19 @@ def fit_jacobian(a: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
 
     dG_k = R_hat(B_k); the derivative of exp(-G t1) along it is the upper-right
     block of exp([[-G t1, -dG_k t1], [0, -G t1]]) (Najfeld and Havel, Adv.
-    Appl. Math. 16, 321 (1995)); dP_{m+1} = dP_m P_m + P_m dP_m."""
+    Appl. Math. 16, 321 (1995)); dP_{m+1} = dP_m P_m + P_m dP_m.  The
+    derivative is linear in its direction, so the directions are scaled by
+    2^-k to the 1-norm of -G t1, or to 2^-6 (about theta_3) if that is
+    smaller, as at G = 0: the blocks then take the Pade degree of -G t1,
+    unsquared, and the exact power of two is undone after."""
     gen = 1j * np.asarray(h_super, complex) + dissipator_superop(a)
     blocks = np.zeros((9, 8, 8), dtype=complex)
-    blocks[:, :4, :4] = blocks[:, 4:, 4:] = -gen * schedule.t1
-    blocks[:, :4, 4:] = -_BASIS_SUPEROPS * schedule.t1
+    blocks[:, :4, :4] = blocks[:, 4:, 4:] = g = -gen * schedule.t1
+    ratio = _BASIS_NORM1 * schedule.t1 / max(np.abs(g).sum(axis=0).max(), 2.0**-6)
+    scale = math.ldexp(1.0, -max(0, math.frexp(ratio)[1]))  # 2^-k with ratio 2^-k < 1
+    blocks[:, :4, 4:] = -_BASIS_SUPEROPS * (schedule.t1 * scale)
     blocks = matrix_exp(blocks)
-    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
+    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:] / scale]
     for _ in range(1, schedule.count):
         dps.append(dps[-1] @ p + p @ dps[-1])
         p = p @ p

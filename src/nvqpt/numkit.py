@@ -2,7 +2,7 @@
 
 Everything here operates on small (dimension <= 16) numpy arrays and is a
 pure function of its inputs.  Eigendecompositions, QR and linear solves
-come from numpy.linalg.  The matrix exponential (Pade-13 scaling and
+come from numpy.linalg.  The matrix exponential (Pade 3-13 scaling and
 squaring, also of stacks), the principal logarithm (inverse scaling and
 squaring), the Levenberg-Marquardt least-squares solver over the
 positive semidefinite cone (analytic Jacobian) and Richardson
@@ -122,8 +122,17 @@ def _to_components(a: np.ndarray) -> np.ndarray:
     return (hermitian_basis(len(a)).reshape(a.size, a.size).conj() @ a.ravel()).real
 
 
-# Pade [13/13] coefficients and the 1-norm bound theta_13 (Higham, SIAM J.
-# Matrix Anal. Appl. 26, 1179 (2005)).
+# Pade [m/m] coefficients b_0..b_m, keyed by the 1-norm bound theta_m up to
+# which degree m is accurate to unit roundoff (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005), Table 2.3), lowest degree first.
+_PADE = {
+    1.495585217958292e-2: (120.0, 60.0, 12.0, 1.0),
+    2.539398330063230e-1: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    9.504178996162932e-1: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                           1512.0, 56.0, 1.0),
+    2.097847961257068e0: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                          30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+}
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
@@ -147,13 +156,23 @@ def _norm1(a: np.ndarray) -> float:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005); a
-    stack (..., n, n) shares one scaling exponent, set by its largest 1-norm."""
+    """Matrix exponential by Higham's (2005) scaling and squaring: the lowest
+    Pade degree in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm, and only
+    above theta_13 scaling and squaring.  A stack (..., n, n) shares one
+    degree and one scaling exponent, set by its largest 1-norm."""
     a = _as_square(m, stack=True)
     norm = _norm1(a)
     eye = np.eye(a.shape[-1], dtype=complex)
     if norm == 0.0:
         return np.broadcast_to(eye, a.shape).copy()
+    b = next((b for theta, b in _PADE.items() if norm <= theta), None)
+    if b is not None:  # a^2, a^4, ..., a^(m-1) carry both polynomials
+        powers = [a @ a]
+        while len(powers) < len(b) // 2 - 1:
+            powers.append(powers[-1] @ powers[0])
+        u = a @ sum((c * p for c, p in zip(b[3::2], powers)), b[1] * eye)
+        v = sum((c * p for c, p in zip(b[2::2], powers)), b[0] * eye)
+        return np.linalg.solve(v - u, v + u)
     s = max(0, math.ceil(math.log2(norm / _THETA13)))
     a = a / 2.0**s
     b = _PADE13

@@ -87,6 +87,18 @@ class TestSimulate:
             assert code == 2, args
             assert not (tmp_path / "x.json").exists(), args
 
+    def test_overflowing_rates_stderr_is_one_error_line(self, tmp_path):
+        # GKS entries near 1e300: the generator's own checks must not make
+        # numpy print an overflow warning before the run's one error line
+        out = tmp_path / "x.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvqpt.cli", "simulate", "--t1", "1e-300",
+             "--t2", "1e-300", "--out", str(out)],
+            env=_env_with_src(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 def _drop(*keys):
     def edit(doc):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nvqpt import lindblad, numkit, qpt
+from nvqpt import lindblad, numkit, nvsim, qpt
 from nvqpt.lindblad import (
     F_BASIS,
     LindbladError,
@@ -31,6 +31,7 @@ from nvqpt.numkit import NumkitError, hermitian_basis, matrix_exp
 from nvqpt.qstate import PAULIS, bloch_to_density, density_to_bloch
 
 from conftest import random_hermitian
+from test_acceptance import PIPELINE_GRID
 
 TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 
@@ -191,6 +192,19 @@ class TestDissipator:
         with pytest.raises(LindbladError):
             dissipator_superop(a + skew)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(LindbladError):
+            dissipator_superop(np.diag([1.0, bad, 0.0]))
+
+    def test_hermitian_check_near_float_range(self, rng):
+        # entries near 1e300: the check's norms must not overflow (a numpy
+        # RuntimeWarning fails the suite)
+        a = 1e300 * (np.diag([1.0, 2.0, 3.0]) + np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]]))
+        assert np.isfinite(dissipator_superop(a)).all()
+        with pytest.raises(LindbladError):
+            dissipator_superop(a + 1e292 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+
     @staticmethod
     def _affine_of(r_hat, t):
         outputs = channel_outputs(r_hat, t)
@@ -256,13 +270,19 @@ def _bch_per_time(props, h_super, schedule):
     return -numkit.richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
 
 
-def _jacobian_block_assembly(a, h_super, schedule):
-    """fit_jacobian with its nine 8x8 blocks assembled by np.block."""
+def _jacobian_block_assembly(a, h_super, schedule, scaled=True):
+    """fit_jacobian with its nine 8x8 blocks assembled by np.block; unscaled,
+    the directions enter at their own norm, as before the 2^-k scaling."""
     gen = 1j * h_super + dissipator_superop(a)
     g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
     da = dissipator_superop(hermitian_basis(3))
-    blocks = matrix_exp(np.block([[g, -da * schedule.t1], [0 * g, g]]))
-    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:]]
+    k = 0
+    if scaled:
+        target = max(np.abs(g[0]).sum(axis=0).max(), 2.0**-6)
+        while np.abs(da).sum(axis=1).max() * schedule.t1 * 2.0**-k >= target:
+            k += 1
+    blocks = matrix_exp(np.block([[g, -da * (schedule.t1 * 2.0**-k)], [0 * g, g]]))
+    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:] * 2.0**k]
     for _ in range(1, schedule.count):
         dps.append(dps[-1] @ p + p @ dps[-1])
         p = p @ p
@@ -294,15 +314,19 @@ class TestGeneratorEstimates:
         assert np.linalg.norm(est - r_hat) < 1e-3
 
     def test_bch_equals_per_time_exponentials(self, rng):
+        # Richardson divides the differences of samples near the identity by
+        # t1, so bound the error in the samples.  Below theta_13 the stacked
+        # call takes the Pade degree of its largest time, the separate calls
+        # their own
         schedule = TimeSchedule(t1=20.0)
-        for detuning in (0.0, 0.003, -0.02, 0.1):  # |i t H/2|_1 <= theta_13: one exponent
+        for detuning in (0.0, 0.003, -0.02, 0.1):
             _, h_super, _, gen = self.make_problem(rng, detuning)
             props = [propagator_from_superop(gen, t) for t in schedule.times()]
-            assert np.array_equal(generator_bch_estimate(props, h_super, schedule),
-                                  _bch_per_time(props, h_super, schedule))
+            diff = generator_bch_estimate(props, h_super, schedule) - _bch_per_time(
+                props, h_super, schedule)
+            assert schedule.t1 * np.linalg.norm(diff) <= 1e-12
         # 20/40/80 ns at 1 rad/ns take scaling exponents 1, 2 and 3 in separate
-        # calls but 3 in the stacked one; Richardson divides the differences of
-        # samples near the identity by t1, so bound the error in the samples
+        # calls but 3 in the stacked one
         _, h_super, _, gen = self.make_problem(rng, 1.0)
         props = [propagator_from_superop(gen, t) for t in schedule.times()]
         diff = generator_bch_estimate(props, h_super, schedule) - _bch_per_time(
@@ -368,6 +392,20 @@ class TestGeneratorEstimates:
             a = a + 1e-5 * random_hermitian(rng, 3)
             assert np.array_equal(fit_jacobian(a, h_super, schedule),
                                   _jacobian_block_assembly(a, h_super, schedule))
+
+    def test_fit_jacobian_matches_unscaled_directions(self):
+        # the 2^-k direction scaling against the blocks at the directions' own
+        # norm (Pade 13 and squarings), on the criterion-05 grid and at G = 0
+        schedule = TimeSchedule(t1=20.0)
+        cases = [(nvsim.true_gks_matrix(nvsim.SimConfig(t1_ns=t1, t2_ns=t2)),
+                  hamiltonian_superop(detuning_hamiltonian(delta)))
+                 for t1, t2, delta in PIPELINE_GRID]
+        cases.append((np.zeros((3, 3)), np.zeros((4, 4))))
+        for a, h_super in cases:
+            jac = fit_jacobian(a, h_super, schedule)
+            expected = _jacobian_block_assembly(a, h_super, schedule, scaled=False)
+            assert np.isfinite(jac).all()
+            assert np.linalg.norm(jac - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_budget_stop_reported(self, rng, monkeypatch):
         _, h_super, _, gen = self.make_problem(rng)

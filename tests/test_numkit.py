@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nvqpt import numkit, tolerances
 from nvqpt.numkit import NumkitError, ObjectiveDiverged, PrincipalLogUndefined
 
-from conftest import random_hermitian
+from conftest import THETAS, random_hermitian
 
 
 class TestEigHermitian:
@@ -71,6 +71,15 @@ class TestEigHermitian:
                 f(m)
 
 
+def _normal_with_norm(rng, norm):
+    """A random normal 4x4 matrix of the given 1-norm and its exponential by
+    the eigenvector route."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    lam = rng.normal(size=4) + 1j * rng.normal(size=4)
+    scale = norm / np.abs((q * lam) @ q.conj().T).sum(axis=0).max()
+    return (q * (scale * lam)) @ q.conj().T, (q * np.exp(scale * lam)) @ q.conj().T
+
+
 class TestMatrixExp:
     def test_zero_is_identity_exact(self):
         assert np.array_equal(numkit.matrix_exp(np.zeros((3, 3))), np.eye(3))
@@ -107,16 +116,29 @@ class TestMatrixExp:
         out = numkit.matrix_exp(a)
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_degree_boundaries_match_eig_route(self, rng, theta, side):
+        # just below theta_m runs degree m, just above the next degree (or,
+        # past theta_13, one squaring)
+        for _ in range(5):
+            a, expected = _normal_with_norm(rng, theta * side)
+            out = numkit.matrix_exp(a)
+            assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_stack_matches_loop(self, rng):
         # 1-norms of about 0.01 to 70 need scaling exponents 0 to 4 on their
         # own; the stack takes the largest for every matrix
         stack = np.array([scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
                           for scale in (1e-3, 0.5, 3.0, 12.0)])
-        out = numkit.matrix_exp(stack)
-        assert out.shape == stack.shape
-        for m, e in zip(stack, out):
-            expected = numkit.matrix_exp(m)
-            assert np.linalg.norm(e - expected) <= 1e-14 * np.linalg.norm(expected)
+        # 1-norms either side of theta_5: degree 5 alone, 7 in the stack
+        straddle = np.array([_normal_with_norm(rng, THETAS[1] * f)[0] for f in (0.9, 1.1)])
+        for stack in (stack, straddle):
+            out = numkit.matrix_exp(stack)
+            assert out.shape == stack.shape
+            for m, e in zip(stack, out):
+                expected = numkit.matrix_exp(m)
+                assert np.linalg.norm(e - expected) <= 1e-14 * np.linalg.norm(expected)
         zeros = numkit.matrix_exp(np.zeros((2, 3, 3)))
         assert np.array_equal(zeros, np.broadcast_to(np.eye(3), (2, 3, 3)))
 
