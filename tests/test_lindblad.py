@@ -197,7 +197,7 @@ class TestDissipator:
         with pytest.raises(LindbladError):
             dissipator_superop(np.diag([1.0, bad, 0.0]))
 
-    def test_hermitian_check_near_float_range(self, rng):
+    def test_hermitian_check_near_float_range(self):
         # entries near 1e300: the check's norms must not overflow (a numpy
         # RuntimeWarning fails the suite)
         a = 1e300 * (np.diag([1.0, 2.0, 3.0]) + np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]]))
