@@ -65,7 +65,7 @@ def main() -> None:
     rel_err = np.linalg.norm(fit.gks - truth) / np.linalg.norm(truth)
 
     print(f"\ngenerator fit (Levenberg-Marquardt): residual {fit.residual:.3e}, "
-          f"{fit.evaluations} objective evaluations, {fit.jacobians} Jacobians, "
+          f"{fit.evaluations} evaluations (residuals with their Jacobian), "
           f"converged {fit.converged}")
     print(f"GKS matrix relative error vs ground truth: {100 * rel_err:.2f}%")
     lset = lindblad.lindblads_from_gks(fit.gks)

@@ -325,7 +325,7 @@ def cmd_lindblad(args) -> int:
         print(f"  L{i} relative contribution {_fmt(100 * c)}%")
     if not fit.converged:
         print(f"warning: generator fit stopped on its budget after {fit.evaluations} "
-              f"evaluations and {fit.jacobians} Jacobians before converging", file=sys.stderr)
+              "evaluations (each with its Jacobian) before converging", file=sys.stderr)
         return EXIT_NUMERICAL
     return 0
 

@@ -15,6 +15,7 @@ Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,10 +144,10 @@ def generator_bch_estimate(
     if schedule.count < 3 or len(props) != schedule.count:
         raise LindbladError("need one propagator per time, at three or more doubling times")
     times = np.array(schedule.times()[:3])[:, None, None]
-    half = matrix_exp(1j * times / 2 * np.asarray(h_super, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects inf and nan
+        half = matrix_exp(1j * times / 2 * np.asarray(h_super, dtype=complex))
     samples = half @ np.asarray(props[:3], complex) @ half
-    dfdt = richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
-    return -dfdt
+    return -richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
 
 
 def gks_matrix(x: np.ndarray) -> np.ndarray:
@@ -184,16 +185,18 @@ def _real_view(m) -> np.ndarray:
     return np.concatenate([m.real, m.imag])
 
 
-# R_hat of each fit basis matrix (its constant derivatives) and their design matrix.
+# R_hat of each fit basis matrix (its constant derivatives), and the pseudoinverse
+# of their design matrix by the normal equations (the design's condition number is 2).
 _BASIS_SUPEROPS = dissipator_superop(hermitian_basis(3))
 _BASIS_NORM1 = np.abs(_BASIS_SUPEROPS).sum(axis=1).max()
 _GKS_DESIGN = np.column_stack([_real_view(d) for d in _BASIS_SUPEROPS])
+_GKS_PINV = np.linalg.solve(_GKS_DESIGN.T @ _GKS_DESIGN, _GKS_DESIGN.T)
 
 
 def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     """The fit's start: the GKS matrix a whose R_hat(a) is nearest an
     unconstrained generator estimate in least squares, clipped to PSD."""
-    comps, *_ = np.linalg.lstsq(_GKS_DESIGN, _real_view(r_estimate), rcond=None)
+    comps = _GKS_PINV @ _real_view(r_estimate)
     return clip_negative_eigs(np.tensordot(comps, hermitian_basis(3), 1))
 
 
@@ -202,34 +205,22 @@ class GeneratorFit:
     gks: np.ndarray            # fitted PSD GKS matrix
     relaxation: np.ndarray     # fitted R_hat superoperator
     residual: float
-    evaluations: int           # fit_objective calls
-    jacobians: int             # fit_jacobian calls
+    evaluations: int           # fit_objective calls, each residuals and Jacobian
     converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
 
 
-def fit_objective(a: np.ndarray, props, h_super, schedule: TimeSchedule) -> np.ndarray:
-    """Real residual vector of exp(-(iH_hat + R_hat(a)) t) - P_t over the
-    schedule; its squared norm is the fit cost."""
-    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(a)
-    # TimeSchedule guarantees t_{m+1} = 2 t_m, so P(t_{m+1}) = P(t_m)^2:
-    # one exponential per evaluation, then squarings.
-    p_t = [propagator_from_superop(gen, schedule.t1)]
-    for _ in range(1, schedule.count):
-        p_t.append(p_t[-1] @ p_t[-1])
-    return _real_view(np.array(p_t) - np.asarray(props, complex))
-
-
-def fit_jacobian(a: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
-    """Exact Jacobian of fit_objective (column k: d residuals / dc_k for the
-    components c of a in hermitian_basis(3)).
-
-    dG_k = R_hat(B_k); the derivative of exp(-G t1) along it is the upper-right
-    block of exp([[-G t1, -dG_k t1], [0, -G t1]]) (Najfeld and Havel, Adv.
-    Appl. Math. 16, 321 (1995)); dP_{m+1} = dP_m P_m + P_m dP_m.  The
+def fit_objective(a: np.ndarray, props, h_super, schedule: TimeSchedule):
+    """(residuals, Jacobian) of the fit at a: the real residual vector of
+    exp(-(iH_hat + R_hat(a)) t) - P_t over the schedule, whose squared norm is
+    the cost, and its derivatives d/dc_k (columns) for the components c of a
+    in hermitian_basis(3).  With dG_k = R_hat(B_k), exp([[-G t1, -dG_k t1],
+    [0, -G t1]]) holds P(t1) upper left and its derivative along dG_k upper
+    right (Najfeld and Havel, Adv. Appl. Math. 16, 321 (1995)).  The schedule
+    doubles, so P_{m+1} = P_m^2 and dP_{m+1} = dP_m P_m + P_m dP_m.  The
     derivative is linear in its direction, so the directions are scaled by
     2^-k to the 1-norm of -G t1, or to 2^-6 (about theta_3) if that is
     smaller, as at G = 0: the blocks then take the Pade degree of -G t1,
-    unsquared, and the exact power of two is undone after."""
+    unsquared, and the power of two is undone."""
     gen = 1j * np.asarray(h_super, complex) + dissipator_superop(a)
     blocks = np.zeros((9, 8, 8), dtype=complex)
     blocks[:, :4, :4] = blocks[:, 4:, 4:] = g = -gen * schedule.t1
@@ -237,12 +228,13 @@ def fit_jacobian(a: np.ndarray, h_super, schedule: TimeSchedule) -> np.ndarray:
     scale = math.ldexp(1.0, -max(0, math.frexp(ratio)[1]))  # 2^-k with ratio 2^-k < 1
     blocks[:, :4, 4:] = -_BASIS_SUPEROPS * (schedule.t1 * scale)
     blocks = matrix_exp(blocks)
-    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:] / scale]
+    p_t, dps = [blocks[0, :4, :4]], [blocks[:, :4, 4:] / scale]
     for _ in range(1, schedule.count):
-        dps.append(dps[-1] @ p + p @ dps[-1])
-        p = p @ p
+        dps.append(dps[-1] @ p_t[-1] + p_t[-1] @ dps[-1])
+        p_t.append(p_t[-1] @ p_t[-1])
     dps = np.stack(dps, axis=1).reshape(9, -1)  # row k: d vec(P_t) / dc_k
-    return np.concatenate([dps.real, dps.imag], axis=1).T
+    return (_real_view(np.array(p_t) - np.asarray(props, complex)),
+            np.concatenate([dps.real, dps.imag], axis=1).T)
 
 
 def fit_generator(
@@ -257,12 +249,10 @@ def fit_generator(
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
     props = np.asarray(props, dtype=complex)
-    a, residual, evals, jacs, converged = levenberg_marquardt(
-        lambda a: fit_objective(a, props, h_super, schedule),
-        lambda a: fit_jacobian(a, h_super, schedule), start
-    )
+    a, residual, evals, converged = levenberg_marquardt(
+        lambda a: fit_objective(a, props, h_super, schedule), start)
     return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=residual,
-                        evaluations=evals, jacobians=jacs, converged=converged)
+                        evaluations=evals, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -306,9 +296,18 @@ def predict_expectations(
     r_hat: np.ndarray, h_super: np.ndarray, rho0, times
 ) -> list[PauliExpectations]:
     """Evolve a state under exp(-(iH_hat + R_hat)t) and read out Pauli
-    expectations at each requested time (one stacked exponential)."""
+    expectations at each requested time (one stacked exponential, cached)."""
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
     v0 = vectorize(np.asarray(rho0, dtype=complex))
-    props = matrix_exp(-gen * np.asarray(times, dtype=float)[:, None, None])
+    exponent = -gen * np.asarray(times, dtype=float)[:, None, None]
+    props = _propagators(exponent.shape, exponent.tobytes())
     bloch = np.clip((props @ v0 @ BLOCH_READOUT).real, -1.0, 1.0)
     return [PauliExpectations(*r) for r in bloch.tolist()]
+
+
+@functools.lru_cache(maxsize=1)
+def _propagators(shape: tuple, data: bytes) -> np.ndarray:
+    """matrix_exp of the complex stack `shape` stored in `data`; shared, read-only."""
+    props = matrix_exp(np.frombuffer(data, dtype=complex).reshape(shape))
+    props.flags.writeable = False
+    return props

@@ -5,7 +5,7 @@ pure function of its inputs.  Eigendecompositions, QR and linear solves
 come from numpy.linalg.  The matrix exponential (Pade 3-13 scaling and
 squaring, also of stacks), the principal logarithm (inverse scaling and
 squaring), the Levenberg-Marquardt least-squares solver over the
-positive semidefinite cone (analytic Jacobian) and Richardson
+positive semidefinite cone (the model supplies its Jacobian) and Richardson
 extrapolation are implemented here, so the package needs numpy only.
 """
 
@@ -161,7 +161,10 @@ def matrix_exp(m) -> np.ndarray:
     above theta_13 scaling and squaring.  A stack (..., n, n) shares one
     degree and one scaling exponent, set by its largest 1-norm."""
     a = _as_square(m, stack=True)
-    norm = _norm1(a)
+    with np.errstate(over="ignore"):  # finite entries can still sum past float range
+        norm = _norm1(a)
+    if norm == math.inf:
+        raise NumkitError("matrix 1-norm is beyond float range")
     eye = np.eye(a.shape[-1], dtype=complex)
     if norm == 0.0:
         return np.broadcast_to(eye, a.shape).copy()
@@ -270,50 +273,48 @@ def psd_model_step(metric, grad, c) -> np.ndarray:
     return z
 
 
-def levenberg_marquardt(residuals, jacobian, a0) -> tuple[np.ndarray, float, int, int, bool]:
-    """Minimize sum(residuals(a)**2) over PSD a from a0 (clipped to PSD),
-    given jacobian(a) = d residuals / dc for the components c of a in
-    hermitian_basis; returns (a_best, cost, evaluations, jacobians, converged).
+def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize sum(r(a)**2) over PSD a from a0 (clipped to PSD), given
+    model(a) = (r(a), J(a)) with J = d r / dc for the components c of a in
+    hermitian_basis; returns (a_best, cost, evaluations, converged).
 
     Each step minimizes the Gauss-Newton model, damped by lam * max(diag
     J^T J), on the PSD cone (psd_model_step).  Converges before evaluating a
     trial step y when the undamped model |r + J (y - c)|^2 lowers the cost
-    by <= 1e-15 of it, or y - c is below 1e-12 relative to c.  Each Jacobian
-    is charged len(c) evaluations against MAX_EVALUATIONS, the price of a
-    finite-difference one; the solver stops unconverged before a Jacobian
-    or trial step that would exceed the budget.
-    """
+    by <= 1e-15 of it, or y - c is below 1e-12 relative to c.  An accepted
+    trial brings its own J.  Each evaluation is charged 1 + len(c) against
+    MAX_EVALUATIONS, the price of a residual and a finite-difference
+    Jacobian; the solver stops unconverged before a trial step that would
+    exceed the budget."""
     c = _to_components(clip_negative_eigs(a0))
-    evals = jacs = 0
+    evals, charge = 0, 1 + len(c)
 
-    def f(c: np.ndarray) -> tuple[np.ndarray, float]:
+    def f(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         nonlocal evals
         evals += 1
-        r = np.asarray(residuals(_from_components(c)), dtype=float)
+        r, jac = (np.asarray(x, dtype=float) for x in model(_from_components(c)))
         if not np.all(np.isfinite(r)):
             raise ObjectiveDiverged(f"objective diverged at components {c}")
-        return r, float(r @ r)
+        return r, float(r @ r), jac
 
-    r, cost = f(c)
+    r, cost, jac = f(c)
     lam, eye = 1e-3, np.eye(len(c))
-    while evals + len(c) * (jacs + 1) < MAX_EVALUATIONS:
-        jac, jacs = np.asarray(jacobian(_from_components(c)), dtype=float), jacs + 1
+    while True:
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
-        while evals + len(c) * jacs < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
+        while (evals + 1) * charge <= MAX_EVALUATIONS:  # raise lam until a step lowers the cost
             y = psd_model_step(jtj + lam * damping, grad, c)
-            model = r + jac @ (y - c)  # the linearized residual at y
-            if (cost - model @ model <= 1e-15 * cost
+            linear = r + jac @ (y - c)  # the linearized residual at y
+            if (cost - linear @ linear <= 1e-15 * cost
                     or np.linalg.norm(y - c) <= 1e-12 * (np.linalg.norm(c) + 1e-12)):
-                return _from_components(c), cost, evals, jacs, True
-            r_new, cost_new = f(y)
+                return _from_components(c), cost, evals, True
+            r_new, cost_new, jac_new = f(y)
             if cost_new < cost:
                 break
             lam *= 10.0
         else:
-            break
-        c, r, lam, cost = y, r_new, max(lam / 10, 1e-12), cost_new
-    return _from_components(c), cost, evals, jacs, False
+            return _from_components(c), cost, evals, False
+        c, r, jac, lam, cost = y, r_new, jac_new, max(lam / 10, 1e-12), cost_new
 
 
 def richardson_derivative(samples: Sequence[np.ndarray], base_value, t1: float) -> np.ndarray:

@@ -13,7 +13,6 @@ from nvqpt.lindblad import (
     devectorize,
     dissipator_superop,
     fit_generator,
-    fit_jacobian,
     fit_objective,
     generator_bch_estimate,
     generator_log_estimate,
@@ -271,7 +270,7 @@ def _bch_per_time(props, h_super, schedule):
 
 
 def _jacobian_block_assembly(a, h_super, schedule, scaled=True):
-    """fit_jacobian with its nine 8x8 blocks assembled by np.block; unscaled,
+    """fit_objective's Jacobian with its nine 8x8 blocks assembled by np.block; unscaled,
     the directions enter at their own norm, as before the 2^-k scaling."""
     gen = 1j * h_super + dissipator_superop(a)
     g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
@@ -365,7 +364,7 @@ class TestGeneratorEstimates:
         diff = np.array([propagator_from_superop(fit_gen, t) - p
                          for p, t in zip(props, schedule.times())])
         expected = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-        out = fit_objective(a, props, h_super, schedule)
+        out = fit_objective(a, props, h_super, schedule)[0]
         assert out.shape == expected.shape
         assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -376,21 +375,22 @@ class TestGeneratorEstimates:
             a, h_super, _, gen = self.make_problem(rng)
             props = [propagator_from_superop(gen, t) for t in schedule.times()]
             a = a + 1e-5 * random_hermitian(rng, 3)
-            jac = fit_jacobian(a, h_super, schedule)
+            jac = fit_objective(a, props, h_super, schedule)[1]
             central = np.empty_like(jac)
             h = 1e-6 * np.linalg.norm(a)
             for k, e in enumerate(hermitian_basis(3)):
-                central[:, k] = (fit_objective(a + h * e, props, h_super, schedule)
-                                 - fit_objective(a - h * e, props, h_super, schedule)) / (2 * h)
+                central[:, k] = (fit_objective(a + h * e, props, h_super, schedule)[0]
+                                 - fit_objective(a - h * e, props, h_super, schedule)[0]) / (2 * h)
             assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(central)
 
     @pytest.mark.parametrize("count", [3, 4])
     def test_fit_jacobian_equals_block_assembly(self, rng, count):
         schedule = TimeSchedule(t1=20.0, count=count)
+        props = np.zeros((count, 4, 4))  # the Jacobian does not depend on the data
         for _ in range(5):
             a, h_super, _, _ = self.make_problem(rng, rng.uniform(-0.02, 0.02))
             a = a + 1e-5 * random_hermitian(rng, 3)
-            assert np.array_equal(fit_jacobian(a, h_super, schedule),
+            assert np.array_equal(fit_objective(a, props, h_super, schedule)[1],
                                   _jacobian_block_assembly(a, h_super, schedule))
 
     def test_fit_jacobian_matches_unscaled_directions(self):
@@ -401,8 +401,9 @@ class TestGeneratorEstimates:
                   hamiltonian_superop(detuning_hamiltonian(delta)))
                  for t1, t2, delta in PIPELINE_GRID]
         cases.append((np.zeros((3, 3)), np.zeros((4, 4))))
+        props = np.zeros((3, 4, 4))
         for a, h_super in cases:
-            jac = fit_jacobian(a, h_super, schedule)
+            jac = fit_objective(a, props, h_super, schedule)[1]
             expected = _jacobian_block_assembly(a, h_super, schedule, scaled=False)
             assert np.isfinite(jac).all()
             assert np.linalg.norm(jac - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -414,7 +415,7 @@ class TestGeneratorEstimates:
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
         fit = fit_generator(props, h_super, schedule, gks_matrix(np.full(9, 0.01)))
         assert not fit.converged
-        assert fit.evaluations + 9 * fit.jacobians <= 10
+        assert 10 * fit.evaluations <= 10  # each evaluation is charged 1 + 9
 
     def test_fit_rejects_count_mismatch(self, rng):
         _, h_super, _, gen = self.make_problem(rng)
@@ -522,3 +523,39 @@ class TestPrediction:
                     out = predict_expectations(r, h_super, rho0, times)
                     assert np.array_equal([e.as_tuple() for e in out], expected)
         assert clipped
+
+    def test_cache_follows_the_generator(self, rng):
+        # the one-entry propagator cache, with generators A, B, then A again:
+        # each result is bit-equal to the uncached exponential
+        times = [20.0, 40.0, 80.0]
+        rho0 = bloch_to_density([0.6, -0.3, 0.5])
+        problem = TestGeneratorEstimates().make_problem
+        (_, h_a, r_a, _), (_, h_b, r_b, _) = problem(rng, 0.01), problem(rng, -0.02)
+        lindblad._propagators.cache_clear()
+        for h_super, r_hat in ((h_a, r_a), (h_b, r_b), (h_a, r_a), (h_a, r_a)):
+            exponent = -(1j * h_super + r_hat) * np.array(times)[:, None, None]
+            props = matrix_exp(exponent)
+            expected = np.clip((props @ vectorize(rho0) @ lindblad.BLOCH_READOUT).real, -1, 1)
+            out = predict_expectations(r_hat, h_super, rho0, times)
+            assert np.array_equal([e.as_tuple() for e in out], expected)
+        info = lindblad._propagators.cache_info()
+        assert (info.hits, info.misses) == (1, 3)
+        cached = lindblad._propagators(exponent.shape, exponent.tobytes())
+        assert np.array_equal(cached, props)
+        assert not cached.flags.writeable
+
+    @pytest.mark.parametrize("r_hat, error, match", [
+        (np.zeros((3, 3)), ValueError, "broadcast"),
+        (np.zeros((4, 5)), ValueError, "broadcast"),
+        (np.full((4, 4), np.nan), NumkitError, "non-finite"),
+    ])
+    def test_bad_generator_raises_on_every_call(self, r_hat, error, match):
+        # an error is never cached: the same call raises again, and a good
+        # call after it still predicts
+        h_super = hamiltonian_superop(detuning_hamiltonian(0.01))
+        rho0 = bloch_to_density([1.0, 0.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                predict_expectations(r_hat, h_super, rho0, [20.0, 40.0])
+        (e,) = predict_expectations(np.zeros((4, 4)), h_super, rho0, [20.0])
+        assert np.isclose(e.sx, np.cos(0.01 * 20.0), atol=1e-12)

@@ -154,6 +154,13 @@ class TestMatrixExp:
         prod = numkit.matrix_exp(a) @ numkit.matrix_exp(-a)
         assert np.linalg.norm(prod - np.eye(4)) <= 1e-12
 
+    def test_overflowing_norm_rejected(self):
+        # finite entries whose 1-norm is beyond float range: a NumkitError,
+        # with no numpy warning (pyproject.toml makes warnings errors)
+        for m in (np.full((2, 2), 1e308), np.full((3, 2, 2), 1e308j)):
+            with pytest.raises(NumkitError, match="1-norm"):
+                numkit.matrix_exp(m)
+
 
 class TestMatrixLog:
     def test_identity(self):
@@ -218,21 +225,18 @@ def _components(a):
 
 
 def _rosenbrock(a):
-    # 100 (a11 - a00^2)^2 + (1 - a00)^2 as a sum of squares; the off-diagonal
-    # components are pinned to zero, so the minimum diag(1, 1) is PSD
-    c = _components(a)
-    return np.array([10 * (c[1] - c[0] ** 2), 1 - c[0], c[2], c[3]])
-
-
-def _rosenbrock_jacobian(a):
+    # 100 (a11 - a00^2)^2 + (1 - a00)^2 as a sum of squares, with its
+    # Jacobian; the off-diagonal components are pinned to zero, so the
+    # minimum diag(1, 1) is PSD
     c = _components(a)
     jac = np.eye(4)
     jac[:2, :2] = [[-20 * c[0], 10.0], [-1.0, 0.0]]
-    return jac
+    return np.array([10 * (c[1] - c[0] ** 2), 1 - c[0], c[2], c[3]]), jac
 
 
-def _identity_jacobian(a):
-    return np.eye(np.size(a))
+def _identity_model(residuals):
+    """The model (residuals(a), I) of residuals linear in the components."""
+    return lambda a: (residuals(a), np.eye(np.size(a)))
 
 
 class TestTriangular:
@@ -311,15 +315,15 @@ class TestPsdModelStep:
 
 class TestLevenbergMarquardt:
     def test_parabola(self):
-        a, f, _, _, converged = numkit.levenberg_marquardt(
-            lambda a: a.real.ravel() - 2, _identity_jacobian, np.zeros((1, 1)))
+        a, f, _, converged = numkit.levenberg_marquardt(
+            _identity_model(lambda a: a.real.ravel() - 2), np.zeros((1, 1)))
         assert abs(a[0, 0] - 2) <= 1e-8
         assert f <= 1e-16
         assert converged
 
     def test_rosenbrock(self):
-        a, f, _, _, converged = numkit.levenberg_marquardt(
-            _rosenbrock, _rosenbrock_jacobian, np.diag([-1.2, 1.0]))  # clipped to diag(0, 1)
+        a, f, _, converged = numkit.levenberg_marquardt(
+            _rosenbrock, np.diag([-1.2, 1.0]))  # clipped to diag(0, 1)
         assert f < 1e-12
         assert np.allclose(a, np.eye(2), atol=1e-6)
         assert converged
@@ -330,8 +334,8 @@ class TestLevenbergMarquardt:
         # point is only as close as the cost can tell (|a - a*|^2 ~ 1e-15 f)
         for _ in range(10):
             target = random_hermitian(rng, 3)
-            a, f, _, _, converged = numkit.levenberg_marquardt(
-                lambda a: _components(a - target), _identity_jacobian, np.eye(3))
+            a, f, _, converged = numkit.levenberg_marquardt(
+                _identity_model(lambda a: _components(a - target)), np.eye(3))
             w = np.linalg.eigvalsh(target)
             assert f <= float(w[w < 0] @ w[w < 0]) * (1 + 1e-14)
             assert np.linalg.norm(a - numkit.clip_negative_eigs(target)) <= 1e-7
@@ -339,61 +343,65 @@ class TestLevenbergMarquardt:
 
     def test_constant_objective_takes_one_jacobian(self):
         a0 = np.diag([1.0, 2.0, 3.0])
-        a, f, evals, jacs, converged = numkit.levenberg_marquardt(
-            lambda a: np.array([7.0, 1.0]), lambda a: np.zeros((2, 9)), a0)
+        a, f, evals, converged = numkit.levenberg_marquardt(
+            lambda a: (np.array([7.0, 1.0]), np.zeros((2, 9))), a0)
         assert np.allclose(a, a0, rtol=0, atol=1e-15)
         assert f == 50.0
-        assert (evals, jacs) == (1, 1)  # start point plus one Jacobian
+        assert evals == 1  # the start point, with its Jacobian
         assert converged  # a zero gradient gives a zero step
 
     def test_never_worse_than_start(self, rng):
         def bumpy(a):
             c = _components(a)
-            return np.concatenate([c, [np.sin(5 * c[0])]])
-
-        def bumpy_jacobian(a):
-            return np.vstack([np.eye(4), [5 * np.cos(5 * _components(a)[0]), 0.0, 0.0, 0.0]])
+            return (np.concatenate([c, [np.sin(5 * c[0])]]),
+                    np.vstack([np.eye(4), [5 * np.cos(5 * c[0]), 0.0, 0.0, 0.0]]))
 
         for _ in range(5):
             a0 = numkit.clip_negative_eigs(random_hermitian(rng, 2))
-            _, f, _, _, _ = numkit.levenberg_marquardt(bumpy, bumpy_jacobian, a0)
-            assert f <= float(np.sum(bumpy(a0) ** 2))
+            _, f, _, _ = numkit.levenberg_marquardt(bumpy, a0)
+            assert f <= float(np.sum(bumpy(a0)[0] ** 2))
 
     def test_zero_parameter_moves_on_exact_jacobian(self):
         # the start a = 0 sits on the boundary of the cone
-        a, f, _, _, _ = numkit.levenberg_marquardt(
-            lambda a: a.real.ravel() - 0.3, _identity_jacobian, np.zeros((1, 1)))
+        a, f, _, _ = numkit.levenberg_marquardt(
+            _identity_model(lambda a: a.real.ravel() - 0.3), np.zeros((1, 1)))
         assert abs(a[0, 0] - 0.3) <= 1e-8
 
     def test_diverging_objective(self):
         with pytest.raises(ObjectiveDiverged):
-            numkit.levenberg_marquardt(lambda a: np.array([np.inf]), _identity_jacobian,
+            numkit.levenberg_marquardt(_identity_model(lambda a: np.array([np.inf])),
                                        np.zeros((1, 1)))
 
-    def test_budget_charges_each_jacobian(self, monkeypatch):
-        calls, jac_calls = [], []
+    def test_budget_charges_each_evaluation(self, monkeypatch):
+        calls = []
 
         def counted(a):
             calls.append(1)
             return _rosenbrock(a)
 
-        def counted_jacobian(a):
-            jac_calls.append(1)
-            return _rosenbrock_jacobian(a)
-
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
-        a, f, evals, jacs, converged = numkit.levenberg_marquardt(
-            counted, counted_jacobian, np.diag([-1.2, 1.0]))
-        assert (evals, jacs) == (len(calls), len(jac_calls))
-        assert jacs >= 1
-        assert evals + a.size * jacs <= 10  # each Jacobian costs n^2 evaluations
+        a, f, evals, converged = numkit.levenberg_marquardt(counted, np.diag([-1.2, 1.0]))
+        assert evals == len(calls) == 2  # the start and one trial step
+        assert (1 + a.size) * evals <= 10  # each evaluation costs 1 + n^2
         assert f > 1e-6  # stopped on the budget, far from the minimum
         assert not converged
+
+    def test_each_point_is_evaluated_once(self):
+        # an accepted trial brings its own Jacobian, so no point is revisited
+        points = []
+
+        def recorded(a):
+            points.append(a.tobytes())
+            return _rosenbrock(a)
+
+        _, f, evals, converged = numkit.levenberg_marquardt(recorded, np.diag([-1.2, 1.0]))
+        assert converged and f < 1e-12
+        assert evals == len(points) == len(set(points))
 
     def test_rejects_non_hermitian_start(self):
         for a0 in (np.zeros((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]])):
             with pytest.raises(NumkitError):
-                numkit.levenberg_marquardt(lambda a: a.real.ravel(), _identity_jacobian, a0)
+                numkit.levenberg_marquardt(_identity_model(lambda a: a.real.ravel()), a0)
 
 
 class TestRichardson:

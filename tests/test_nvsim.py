@@ -260,8 +260,7 @@ class TestPipelineStatistics:
         noise-free optimum r is at roundoff, so only noisy fits test this.)"""
         for _, (props, h_super, schedule), fit in _noisy_fits():
             a = fit.gks
-            r = lindblad.fit_objective(a, props, h_super, schedule)
-            jac = lindblad.fit_jacobian(a, h_super, schedule)
+            r, jac = lindblad.fit_objective(a, props, h_super, schedule)
             grad = np.tensordot(2 * jac.T @ r, hermitian_basis(3), 1)
             scale = np.linalg.norm(jac) * np.linalg.norm(r)
             assert fit.converged
