@@ -525,8 +525,9 @@ class TestPrediction:
         assert clipped
 
     def test_cache_follows_the_generator(self, rng):
-        # the one-entry propagator cache, with generators A, B, then A again:
-        # each result is bit-equal to the uncached exponential
+        # the one-entry propagator cache, with generators A, B, A, then A
+        # again: each result is bit-equal to the uncached exponential, and
+        # only the repeated call hits
         times = [20.0, 40.0, 80.0]
         rho0 = bloch_to_density([0.6, -0.3, 0.5])
         problem = TestGeneratorEstimates().make_problem
