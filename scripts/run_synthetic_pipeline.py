@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from nvqpt import cpfit, lindblad, nvsim, qpt, qstate
+from nvqpt import cpfit, lindblad, nvsim, qpt, qstate, tolerances
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
         chi = (chi + chi.conj().T) / 2
         min_eig = float(np.linalg.eigvalsh(chi).min())
         print(f"\nt = {t:g} ns: raw chi min eigenvalue {min_eig:.3e}")
-        if min_eig < -1e-9:
+        if min_eig < tolerances.get("min_eig_floor"):
             result = cpfit.project_to_cp(chi)
             norms = qpt.unphysicality_norms(chi, result.chi_tilde)
             print(

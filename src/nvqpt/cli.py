@@ -276,10 +276,7 @@ def cmd_lindblad(args) -> int:
     times, grid = _read_record(args.record)
     if len(times) < 3:
         raise DataError("need at least three timepoints on a doubling schedule")
-    try:
-        schedule = lindblad.TimeSchedule.from_times(times)
-    except lindblad.LindbladError as exc:
-        raise DataError(str(exc)) from exc
+    schedule = lindblad.TimeSchedule.from_times(times)
     outputs = [[qstate.maxent_reconstruct(e) for e in row] for row in grid]
     props = [lindblad.propagator_from_outputs(out) for out in outputs]
     measured = nvsim.expectation_table(schedule.times(), [

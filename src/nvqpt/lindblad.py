@@ -5,9 +5,9 @@ Density matrices are column-stacked into 4-vectors, so vec(A X B) =
 products, and a measured channel's superpropagator is the realignment
 P[a+2b, i+2j] = chi[2a+i, 2b+j] of its chi (Choi) matrix.  The
 relaxation generator is estimated from propagators at a doubling time
-schedule (matrix-log and symmetric-BCH/Richardson routes), clipped to a
-PSD GKS matrix, refined by a Levenberg-Marquardt fit of that matrix on the
-PSD cone to the propagators, with the exact Jacobian (block-triangular
+schedule (matrix log; symmetric BCH with closed-form Richardson weights),
+clipped to a PSD GKS matrix, refined by a Levenberg-Marquardt fit of it on
+the PSD cone to the propagators (exact Jacobian from block-triangular
 exponentials), and diagonalized into Lindblad operators with contributions.
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
@@ -29,7 +29,6 @@ from .numkit import (
     levenberg_marquardt,
     matrix_exp,
     matrix_log_principal,
-    richardson_derivative,
     triangular_from_params,
 )
 from .qstate import IDENTITY_2, PAULIS, PauliExpectations
@@ -139,15 +138,16 @@ def generator_bch_estimate(
     """Richardson estimate of R_hat via the symmetric BCH identity.
 
     F(t_m) = exp(i t_m H/2) P_m exp(i t_m H/2) equals exp(-t_m R) up to
-    O(t^3); the derivative of F at 0 is extrapolated from the first three
-    schedule times t1, 2 t1, 4 t1 and negated."""
+    O(t^3), and F(0) = I.  R_hat = -(32 F(t1) - 12 F(2 t1) + F(4 t1) - 21 I)
+    / (12 t1) is -F'(0) extrapolated from the first three schedule times:
+    exact when F is a cubic in t, with error O(t1^3) for analytic F."""
     if schedule.count < 3 or len(props) != schedule.count:
         raise LindbladError("need one propagator per time, at three or more doubling times")
     times = np.array(schedule.times()[:3])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects inf and nan
         half = matrix_exp(1j * times / 2 * np.asarray(h_super, dtype=complex))
-    samples = half @ np.asarray(props[:3], complex) @ half
-    return -richardson_derivative(samples, np.eye(4, dtype=complex), schedule.t1)
+    f1, f2, f4 = half @ np.asarray(props[:3], complex) @ half
+    return -(32 * f1 - 12 * f2 + f4 - 21 * np.eye(4)) / (12 * schedule.t1)
 
 
 def gks_matrix(x: np.ndarray) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 Everything here operates on small (dimension <= 16) numpy arrays and is a
 pure function of its inputs.  Eigendecompositions, QR and linear solves
-come from numpy.linalg.  The matrix exponential (Pade 3-13 scaling and
-squaring, also of stacks), the principal logarithm (inverse scaling and
-squaring), the Levenberg-Marquardt least-squares solver over the
-positive semidefinite cone (the model supplies its Jacobian) and Richardson
-extrapolation are implemented here, so the package needs numpy only.
+come from numpy.linalg.  The matrix exponential (one Pade 3-13 evaluation,
+scaled and squared only above theta_13, also of stacks), the principal
+logarithm (inverse scaling and squaring) and the Levenberg-Marquardt
+least-squares solver over the positive semidefinite cone (the model
+supplies its Jacobian) are implemented here, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -124,7 +123,8 @@ def _to_components(a: np.ndarray) -> np.ndarray:
 
 # Pade [m/m] coefficients b_0..b_m, keyed by the 1-norm bound theta_m up to
 # which degree m is accurate to unit roundoff (Higham, SIAM J. Matrix Anal.
-# Appl. 26, 1179 (2005), Table 2.3), lowest degree first.
+# Appl. 26, 1179 (2005), Table 2.3), lowest degree first; above the last,
+# theta_13, the matrix is scaled into it.
 _PADE = {
     1.495585217958292e-2: (120.0, 60.0, 12.0, 1.0),
     2.539398330063230e-1: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
@@ -132,12 +132,11 @@ _PADE = {
                            1512.0, 56.0, 1.0),
     2.097847961257068e0: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    5.371920351148152e0: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                          960960.0, 16380.0, 182.0, 1.0),
 }
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
 
 # 7-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the
 # [7/7] Pade approximant of log(I + X), accurate to unit roundoff for
@@ -155,42 +154,41 @@ def _norm1(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=-2).max(initial=0.0))
 
 
+def _finite_norm1(a: np.ndarray) -> float:
+    """_norm1 without a warning: NumkitError where finite entries pass float range."""
+    with np.errstate(over="ignore"):
+        norm = _norm1(a)
+    if norm == math.inf:
+        raise NumkitError("matrix 1-norm is beyond float range")
+    return norm
+
+
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential by Higham's (2005) scaling and squaring: the lowest
     Pade degree in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm, and only
     above theta_13 scaling and squaring.  A stack (..., n, n) shares one
     degree and one scaling exponent, set by its largest 1-norm."""
     a = _as_square(m, stack=True)
-    with np.errstate(over="ignore"):  # finite entries can still sum past float range
-        norm = _norm1(a)
-    if norm == math.inf:
-        raise NumkitError("matrix 1-norm is beyond float range")
+    norm, s = _finite_norm1(a), 0
+    for theta, b in _PADE.items():
+        if norm <= theta:
+            break
+    else:  # above theta_13: scale by 2^-s into it, and square s times below
+        s = math.ceil(math.log2(norm / theta))
+        if s > 52:  # each squaring doubles the relative error, so none is left past 52:
+            return np.full(a.shape, np.nan, dtype=complex)  # nan, rejected as an overflow is
+        a = a / 2.0**s
     eye = np.eye(a.shape[-1], dtype=complex)
-    if norm == 0.0:
-        return np.broadcast_to(eye, a.shape).copy()
-    b = next((b for theta, b in _PADE.items() if norm <= theta), None)
-    if b is not None:  # a^2, a^4, ..., a^(m-1) carry both polynomials
-        powers = [a @ a]
-        while len(powers) < len(b) // 2 - 1:
-            powers.append(powers[-1] @ powers[0])
-        u = a @ sum((c * p for c, p in zip(b[3::2], powers)), b[1] * eye)
-        v = sum((c * p for c, p in zip(b[2::2], powers)), b[0] * eye)
-        return np.linalg.solve(v - u, v + u)
-    s = max(0, math.ceil(math.log2(norm / _THETA13)))
-    a = a / 2.0**s
-    b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    powers = [a @ a]  # a^2, a^4, ..., a^(m-1) carry both polynomials
+    while len(powers) < len(b) // 2 - 1:
+        powers.append(powers[-1] @ powers[0])
+    u = a @ sum((c * p for c, p in zip(b[3::2], powers)), b[1] * eye)
+    v = sum((c * p for c, p in zip(b[2::2], powers)), b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    # an overflow leaves inf or nan, which the next kernel call rejects, unprinted
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
+    if s:  # an overflow leaves inf or nan, which the next kernel call rejects, unprinted
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                r = r @ r
     return r
 
 
@@ -209,6 +207,7 @@ def matrix_log_principal(m) -> np.ndarray:
     basis is formed, so defective input such as a Jordan block is fine.
     """
     a = _as_square(m)
+    _finite_norm1(a)  # NumkitError, not numpy warnings, where the 1-norm passes float range
     w = np.linalg.eigvals(a)
     branch = tolerances.get("log_branch")
     for lam in w:
@@ -241,7 +240,7 @@ def matrix_log_principal(m) -> np.ndarray:
     return out
 
 
-MAX_EVALUATIONS = 2000
+MAX_EVALUATIONS = 200
 
 
 def psd_model_step(metric, grad, c) -> np.ndarray:
@@ -282,12 +281,9 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
     J^T J), on the PSD cone (psd_model_step).  Converges before evaluating a
     trial step y when the undamped model |r + J (y - c)|^2 lowers the cost
     by <= 1e-15 of it, or y - c is below 1e-12 relative to c.  An accepted
-    trial brings its own J.  Each evaluation is charged 1 + len(c) against
-    MAX_EVALUATIONS, the price of a residual and a finite-difference
-    Jacobian; the solver stops unconverged before a trial step that would
-    exceed the budget."""
-    c = _to_components(clip_negative_eigs(a0))
-    evals, charge = 0, 1 + len(c)
+    trial brings its own J.  The solver stops unconverged before a trial
+    step that would exceed MAX_EVALUATIONS."""
+    c, evals = _to_components(clip_negative_eigs(a0)), 0
 
     def f(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         nonlocal evals
@@ -302,7 +298,7 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
     while True:
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
-        while (evals + 1) * charge <= MAX_EVALUATIONS:  # raise lam until a step lowers the cost
+        while evals < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
             y = psd_model_step(jtj + lam * damping, grad, c)
             linear = r + jac @ (y - c)  # the linearized residual at y
             if (cost - linear @ linear <= 1e-15 * cost
@@ -316,24 +312,3 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
             return _from_components(c), cost, evals, False
         c, r, jac, lam, cost = y, r_new, jac_new, max(lam / 10, 1e-12), cost_new
 
-
-def richardson_derivative(samples: Sequence[np.ndarray], base_value, t1: float) -> np.ndarray:
-    """Derivative at 0 of a matrix function from samples at t1, 2*t1, 4*t1.
-
-    First divided differences D0(h) = (F(h) - F(0))/h at h in
-    {t1, 2t1, 4t1} are combined twice: D1(h) = 2 D0(h) - D0(2h), then
-    D2 = (4 D1(t1) - D1(2t1)) / 3.  Exact for F polynomial of degree <= 3;
-    truncation error O(t1^3) for analytic F.
-    """
-    if t1 <= 0:
-        raise NumkitError("t1 must be positive")
-    if len(samples) != 3:
-        raise NumkitError("need exactly three samples at the doubling schedule")
-    f0 = np.asarray(base_value, dtype=complex)
-    fs = [np.asarray(s, dtype=complex) for s in samples]
-    if any(s.shape != f0.shape for s in fs):
-        raise NumkitError("sample shapes do not match the base value")
-    d0 = [(fs[i] - f0) / (2**i * t1) for i in range(3)]
-    d1_a = 2 * d0[0] - d0[1]
-    d1_b = 2 * d0[1] - d0[2]
-    return (4 * d1_a - d1_b) / 3

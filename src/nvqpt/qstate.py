@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .numkit import eig_hermitian
+from .numkit import _clip_eigs, eig_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -92,9 +92,7 @@ def maxent_reconstruct(e: PauliExpectations) -> np.ndarray:
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     res = eig_hermitian(m)
-    w = np.clip(res.eigenvalues, 0.0, None)
-    v = res.eigenvectors
-    return (v * np.sqrt(w)) @ v.conj().T
+    return _clip_eigs(np.sqrt(np.clip(res.eigenvalues, 0.0, None)), res.eigenvectors)
 
 
 def trace_distance(rho1, rho2) -> float:

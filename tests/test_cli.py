@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nvqpt
-from nvqpt import cli, lindblad, numkit, qstate, tolerances
+from nvqpt import cli, lindblad, numkit, nvsim, qstate, tolerances
 
 
 def run(*argv):
@@ -374,12 +374,27 @@ class TestLindblad:
         assert not out.exists()
 
     def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 10)
+        monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 1)
         out = tmp_path / "lindblad.json"
         assert run("lindblad", str(record_path), "--out", str(out)) == 4
         assert json.loads(out.read_text())["converged"] is False
         err = capsys.readouterr().err
         assert "stopped on its budget after 1 evaluations" in err
+
+    @pytest.mark.parametrize("detuning", ["0", "0.03"])
+    def test_fast_decay_scales_and_squares(self, tmp_path, detuning):
+        # t1 = 100 ns at T1 = 100 ns, T2 = 50 ns: the 400 ns exponent's 1-norm
+        # passes theta_13, so simulate and lindblad both take Pade 13 and squarings
+        cfg = nvsim.SimConfig(t1_ns=100.0, t2_ns=50.0, detuning=float(detuning))
+        h_super, r_hat = nvsim.true_generator(cfg)
+        assert np.abs(400.0 * (1j * h_super + r_hat)).sum(axis=0).max() > max(numkit._PADE)
+        record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
+        assert run("simulate", "--t1", "100", "--t2", "50", "--t1ns", "100", "--shots", "0",
+                   "--detuning", detuning, "--out", str(record)) == 0
+        assert run("lindblad", str(record), "--hamiltonian", detuning, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        a_fit = np.array(doc["a_fit_re"]) + 1j * np.array(doc["a_fit_im"])
+        assert np.linalg.norm(a_fit - nvsim.true_gks_matrix(cfg)) <= 1e-12
 
     def test_fits_every_timepoint(self, tmp_path):
         record = tmp_path / "four.json"
