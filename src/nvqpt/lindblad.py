@@ -10,6 +10,9 @@ clipped to a PSD GKS matrix, refined by a Levenberg-Marquardt fit of it on
 the PSD cone to the propagators (exact Jacobian from block-triangular
 exponentials), and diagonalized into Lindblad operators with contributions.
 
+The API stays in Liouville form; the start, the fit and the predictions work on real
+Pauli transfer matrices (PTMs), qpt's R_mn = tr(sigma_m S(sigma_n))/2 (Boulant et al. 2003).
+
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
 
@@ -22,15 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import (
-    clip_negative_eigs,
-    eig_hermitian,
-    hermitian_basis,
-    levenberg_marquardt,
-    matrix_exp,
-    matrix_log_principal,
-    triangular_from_params,
-)
+from .numkit import (clip_negative_eigs, eig_hermitian, hermitian_basis, levenberg_marquardt,
+                     matrix_exp, matrix_log_principal, triangular_from_params)
 from .qstate import IDENTITY_2, PAULIS, PauliExpectations
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
@@ -179,24 +175,27 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
 
 
-def _real_view(m) -> np.ndarray:
-    """Re and Im of a complex array, raveled into one real vector."""
-    m = np.asarray(m, dtype=complex).ravel()
-    return np.concatenate([m.real, m.imag])
+# U = [vec(sigma_n) / sqrt(2)], sigma_0 = I, is unitary: U^dag S U is the PTM of S, same norm.
+_PTM_BASIS = np.column_stack([vectorize(s) for s in (IDENTITY_2, *PAULIS)]) / np.sqrt(2)
 
 
-# R_hat of each fit basis matrix (its constant derivatives), and the pseudoinverse
-# of their design matrix by the normal equations (the design's condition number is 2).
-_BASIS_SUPEROPS = dissipator_superop(hermitian_basis(3))
-_BASIS_NORM1 = np.abs(_BASIS_SUPEROPS).sum(axis=1).max()
-_GKS_DESIGN = np.column_stack([_real_view(d) for d in _BASIS_SUPEROPS])
-_GKS_PINV = np.linalg.solve(_GKS_DESIGN.T @ _GKS_DESIGN, _GKS_DESIGN.T)
+def _ptm(superop) -> np.ndarray:
+    return _PTM_BASIS.conj().T @ np.asarray(superop, dtype=complex) @ _PTM_BASIS
+
+
+# The PTM of R_hat(a) is Re(a.ravel() @ _DISSIPATOR_PTMS), first (trace) row exactly 0; rows
+# 1-3 of each basis matrix's are the fit's derivatives and the start's design (condition 2).
+_DISSIPATOR_PTMS = (_ptm(-_DISSIPATOR_TENSOR) * [[0.0], [1.0], [1.0], [1.0]]).reshape(9, 16)
+_BASIS_PTMS = (hermitian_basis(3).reshape(9, 9) @ _DISSIPATOR_PTMS).real.reshape(9, 4, 4)
+_BASIS_NORM1 = np.abs(_BASIS_PTMS).sum(axis=1).max()
+_GKS_START = (np.linalg.pinv(_BASIS_PTMS[:, 1:].reshape(9, 12).T)  # from a raveled superop
+              @ _ptm(np.eye(16).reshape(16, 4, 4))[:, 1:].reshape(16, 12).T)
 
 
 def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     """The fit's start: the GKS matrix a whose R_hat(a) is nearest an
     unconstrained generator estimate in least squares, clipped to PSD."""
-    comps = _GKS_PINV @ _real_view(r_estimate)
+    comps = (_GKS_START @ np.asarray(r_estimate, dtype=complex).ravel()).real
     return clip_negative_eigs(np.tensordot(comps, hermitian_basis(3), 1))
 
 
@@ -204,54 +203,49 @@ def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
 class GeneratorFit:
     gks: np.ndarray            # fitted PSD GKS matrix
     relaxation: np.ndarray     # fitted R_hat superoperator
-    residual: float
+    residual: float            # sum over the schedule of |exp(-G t) - P_t|_F^2
     evaluations: int           # fit_objective calls, each residuals and Jacobian
     converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
 
 
-def fit_objective(a: np.ndarray, props, h_super, schedule: TimeSchedule):
-    """(residuals, Jacobian) of the fit at a: the real residual vector of
-    exp(-(iH_hat + R_hat(a)) t) - P_t over the schedule, whose squared norm is
-    the cost, and its derivatives d/dc_k (columns) for the components c of a
-    in hermitian_basis(3).  With dG_k = R_hat(B_k), exp([[-G t1, -dG_k t1],
-    [0, -G t1]]) holds P(t1) upper left and its derivative along dG_k upper
-    right (Najfeld and Havel, Adv. Appl. Math. 16, 321 (1995)).  The schedule
-    doubles, so P_{m+1} = P_m^2 and dP_{m+1} = dP_m P_m + P_m dP_m.  The
-    derivative is linear in its direction, so the directions are scaled by
-    2^-k to the 1-norm of -G t1, or to 2^-6 (about theta_3) if that is
-    smaller, as at G = 0: the blocks then take the Pade degree of -G t1,
-    unsquared, and the power of two is undone."""
-    gen = 1j * np.asarray(h_super, complex) + dissipator_superop(a)
-    blocks = np.zeros((9, 8, 8), dtype=complex)
+def fit_objective(a: np.ndarray, ptms: np.ndarray, h_ptm: np.ndarray, schedule: TimeSchedule):
+    """(residuals, Jacobian) of the fit at a: rows 1-3 (row 0 is (1, 0, 0, 0) for
+    every a) of exp(-G t) - R_t over the schedule, for the generator's real PTM G =
+    h_ptm + PTM(R_hat(a)) and the real measured PTMs R_t, and their derivatives d/dc_k
+    (columns) for the components c of a in hermitian_basis(3).  With dG_k = PTM(R_hat(B_k)),
+    exp([[-G t1, -dG_k t1], [0, -G t1]]) holds exp(-G t1) upper left and its derivative
+    along dG_k upper right (Najfeld and Havel, Adv. Appl. Math. 16, 321 (1995)); the
+    schedule doubles, so its square is the next time's.  The derivative is linear in its
+    direction, so the directions are scaled by 2^-k to the 1-norm of -G t1, or to 2^-6
+    (about theta_3) if smaller, as at G = 0: the blocks then take the Pade degree of
+    -G t1, unsquared, and the power of two is undone."""
+    gen = h_ptm + (np.asarray(a).ravel() @ _DISSIPATOR_PTMS).real.reshape(4, 4)
+    blocks = np.zeros((9, 8, 8))
     blocks[:, :4, :4] = blocks[:, 4:, 4:] = g = -gen * schedule.t1
     ratio = _BASIS_NORM1 * schedule.t1 / max(np.abs(g).sum(axis=0).max(), 2.0**-6)
     scale = math.ldexp(1.0, -max(0, math.frexp(ratio)[1]))  # 2^-k with ratio 2^-k < 1
-    blocks[:, :4, 4:] = -_BASIS_SUPEROPS * (schedule.t1 * scale)
-    blocks = matrix_exp(blocks)
-    p_t, dps = [blocks[0, :4, :4]], [blocks[:, :4, 4:] / scale]
+    blocks[:, :4, 4:] = -_BASIS_PTMS * (schedule.t1 * scale)
+    blocks = [matrix_exp(blocks)]
     for _ in range(1, schedule.count):
-        dps.append(dps[-1] @ p_t[-1] + p_t[-1] @ dps[-1])
-        p_t.append(p_t[-1] @ p_t[-1])
-    dps = np.stack(dps, axis=1).reshape(9, -1)  # row k: d vec(P_t) / dc_k
-    return (_real_view(np.array(p_t) - np.asarray(props, complex)),
-            np.concatenate([dps.real, dps.imag], axis=1).T)
+        blocks.append(blocks[-1] @ blocks[-1])
+    blocks = np.array(blocks)[:, :, 1:4]  # rows 1-3, (time, direction, row, column)
+    dps = blocks[..., 4:].transpose(1, 0, 2, 3).reshape(9, -1)  # row k: d P_t[1:] / dc_k
+    return (blocks[:, 0, :, :4] - ptms[:, 1:]).ravel(), dps.T / scale
 
 
-def fit_generator(
-    props: list[np.ndarray],
-    h_super: np.ndarray,
-    schedule: TimeSchedule,
-    start: np.ndarray,
-) -> GeneratorFit:
+def fit_generator(props: list[np.ndarray], h_super: np.ndarray, schedule: TimeSchedule,
+                  start: np.ndarray) -> GeneratorFit:
     """Least-squares fit of the PSD GKS matrix to measured propagators at
     every schedule time, from the GKS matrix `start`, by Levenberg-Marquardt
-    on the PSD cone with the exact Jacobian."""
+    on the PSD cone with the exact Jacobian, in PTM form (fit_objective)."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
-    props = np.asarray(props, dtype=complex)
-    a, residual, evals, converged = levenberg_marquardt(
-        lambda a: fit_objective(a, props, h_super, schedule), start)
-    return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=residual,
+    ptms, h_ptm = _ptm(props), _ptm(1j * np.asarray(h_super, complex)).real
+    # the cost's parts that no a moves: row 0 (exp(-G t) keeps (1, 0, 0, 0)) and Im
+    fixed = np.sum(ptms.imag**2) + np.sum((ptms.real[:, 0] - np.eye(4)[0])**2)
+    a, cost, evals, converged = levenberg_marquardt(
+        lambda a: fit_objective(a, ptms.real, h_ptm, schedule), start)
+    return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=cost + float(fixed),
                         evaluations=evals, converged=converged)
 
 
@@ -290,24 +284,25 @@ def contributions_from_operators(operators) -> list[float]:
 
 # Column k is vec(sigma_k^T), so vec(rho) @ BLOCH_READOUT = tr(rho sigma_k).
 BLOCH_READOUT = np.column_stack([vectorize(s.T) for s in PAULIS])
+_PAULI_READOUT = np.sqrt(2) * _PTM_BASIS.conj()  # columns vec(I), then BLOCH_READOUT's
 
 
-def predict_expectations(
-    r_hat: np.ndarray, h_super: np.ndarray, rho0, times
-) -> list[PauliExpectations]:
+def predict_expectations(r_hat: np.ndarray, h_super: np.ndarray, rho0,
+                         times) -> list[PauliExpectations]:
     """Evolve a state under exp(-(iH_hat + R_hat)t) and read out Pauli
-    expectations at each requested time (one stacked exponential, cached)."""
+    expectations at each requested time: rows 1-3 of R_t (1, r), for the real
+    PTMs R_t (one stacked exponential, cached) and rho0's Pauli vector (1, r)."""
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
-    v0 = vectorize(np.asarray(rho0, dtype=complex))
     exponent = -gen * np.asarray(times, dtype=float)[:, None, None]
     props = _propagators(exponent.shape, exponent.tobytes())
-    bloch = np.clip((props @ v0 @ BLOCH_READOUT).real, -1.0, 1.0)
+    pauli = (vectorize(rho0) @ _PAULI_READOUT).real
+    bloch = np.clip((props @ pauli)[:, 1:], -1.0, 1.0)
     return [PauliExpectations(*r) for r in bloch.tolist()]
 
 
 @functools.lru_cache(maxsize=1)
 def _propagators(shape: tuple, data: bytes) -> np.ndarray:
-    """matrix_exp of the complex stack `shape` stored in `data`; shared, read-only."""
-    props = matrix_exp(np.frombuffer(data, dtype=complex).reshape(shape))
+    """Real PTM exponentials of the Liouville stack `shape` in `data`; shared, read-only."""
+    props = matrix_exp(_ptm(np.frombuffer(data, dtype=complex).reshape(shape)).real)
     props.flags.writeable = False
     return props

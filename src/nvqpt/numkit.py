@@ -2,8 +2,8 @@
 
 Everything here operates on small (dimension <= 16) numpy arrays and is a
 pure function of its inputs.  Eigendecompositions, QR and linear solves
-come from numpy.linalg.  The matrix exponential (one Pade 3-13 evaluation,
-scaled and squared only above theta_13, also of stacks), the principal
+come from numpy.linalg.  The matrix exponential (one Pade 3-13 evaluation, scaled
+and squared only above theta_13, also of stacks, real for float64), the principal
 logarithm (inverse scaling and squaring) and the Levenberg-Marquardt
 least-squares solver over the positive semidefinite cone (the model
 supplies its Jacobian) are implemented here, so the package needs numpy only.
@@ -32,8 +32,8 @@ class ObjectiveDiverged(NumkitError):
     pass
 
 
-def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def _as_square(m, name: str = "matrix", stack: bool = False, dtype=complex) -> np.ndarray:
+    a = np.asarray(m, dtype=dtype)
     if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise NumkitError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -137,6 +137,7 @@ _PADE = {
                           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
                           960960.0, 16380.0, 182.0, 1.0),
 }
+MAX_SQUARINGS = 26  # each can double the relative error, and 2^26 u < 1e-8 (u = 2^-53)
 
 # 7-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the
 # [7/7] Pade approximant of log(I + X), accurate to unit roundoff for
@@ -164,21 +165,21 @@ def _finite_norm1(a: np.ndarray) -> float:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by Higham's (2005) scaling and squaring: the lowest
-    Pade degree in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm, and only
-    above theta_13 scaling and squaring.  A stack (..., n, n) shares one
-    degree and one scaling exponent, set by its largest 1-norm."""
-    a = _as_square(m, stack=True)
+    """Matrix exponential by Higham's (2005) scaling and squaring: the lowest Pade
+    degree in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm, and only above
+    theta_13 up to MAX_SQUARINGS squarings.  A stack (..., n, n) shares one degree and
+    scaling, set by its largest 1-norm.  Real for a float64 array, else complex."""
+    a = _as_square(m, stack=True, dtype=float if getattr(m, "dtype", 0) == np.float64 else complex)
     norm, s = _finite_norm1(a), 0
     for theta, b in _PADE.items():
         if norm <= theta:
             break
     else:  # above theta_13: scale by 2^-s into it, and square s times below
         s = math.ceil(math.log2(norm / theta))
-        if s > 52:  # each squaring doubles the relative error, so none is left past 52:
-            return np.full(a.shape, np.nan, dtype=complex)  # nan, rejected as an overflow is
+        if s > MAX_SQUARINGS:
+            raise NumkitError(f"matrix exponential needs {s} squarings, past {MAX_SQUARINGS}")
         a = a / 2.0**s
-    eye = np.eye(a.shape[-1], dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     powers = [a @ a]  # a^2, a^4, ..., a^(m-1) carry both polynomials
     while len(powers) < len(b) // 2 - 1:
         powers.append(powers[-1] @ powers[0])
@@ -221,12 +222,12 @@ def matrix_log_principal(m) -> np.ndarray:
     while _norm1(y - eye) > 0.25 and k < 64:
         # y -> y^(1/2) while mk -> I, quadratically: the step taken once
         # |mk - I|_1 <= 1e-8 brings y to roundoff.  Far from I, each step is
-        # scaled by mu = |det mk|^(-1/2n), which keeps |det mk| at 1.
+        # scaled by mu = |det mk|^(-1/2n), from slogdet (det overflows), to keep |det mk| 1.
         mk, k = y, k + 1
         for _ in range(100):
             mk_inv = np.linalg.inv(mk)
             gap = _norm1(mk - eye)
-            mu = abs(np.linalg.det(mk)) ** (-0.5 / len(a)) if gap > 1e-2 else 1.0
+            mu = math.exp(-0.5 / len(a) * np.linalg.slogdet(mk)[1]) if gap > 1e-2 else 1.0
             y = mu * y @ (eye + mk_inv / mu**2) / 2
             mk = (eye + (mu**2 * mk + mk_inv / mu**2) / 2) / 2
             if gap <= 1e-8:
@@ -234,9 +235,10 @@ def matrix_log_principal(m) -> np.ndarray:
     x = y - eye
     terms = np.linalg.solve(eye + _GL_NODES[:, None, None] * x, np.broadcast_to(x, (7, *x.shape)))
     out = 2.0**k * np.tensordot(_GL_WEIGHTS, terms, axes=1)
-    residual = np.linalg.norm(matrix_exp(out) - a)
-    if residual > tolerances.get("log_roundtrip") * max(1.0, np.linalg.norm(a)):
-        raise PrincipalLogUndefined(f"log round-trip residual {residual:.3g}")
+    with np.errstate(over="ignore"):  # inf, not a warning, past entries of about 1e154
+        residual, size = np.linalg.norm(matrix_exp(out) - a), np.linalg.norm(a)
+    if size == math.inf or not residual <= tolerances.get("log_roundtrip") * max(1.0, size):
+        raise PrincipalLogUndefined(f"log round-trip residual {residual:.3g} at norm {size:.3g}")
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lindblad, qpt, tolerances
-from .numkit import matrix_exp
+from .numkit import NumkitError, matrix_exp
 from .qstate import PauliExpectations
 
 
@@ -128,12 +128,15 @@ class ExperimentRecord:
 def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> ExperimentRecord:
     """Evolve each input of qpt.input_states() under the true generator, measure
     at every schedule time, and package the record for the CLI pipeline.  Raises
-    SimulationError when a propagator's trace defect |vec(I)^T P - vec(I)^T|
-    exceeds `tp_defect_max`, as at relaxation times far below the schedule's."""
+    SimulationError when a propagator's trace defect |vec(I)^T P - vec(I)^T| exceeds
+    `tp_defect_max`, or is unbounded, as at relaxation times far below the schedule's."""
     h_super, r_hat = true_generator(cfg)
     gen = 1j * h_super + r_hat
     times = schedule.times()
-    props = np.array([matrix_exp(-gen * t) for t in times])
+    try:
+        props = np.array([matrix_exp(-gen * t) for t in times])
+    except NumkitError as exc:
+        raise SimulationError(f"propagator trace defect cannot be bounded: {exc}") from exc
     trace_row = lindblad.vectorize(np.eye(2))
     defect = np.linalg.norm(trace_row @ props - trace_row, axis=-1).max()
     if not defect <= tolerances.get("tp_defect_max"):

@@ -373,6 +373,20 @@ class TestLindblad:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_squaring_budget_stderr_is_one_error_line(self, tmp_path):
+        # at 1e14 rad/ns the BCH start's exponential needs 50 squarings, past
+        # numkit.MAX_SQUARINGS: an error, not a "converged" fit of no accuracy
+        record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
+        assert run("simulate", "--seed", "1", "--out", str(record)) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvqpt.cli", "lindblad", str(record),
+             "--hamiltonian", "1e14", "--out", str(out)],
+            env=_env_with_src(), capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "squarings" in proc.stderr
+        assert not out.exists()
+
     def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 1)
         out = tmp_path / "lindblad.json"

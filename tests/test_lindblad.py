@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nvqpt import lindblad, numkit, nvsim, qpt
+from nvqpt import lindblad, numkit, nvsim, qpt, qstate
 from nvqpt.lindblad import (
     F_BASIS,
     LindbladError,
@@ -31,6 +31,7 @@ from nvqpt.qstate import PAULIS, bloch_to_density, density_to_bloch
 
 from conftest import random_hermitian
 from test_acceptance import PIPELINE_GRID
+from test_nvsim import _noisy_fits
 
 TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 
@@ -272,24 +273,32 @@ def _bch_per_time(props, h_super, schedule):
     return -(4 * d1[0] - d1[1]) / 3
 
 
+def _h_ptm(h_super):
+    """The real PTM of i H_hat, as fit_generator passes it to fit_objective."""
+    return lindblad._ptm(1j * np.asarray(h_super)).real
+
+
+def _ptm_data(props, h_super):
+    """fit_objective's data from Liouville propagators and H_hat: the real PTMs."""
+    return lindblad._ptm(props).real, _h_ptm(h_super)
+
+
 def _jacobian_block_assembly(a, h_super, schedule, scaled=True):
-    """fit_objective's Jacobian with its nine 8x8 blocks assembled by np.block; unscaled,
-    the directions enter at their own norm, as before the 2^-k scaling."""
-    gen = 1j * h_super + dissipator_superop(a)
+    """fit_objective's Jacobian with its nine 8x8 real PTM blocks assembled by np.block;
+    unscaled, the directions enter at their own norm, as before the 2^-k scaling."""
+    gen = _h_ptm(h_super) + (a.ravel() @ lindblad._DISSIPATOR_PTMS).real.reshape(4, 4)
     g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
-    da = dissipator_superop(hermitian_basis(3))
+    da = (hermitian_basis(3).reshape(9, 9) @ lindblad._DISSIPATOR_PTMS).real.reshape(9, 4, 4)
     k = 0
     if scaled:
         target = max(np.abs(g[0]).sum(axis=0).max(), 2.0**-6)
         while np.abs(da).sum(axis=1).max() * schedule.t1 * 2.0**-k >= target:
             k += 1
-    blocks = matrix_exp(np.block([[g, -da * (schedule.t1 * 2.0**-k)], [0 * g, g]]))
-    p, dps = blocks[0, :4, :4], [blocks[:, :4, 4:] * 2.0**k]
+    blocks = [matrix_exp(np.block([[g, -da * (schedule.t1 * 2.0**-k)], [0 * g, g]]))]
     for _ in range(1, schedule.count):
-        dps.append(dps[-1] @ p + p @ dps[-1])
-        p = p @ p
-    dps = np.stack(dps, axis=1).reshape(9, -1)
-    return np.concatenate([dps.real, dps.imag], axis=1).T
+        blocks.append(blocks[-1] @ blocks[-1])
+    dps = np.array([b[:, 1:4, 4:] for b in blocks]).transpose(1, 0, 2, 3)
+    return dps.reshape(9, -1).T / 2.0**-k
 
 
 class TestGeneratorEstimates:
@@ -364,11 +373,11 @@ class TestGeneratorEstimates:
         a = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
         a = a + 1e-5 * random_hermitian(rng, 3)
         fit_gen = 1j * h_super + dissipator_superop(a)
-        diff = np.array([propagator_from_superop(fit_gen, t) - p
+        diff = np.array([lindblad._ptm(propagator_from_superop(fit_gen, t) - p).real
                          for p, t in zip(props, schedule.times())])
-        expected = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-        out = fit_objective(a, props, h_super, schedule)[0]
-        assert out.shape == expected.shape
+        expected = diff[:, 1:].ravel()  # rows 1-3: 12 residuals per time
+        out = fit_objective(a, *_ptm_data(props, h_super), schedule)[0]
+        assert out.shape == expected.shape == (12 * count,)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     @pytest.mark.parametrize("count", [3, 4])
@@ -378,12 +387,13 @@ class TestGeneratorEstimates:
             a, h_super, _, gen = self.make_problem(rng)
             props = [propagator_from_superop(gen, t) for t in schedule.times()]
             a = a + 1e-5 * random_hermitian(rng, 3)
-            jac = fit_objective(a, props, h_super, schedule)[1]
+            data = _ptm_data(props, h_super)
+            jac = fit_objective(a, *data, schedule)[1]
             central = np.empty_like(jac)
             h = 1e-6 * np.linalg.norm(a)
             for k, e in enumerate(hermitian_basis(3)):
-                central[:, k] = (fit_objective(a + h * e, props, h_super, schedule)[0]
-                                 - fit_objective(a - h * e, props, h_super, schedule)[0]) / (2 * h)
+                central[:, k] = (fit_objective(a + h * e, *data, schedule)[0]
+                                 - fit_objective(a - h * e, *data, schedule)[0]) / (2 * h)
             assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(central)
 
     @pytest.mark.parametrize("count", [3, 4])
@@ -393,7 +403,7 @@ class TestGeneratorEstimates:
         for _ in range(5):
             a, h_super, _, _ = self.make_problem(rng, rng.uniform(-0.02, 0.02))
             a = a + 1e-5 * random_hermitian(rng, 3)
-            assert np.array_equal(fit_objective(a, props, h_super, schedule)[1],
+            assert np.array_equal(fit_objective(a, props, _h_ptm(h_super), schedule)[1],
                                   _jacobian_block_assembly(a, h_super, schedule))
 
     def test_fit_jacobian_matches_unscaled_directions(self):
@@ -406,10 +416,47 @@ class TestGeneratorEstimates:
         cases.append((np.zeros((3, 3)), np.zeros((4, 4))))
         props = np.zeros((3, 4, 4))
         for a, h_super in cases:
-            jac = fit_objective(a, props, h_super, schedule)[1]
+            jac = fit_objective(a, props, _h_ptm(h_super), schedule)[1]
             expected = _jacobian_block_assembly(a, h_super, schedule, scaled=False)
             assert np.isfinite(jac).all()
             assert np.linalg.norm(jac - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_generator_ptm_is_real_with_zero_first_row(self, rng):
+        # the fit's generator, the PTM of i H_hat plus the linear dissipator
+        # term, is the PTM of the Liouville generator: real to 1e-15, and with
+        # an exactly zero first (trace) row
+        for _ in range(50):
+            a = rng.uniform(0.01, 100) * TestDissipator._random_gks(rng)
+            h_super = hamiltonian_superop(detuning_hamiltonian(rng.uniform(-1, 1)))
+            gen = lindblad._ptm(1j * h_super) + (a.ravel() @ lindblad._DISSIPATOR_PTMS).reshape(4, 4)
+            oracle = lindblad._ptm(1j * h_super + dissipator_superop(a))
+            assert np.array_equal(gen[0], np.zeros(4))
+            assert np.abs(gen.imag).max() <= 1e-15 * max(1.0, np.abs(gen).max())
+            assert np.abs(gen - oracle).max() <= 1e-15 * max(1.0, np.abs(gen).max())
+        assert np.array_equal(lindblad._BASIS_PTMS[:, 0], np.zeros((9, 4)))
+
+    def test_residual_is_the_liouville_cost(self):
+        # GeneratorFit.residual = sum_t |exp(-G t) - P_t|_F^2 in Liouville form.
+        # The two sides differ by roundoff e (|e| <= 1e-14) in the exponentials,
+        # which moves |d|^2 by <= 2 |d| |e| + |e|^2: 1e-12 relative on the noisy
+        # fits, while the noise-free grid's residual is itself roundoff
+        schedule = TimeSchedule(t1=20.0)
+        cases = [(props, h_super, fit, False) for _, (props, h_super, _), fit in _noisy_fits()]
+        for t1_ns, t2_ns, delta in PIPELINE_GRID:
+            cfg = nvsim.SimConfig(t1_ns=t1_ns, t2_ns=t2_ns, detuning=delta, shots=0)
+            record = nvsim.run_experiment(cfg, schedule)
+            props = [propagator_from_outputs([qstate.maxent_reconstruct(record.expectations[k][t])
+                                              for k in nvsim.INPUT_LABELS])
+                     for t in schedule.times()]
+            h_super = nvsim.true_generator(cfg)[0]
+            start = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
+            cases.append((props, h_super, fit_generator(props, h_super, schedule, start), True))
+        for props, h_super, fit, noise_free in cases:
+            gen = 1j * h_super + fit.relaxation
+            cost = sum(np.linalg.norm(propagator_from_superop(gen, t) - p) ** 2
+                       for p, t in zip(props, schedule.times()))
+            roundoff = 2e-14 * math.sqrt(cost) + 1e-28 if noise_free else 0.0
+            assert abs(fit.residual - cost) <= 1e-12 * cost + roundoff
 
     def test_budget_stop_reported(self, rng, monkeypatch):
         _, h_super, _, gen = self.make_problem(rng)
@@ -524,22 +571,26 @@ class TestPrediction:
                         clipped += np.any(np.abs(bloch) > 1)
                         expected.append(np.clip(bloch, -1, 1))
                     out = predict_expectations(r, h_super, rho0, times)
-                    assert np.array_equal([e.as_tuple() for e in out], expected)
+                    diff = np.array([e.as_tuple() for e in out]) - expected
+                    assert np.max(np.abs(diff)) <= 1e-14
         assert clipped
 
     def test_cache_follows_the_generator(self, rng):
         # the one-entry propagator cache, with generators A, B, A, then A
-        # again: each result is bit-equal to the uncached exponential, and
-        # only the repeated call hits
+        # again: each result is bit-equal to the uncached exponential of the
+        # exponent's real PTM, and only the repeated call hits
         times = [20.0, 40.0, 80.0]
         rho0 = bloch_to_density([0.6, -0.3, 0.5])
+        pauli = (vectorize(rho0) @ lindblad._PAULI_READOUT).real
+        assert np.allclose(pauli, [1.0, 0.6, -0.3, 0.5], rtol=0, atol=1e-15)
         problem = TestGeneratorEstimates().make_problem
         (_, h_a, r_a, _), (_, h_b, r_b, _) = problem(rng, 0.01), problem(rng, -0.02)
         lindblad._propagators.cache_clear()
         for h_super, r_hat in ((h_a, r_a), (h_b, r_b), (h_a, r_a), (h_a, r_a)):
             exponent = -(1j * h_super + r_hat) * np.array(times)[:, None, None]
-            props = matrix_exp(exponent)
-            expected = np.clip((props @ vectorize(rho0) @ lindblad.BLOCH_READOUT).real, -1, 1)
+            props = matrix_exp(lindblad._ptm(exponent).real)
+            assert props.dtype == np.float64
+            expected = np.clip((props @ pauli)[:, 1:], -1, 1)
             out = predict_expectations(r_hat, h_super, rho0, times)
             assert np.array_equal([e.as_tuple() for e in out], expected)
         info = lindblad._propagators.cache_info()

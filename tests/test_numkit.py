@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,11 +166,69 @@ class TestMatrixExp:
             with pytest.raises(NumkitError, match="1-norm"):
                 numkit.matrix_exp(m)
 
-    def test_squarings_past_precision_give_nan(self):
-        # each squaring doubles the relative error: a 1-norm of 1e17 needs 55
-        # squarings, after which no digit is left; 2e16 needs 52
-        assert np.isnan(numkit.matrix_exp(1e17j * np.diag([1.0, -1.0]))).all()
-        assert np.isfinite(numkit.matrix_exp(2e16j * np.diag([1.0, -1.0]))).all()
+    def test_squarings_past_budget_rejected(self):
+        # each squaring can double the relative error: a 1-norm of 3e8 needs
+        # MAX_SQUARINGS = 26 squarings, and its error stays near |A| u = 3e-8,
+        # the condition of the phase; 4e8 needs 27 and 1e17 needs 55, each a
+        # NumkitError with no numpy warning
+        assert numkit.MAX_SQUARINGS == 26
+        out = numkit.matrix_exp(3e8j * np.diag([1.0, -1.0]))
+        expected = np.diag(np.exp([3e8j, -3e8j]))
+        assert np.linalg.norm(out - expected) <= 1e-7 * np.linalg.norm(expected)
+        for norm in (4e8, 1e17):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumkitError, match="needs [0-9]+ squarings"):
+                    numkit.matrix_exp(norm * 1j * np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("norm", [THETAS[0] / 2, *THETAS, 1.5 * THETAS[-1], 50.0, 200.0])
+    def test_real_input_stays_real(self, rng, norm):
+        # a float64 input runs the same Pade degree and squarings in real
+        # arithmetic: float64 out, within 1e-14 of the complex route, at every
+        # degree, in the squaring regime and on a stack
+        for _ in range(5):
+            m = rng.normal(size=(4, 4))
+            m *= norm / np.abs(m).sum(axis=0).max()
+            stack = np.array([m, m / 3, -m / 7])
+            for a in (m, stack):
+                out = numkit.matrix_exp(a)
+                expected = numkit.matrix_exp(a.astype(complex))
+                assert out.dtype == np.float64 and expected.dtype == np.complex128
+                err = np.linalg.norm(out - expected, axis=(-2, -1))
+                assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("norm", [THETAS[0] / 2, *THETAS, 50.0])
+    def test_complex_input_keeps_the_complex_route(self, rng, norm):
+        # bit-equal to the Pade evaluation written out in complex arithmetic,
+        # for complex matrices, complex stacks and (cast to complex) integers
+        for _ in range(5):
+            m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+            m *= norm / np.abs(m).sum(axis=-2).max()
+            for a in (m, m[0]):
+                assert np.array_equal(numkit.matrix_exp(a), _complex_pade_exp(a))
+        ints = np.array([[0, 1], [-1, 0]])
+        assert np.array_equal(numkit.matrix_exp(ints), _complex_pade_exp(ints.astype(complex)))
+
+
+def _complex_pade_exp(a):
+    """matrix_exp's scaling, Pade and squaring steps in complex arithmetic."""
+    norm, s = np.abs(a).sum(axis=-2).max(), 0
+    for theta, b in numkit._PADE.items():
+        if norm <= theta:
+            break
+    else:
+        s = math.ceil(math.log2(norm / theta))
+        a = a / 2.0**s
+    eye = np.eye(a.shape[-1], dtype=complex)
+    powers = [a @ a]
+    while len(powers) < len(b) // 2 - 1:
+        powers.append(powers[-1] @ powers[0])
+    u = a @ sum((c * p for c, p in zip(b[3::2], powers)), b[1] * eye)
+    v = sum((c * p for c, p in zip(b[2::2], powers)), b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 class TestMatrixLog:
@@ -180,6 +241,16 @@ class TestMatrixLog:
         m = np.array([[1e308, 1e308], [0.0, 1e308]])
         with pytest.raises(NumkitError, match="1-norm"):
             numkit.matrix_log_principal(m)
+
+    @pytest.mark.parametrize("size", [1e160, 1e200])
+    def test_entries_past_1e154_rejected_without_warning(self, size):
+        # the 1-norm is finite, but det and the round trip's Frobenius norm
+        # would overflow: a NumkitError and no numpy warning
+        m = size * np.array([[1.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumkitError):
+                numkit.matrix_log_principal(m)
 
     def test_diagonal(self):
         out = numkit.matrix_log_principal(np.diag([np.exp(-2.0), np.exp(-3.0)]))
