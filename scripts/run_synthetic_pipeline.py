@@ -40,7 +40,6 @@ def main() -> None:
             for label in nvsim.INPUT_LABELS
         ]
         chi = qpt.chi_from_outputs(outputs)
-        chi = (chi + chi.conj().T) / 2
         min_eig = float(np.linalg.eigvalsh(chi).min())
         print(f"\nt = {t:g} ns: raw chi min eigenvalue {min_eig:.3e}")
         if min_eig < tolerances.get("min_eig_floor"):

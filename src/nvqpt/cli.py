@@ -187,7 +187,6 @@ def cmd_reconstruct(args) -> int:
         if gaps:
             missing[label] = gaps
     chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])
-    chi = (chi + chi.conj().T) / 2
     diagnostics = {
         "time_ns": time,
         "min_eigenvalue": float(eig_hermitian(chi).eigenvalues[0]),

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import (clip_negative_eigs, eig_hermitian, hermitian_basis, levenberg_marquardt,
-                     matrix_exp, matrix_log_principal, triangular_from_params)
+from .numkit import (_from_components, clip_negative_eigs, eig_hermitian, hermitian_basis,
+                     levenberg_marquardt, matrix_exp, matrix_log_principal, triangular_from_params)
 from .qstate import IDENTITY_2, PAULIS, PauliExpectations
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
@@ -183,20 +183,17 @@ def _ptm(superop) -> np.ndarray:
     return _PTM_BASIS.conj().T @ np.asarray(superop, dtype=complex) @ _PTM_BASIS
 
 
-# The PTM of R_hat(a) is Re(a.ravel() @ _DISSIPATOR_PTMS), first (trace) row exactly 0; rows
-# 1-3 of each basis matrix's are the fit's derivatives and the start's design (condition 2).
-_DISSIPATOR_PTMS = (_ptm(-_DISSIPATOR_TENSOR) * [[0.0], [1.0], [1.0], [1.0]]).reshape(9, 16)
-_BASIS_PTMS = (hermitian_basis(3).reshape(9, 9) @ _DISSIPATOR_PTMS).real.reshape(9, 4, 4)
+# Row k is the real PTM of R_hat(B_k), B_k = hermitian_basis(3)[k], first (trace) row exactly 0:
+# c @ _BASIS_PTMS is R_hat(a)'s for a's components c, and _GKS_START inverts its rows 1-3.
+_BASIS_PTMS = _ptm(dissipator_superop(hermitian_basis(3))).real * [[0.0], [1.0], [1.0], [1.0]]
 _BASIS_NORM1 = np.abs(_BASIS_PTMS).sum(axis=1).max()
-_GKS_START = (np.linalg.pinv(_BASIS_PTMS[:, 1:].reshape(9, 12).T)  # from a raveled superop
-              @ _ptm(np.eye(16).reshape(16, 4, 4))[:, 1:].reshape(16, 12).T)
+_GKS_START = np.linalg.pinv(_BASIS_PTMS[:, 1:].reshape(9, 12).T)
 
 
 def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     """The fit's start: the GKS matrix a whose R_hat(a) is nearest an
     unconstrained generator estimate in least squares, clipped to PSD."""
-    comps = (_GKS_START @ np.asarray(r_estimate, dtype=complex).ravel()).real
-    return clip_negative_eigs(np.tensordot(comps, hermitian_basis(3), 1))
+    return clip_negative_eigs(_from_components(_GKS_START @ _ptm(r_estimate)[1:].real.ravel()))
 
 
 @dataclass(frozen=True)
@@ -208,18 +205,18 @@ class GeneratorFit:
     converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
 
 
-def fit_objective(a: np.ndarray, ptms: np.ndarray, h_ptm: np.ndarray, schedule: TimeSchedule):
-    """(residuals, Jacobian) of the fit at a: rows 1-3 (row 0 is (1, 0, 0, 0) for
-    every a) of exp(-G t) - R_t over the schedule, for the generator's real PTM G =
-    h_ptm + PTM(R_hat(a)) and the real measured PTMs R_t, and their derivatives d/dc_k
-    (columns) for the components c of a in hermitian_basis(3).  With dG_k = PTM(R_hat(B_k)),
+def fit_objective(c: np.ndarray, ptms: np.ndarray, h_ptm: np.ndarray, schedule: TimeSchedule):
+    """(residuals, Jacobian) of the fit at the components c in hermitian_basis(3) of a GKS
+    matrix a: rows 1-3 (row 0 is (1, 0, 0, 0) for every a) of exp(-G t) - R_t over the
+    schedule, for the generator's real PTM G = h_ptm + PTM(R_hat(a)) and the real measured
+    PTMs R_t, and their derivatives d/dc_k (columns).  With dG_k = PTM(R_hat(B_k)),
     exp([[-G t1, -dG_k t1], [0, -G t1]]) holds exp(-G t1) upper left and its derivative
     along dG_k upper right (Najfeld and Havel, Adv. Appl. Math. 16, 321 (1995)); the
     schedule doubles, so its square is the next time's.  The derivative is linear in its
     direction, so the directions are scaled by 2^-k to the 1-norm of -G t1, or to 2^-6
     (about theta_3) if smaller, as at G = 0: the blocks then take the Pade degree of
     -G t1, unsquared, and the power of two is undone."""
-    gen = h_ptm + (np.asarray(a).ravel() @ _DISSIPATOR_PTMS).real.reshape(4, 4)
+    gen = h_ptm + (c @ _BASIS_PTMS.reshape(9, 16)).reshape(4, 4)
     blocks = np.zeros((9, 8, 8))
     blocks[:, :4, :4] = blocks[:, 4:, 4:] = g = -gen * schedule.t1
     ratio = _BASIS_NORM1 * schedule.t1 / max(np.abs(g).sum(axis=0).max(), 2.0**-6)
@@ -244,7 +241,7 @@ def fit_generator(props: list[np.ndarray], h_super: np.ndarray, schedule: TimeSc
     # the cost's parts that no a moves: row 0 (exp(-G t) keeps (1, 0, 0, 0)) and Im
     fixed = np.sum(ptms.imag**2) + np.sum((ptms.real[:, 0] - np.eye(4)[0])**2)
     a, cost, evals, converged = levenberg_marquardt(
-        lambda a: fit_objective(a, ptms.real, h_ptm, schedule), start)
+        lambda c: fit_objective(c, ptms.real, h_ptm, schedule), start)
     return GeneratorFit(gks=a, relaxation=dissipator_superop(a), residual=cost + float(fixed),
                         evaluations=evals, converged=converged)
 

@@ -32,12 +32,12 @@ class ObjectiveDiverged(NumkitError):
     pass
 
 
-def _as_square(m, name: str = "matrix", stack: bool = False, dtype=complex) -> np.ndarray:
+def _as_square(m, stack: bool = False, dtype=complex) -> np.ndarray:
     a = np.asarray(m, dtype=dtype)
     if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
-        raise NumkitError(f"{name} must be square, got shape {a.shape}")
+        raise NumkitError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise NumkitError(f"{name} has non-finite entries")
+        raise NumkitError("matrix has non-finite entries")
     return a
 
 
@@ -79,24 +79,14 @@ def _clip_eigs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-@functools.cache
-def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the strictly lower triangle: (1,0), (2,1), ..., (2,0), ...
-    Built once per n and shared by every caller, so read-only."""
-    pairs = np.array([(i, i - k) for k in range(1, n) for i in range(k, n)],
-                     dtype=np.intp).reshape(-1, 2)
-    pairs.flags.writeable = False
-    return pairs[:, 0], pairs[:, 1]
-
-
 def triangular_from_params(x, n: int) -> np.ndarray:
-    """Lower-triangular n x n matrix from n^2 reals: the real diagonal,
-    then (Re, Im) pairs of the strictly lower entries."""
+    """Lower-triangular n x n matrix from n^2 reals: the real diagonal, then
+    (Re, Im) pairs of the strictly lower entries in np.tril_indices order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n * n,):
         raise NumkitError(f"expected {n * n} real parameters")
     m = np.diag(x[:n]).astype(complex)
-    m[_strict_lower(n)] = x[n::2] + 1j * x[n + 1::2]
+    m[np.tril_indices(n, -1)] = x[n::2] + 1j * x[n + 1::2]
     return m
 
 
@@ -275,9 +265,10 @@ def psd_model_step(metric, grad, c) -> np.ndarray:
 
 
 def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize sum(r(a)**2) over PSD a from a0 (clipped to PSD), given
-    model(a) = (r(a), J(a)) with J = d r / dc for the components c of a in
-    hermitian_basis; returns (a_best, cost, evaluations, converged).
+    """Minimize sum(r(c)**2) over the components c in hermitian_basis of PSD
+    matrices, from a0 clipped to PSD, given model(c) = (r(c), d r / dc) for c
+    a 1-D float vector of length n^2; returns (a_best, cost, evaluations,
+    converged), a_best the matrix of the best c.
 
     Each step minimizes the Gauss-Newton model, damped by lam * max(diag
     J^T J), on the PSD cone (psd_model_step).  Converges before evaluating a
@@ -290,7 +281,7 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
     def f(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         nonlocal evals
         evals += 1
-        r, jac = (np.asarray(x, dtype=float) for x in model(_from_components(c)))
+        r, jac = (np.asarray(x, dtype=float) for x in model(c))
         if not np.all(np.isfinite(r)):
             raise ObjectiveDiverged(f"objective diverged at components {c}")
         return r, float(r @ r), jac

@@ -45,16 +45,16 @@ def density_to_bloch(rho) -> np.ndarray:
     return np.array([np.trace(rho @ s).real for s in PAULIS])
 
 
-def validate_density(rho, name: str = "state") -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
-        raise StateError(f"{name} must be 2x2")
+        raise StateError("state must be 2x2")
     if np.linalg.norm(rho - rho.conj().T) > 1e-9:
-        raise StateError(f"{name} is not Hermitian")
+        raise StateError("state is not Hermitian")
     if abs(np.trace(rho) - 1) > 1e-9:
-        raise StateError(f"{name} trace is not 1")
+        raise StateError("state trace is not 1")
     if eig_hermitian(rho).eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise StateError(f"{name} has a negative eigenvalue")
+        raise StateError("state has a negative eigenvalue")
     return rho
 
 

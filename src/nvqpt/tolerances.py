@@ -3,8 +3,8 @@
 Every tolerance used across the package lives here so that a single
 override applies consistently.  NVQPT_TOLERANCES may name a JSON file
 holding an object of finite numeric overrides for a subset of the DEFAULTS
-keys, each on the sign side its key requires (POSITIVE, NON_POSITIVE); any
-problem with that file raises ToleranceError.
+keys, each on its default's side of zero; any problem with that file
+raises ToleranceError.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ DEFAULTS: dict[str, float] = {
     "bloch_ball": 1e-9,             # |r| may exceed 1 by this much before rejection
     "kraus_eig_floor": -1e-8,       # chi eigenvalues below this are not CP
 }
-
-# The sign each override must keep: a tolerance of zero or below fails its
-# checks on valid input, and a positive eigenvalue floor rejects every
-# rank-deficient positive semidefinite matrix, a pure state among them.
-POSITIVE = ("hermitian_input", "log_branch", "log_roundtrip", "tp_defect_max", "bloch_ball")
-NON_POSITIVE = ("min_eig_floor", "kraus_eig_floor")
 
 _TABLE: dict[str, float] | None = None
 
@@ -59,10 +53,12 @@ def table() -> dict[str, float]:
                     # check, and type() rejects a bool, which is an int subclass
                     if type(value) not in (int, float) or not math.isfinite(value):
                         raise ToleranceError(f"{key} must be a finite number, got {value!r}")
-                    if key in POSITIVE and not value > 0:
-                        raise ToleranceError(f"{key} must be positive, got {value!r}")
-                    if key in NON_POSITIVE and value > 0:
-                        raise ToleranceError(f"{key} must not be positive, got {value!r}")
+                    # an override keeps its default's sign: a tolerance of zero or below
+                    # fails its checks on valid input, and a positive eigenvalue floor
+                    # rejects every rank-deficient PSD matrix, a pure state among them
+                    if (value > 0) != (DEFAULTS[key] > 0):
+                        raise ToleranceError(f"{key} must {'' if DEFAULTS[key] > 0 else 'not '}"
+                                             f"be positive, got {value!r}")
                     values[key] = float(value)
             except (OSError, ValueError, TypeError, OverflowError) as exc:
                 raise ToleranceError(f"NVQPT_TOLERANCES={path}: {exc}") from exc

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nvqpt
-from nvqpt import cli, lindblad, numkit, nvsim, qstate, tolerances
+from nvqpt import cli, lindblad, numkit, nvsim, qpt, qstate, tolerances
 
 
 def run(*argv):
@@ -215,6 +215,41 @@ class TestReconstruct:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("reconstruct", str(tmp_path / "nope.json"), "--time", "20") == 3
+
+    def test_chi_needs_no_symmetrizing(self, tmp_path, monkeypatch):
+        # E(|1><0|) is built by the conjugate identity of E(|0><1|), so chi is
+        # exactly Hermitian, and symmetrizing it changes no output byte; the
+        # records mix noisy values with unmeasured, +-0 and +-1 axes
+        rng = np.random.default_rng(23)
+        chi_from_outputs = qpt.chi_from_outputs
+        special = [None, 0.0, -0.0, 1.0, -1.0]
+        for seed in range(40):
+            path = tmp_path / "record.json"
+            assert run("simulate", "--seed", str(seed), "--shots", "100",
+                       "--out", str(path)) == 0
+            doc = json.loads(path.read_text())
+            for row in doc["expectations"].values():
+                for values in row.values():
+                    for ax in values:
+                        if rng.uniform() < 0.5:
+                            values[ax] = special[rng.integers(len(special))]
+            path.write_text(json.dumps(doc))
+            outputs = []
+            for symmetrize in (False, True):
+                with monkeypatch.context() as patch:
+                    if symmetrize:
+                        patch.setattr(qpt, "chi_from_outputs", lambda o: (
+                            lambda chi: (chi + chi.conj().T) / 2)(chi_from_outputs(o)))
+                    for t in doc["times_ns"]:
+                        out = tmp_path / f"process-{symmetrize}-{t}.json"
+                        assert run("reconstruct", str(path), "--time", str(t),
+                                   "--out", str(out)) == 0
+                        outputs.append(out.read_bytes())
+            assert outputs[:3] == outputs[3:]
+            _, grid = cli._read_record(str(path))
+            for row in grid:
+                chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])
+                assert np.array_equal(chi, chi.conj().T)
 
 
 class TestProject:
@@ -524,8 +559,21 @@ class TestToleranceOverride:
         assert run("reconstruct", str(record_path), "--time", "20") == 2
         assert "NVQPT_TOLERANCES" in capsys.readouterr().err
 
-    def test_every_key_has_a_sign_rule(self):
-        assert sorted(tolerances.POSITIVE + tolerances.NON_POSITIVE) == sorted(tolerances.DEFAULTS)
+    def test_every_key_has_a_sign_rule(self, override):
+        # each override keeps its default's sign: 0 fails only the positive
+        # keys, and +1 fails only the non-positive ones
+        assert {d > 0 for d in tolerances.DEFAULTS.values()} == {True, False}
+        for key, default in tolerances.DEFAULTS.items():
+            override(json.dumps({key: 2 * default}))
+            assert tolerances.get(key) == 2 * default
+            for value in (0, 1):
+                override(json.dumps({key: value}))
+                if (value > 0) == (default > 0) or (value == 0 and default < 0):
+                    assert tolerances.get(key) == value
+                else:
+                    rule = "must be positive" if default > 0 else "must not be positive"
+                    with pytest.raises(tolerances.ToleranceError, match=f"{key} {rule}"):
+                        tolerances.table()
 
     def test_zero_floor_is_accepted(self, override):
         override(json.dumps({"min_eig_floor": 0, "kraus_eig_floor": 0.0}))

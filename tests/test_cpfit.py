@@ -20,9 +20,10 @@ class TestParameterization:
         t = rng.normal(size=16)
         m = triangular_from_params(t, 4)
         assert np.allclose(np.triu(m, 1), 0)
-        # real diagonal first, then Re/Im of (1,0), (2,1), (3,2), (2,0), (3,1), (3,0)
+        # real diagonal first, then Re/Im of the strictly lower entries row by
+        # row, np.tril_indices(4, -1)'s order
         assert np.array_equal(np.diag(m).real, t[:4])
-        low = [(1, 0), (2, 1), (3, 2), (2, 0), (3, 1), (3, 0)]
+        low = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
         assert np.array_equal([m[ij] for ij in low], t[4::2] + 1j * t[5::2])
 
     def test_diagonal_is_real(self, rng):

@@ -283,12 +283,12 @@ def _ptm_data(props, h_super):
     return lindblad._ptm(props).real, _h_ptm(h_super)
 
 
-def _jacobian_block_assembly(a, h_super, schedule, scaled=True):
+def _jacobian_block_assembly(c, h_super, schedule, scaled=True):
     """fit_objective's Jacobian with its nine 8x8 real PTM blocks assembled by np.block;
     unscaled, the directions enter at their own norm, as before the 2^-k scaling."""
-    gen = _h_ptm(h_super) + (a.ravel() @ lindblad._DISSIPATOR_PTMS).real.reshape(4, 4)
+    gen = _h_ptm(h_super) + (c @ lindblad._BASIS_PTMS.reshape(9, 16)).reshape(4, 4)
     g = np.broadcast_to(-gen * schedule.t1, (9, 4, 4))
-    da = (hermitian_basis(3).reshape(9, 9) @ lindblad._DISSIPATOR_PTMS).real.reshape(9, 4, 4)
+    da = lindblad._BASIS_PTMS
     k = 0
     if scaled:
         target = max(np.abs(g[0]).sum(axis=0).max(), 2.0**-6)
@@ -299,6 +299,28 @@ def _jacobian_block_assembly(a, h_super, schedule, scaled=True):
         blocks.append(blocks[-1] @ blocks[-1])
     dps = np.array([b[:, 1:4, 4:] for b in blocks]).transpose(1, 0, 2, 3)
     return dps.reshape(9, -1).T / 2.0**-k
+
+
+def _matrix_route_objective(a, ptms, h_ptm, schedule):
+    """fit_objective as it was when it took the GKS matrix a: the generator's PTM from
+    a.ravel() through the complex (9, 16) PTMs of the elementary GKS terms (first row
+    zeroed), and the directions mapped from those through hermitian_basis(3)."""
+    term_ptms = lindblad._ptm(-lindblad._DISSIPATOR_TENSOR) * [[0.0], [1.0], [1.0], [1.0]]
+    term_ptms = term_ptms.reshape(9, 16)
+    basis_ptms = (hermitian_basis(3).reshape(9, 9) @ term_ptms).real.reshape(9, 4, 4)
+    gen = h_ptm + (np.asarray(a).ravel() @ term_ptms).real.reshape(4, 4)
+    blocks = np.zeros((9, 8, 8))
+    blocks[:, :4, :4] = blocks[:, 4:, 4:] = g = -gen * schedule.t1
+    norm1 = np.abs(basis_ptms).sum(axis=1).max()
+    ratio = norm1 * schedule.t1 / max(np.abs(g).sum(axis=0).max(), 2.0**-6)
+    scale = math.ldexp(1.0, -max(0, math.frexp(ratio)[1]))
+    blocks[:, :4, 4:] = -basis_ptms * (schedule.t1 * scale)
+    blocks = [matrix_exp(blocks)]
+    for _ in range(1, schedule.count):
+        blocks.append(blocks[-1] @ blocks[-1])
+    blocks = np.array(blocks)[:, :, 1:4]
+    dps = blocks[..., 4:].transpose(1, 0, 2, 3).reshape(9, -1)
+    return (blocks[:, 0, :, :4] - ptms[:, 1:]).ravel(), dps.T / scale
 
 
 class TestGeneratorEstimates:
@@ -376,9 +398,32 @@ class TestGeneratorEstimates:
         diff = np.array([lindblad._ptm(propagator_from_superop(fit_gen, t) - p).real
                          for p, t in zip(props, schedule.times())])
         expected = diff[:, 1:].ravel()  # rows 1-3: 12 residuals per time
-        out = fit_objective(a, *_ptm_data(props, h_super), schedule)[0]
+        out = fit_objective(_gks_components(a), *_ptm_data(props, h_super), schedule)[0]
         assert out.shape == expected.shape == (12 * count,)
         assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_fit_objective_equals_matrix_route(self, rng):
+        # the components route against the matrix route it replaced, at random
+        # problems near their truth, the noisy fits and the criterion-05 grid:
+        # residuals to 1e-15, the Jacobian to 1e-15 relative
+        cases = []
+        for count in (3, 4):
+            schedule = TimeSchedule(t1=20.0, count=count)
+            for _ in range(5):
+                a, h_super, _, gen = self.make_problem(rng, rng.uniform(-0.02, 0.02))
+                props = [propagator_from_superop(gen, t) for t in schedule.times()]
+                cases.append((a + 1e-5 * random_hermitian(rng, 3), props, h_super, schedule))
+        cases += [(fit.gks, *data) for _, data, fit in _noisy_fits()]
+        for t1_ns, t2_ns, delta in PIPELINE_GRID:
+            cfg = nvsim.SimConfig(t1_ns=t1_ns, t2_ns=t2_ns, detuning=delta)
+            cases.append((nvsim.true_gks_matrix(cfg), np.zeros((3, 4, 4)),
+                          nvsim.true_generator(cfg)[0], TimeSchedule(t1=20.0)))
+        for a, props, h_super, schedule in cases:
+            data = _ptm_data(props, h_super)
+            r, jac = fit_objective(_gks_components(a), *data, schedule)
+            r_old, jac_old = _matrix_route_objective(a, *data, schedule)
+            assert np.max(np.abs(r - r_old)) <= 1e-15
+            assert np.linalg.norm(jac - jac_old) <= 1e-15 * np.linalg.norm(jac_old)
 
     @pytest.mark.parametrize("count", [3, 4])
     def test_fit_jacobian_matches_central_differences(self, rng, count):
@@ -386,14 +431,14 @@ class TestGeneratorEstimates:
         for _ in range(3):
             a, h_super, _, gen = self.make_problem(rng)
             props = [propagator_from_superop(gen, t) for t in schedule.times()]
-            a = a + 1e-5 * random_hermitian(rng, 3)
+            c = _gks_components(a + 1e-5 * random_hermitian(rng, 3))
             data = _ptm_data(props, h_super)
-            jac = fit_objective(a, *data, schedule)[1]
+            jac = fit_objective(c, *data, schedule)[1]
             central = np.empty_like(jac)
-            h = 1e-6 * np.linalg.norm(a)
-            for k, e in enumerate(hermitian_basis(3)):
-                central[:, k] = (fit_objective(a + h * e, *data, schedule)[0]
-                                 - fit_objective(a - h * e, *data, schedule)[0]) / (2 * h)
+            h = 1e-6 * np.linalg.norm(c)
+            for k, e in enumerate(np.eye(9)):
+                central[:, k] = (fit_objective(c + h * e, *data, schedule)[0]
+                                 - fit_objective(c - h * e, *data, schedule)[0]) / (2 * h)
             assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(central)
 
     @pytest.mark.parametrize("count", [3, 4])
@@ -402,9 +447,9 @@ class TestGeneratorEstimates:
         props = np.zeros((count, 4, 4))  # the Jacobian does not depend on the data
         for _ in range(5):
             a, h_super, _, _ = self.make_problem(rng, rng.uniform(-0.02, 0.02))
-            a = a + 1e-5 * random_hermitian(rng, 3)
-            assert np.array_equal(fit_objective(a, props, _h_ptm(h_super), schedule)[1],
-                                  _jacobian_block_assembly(a, h_super, schedule))
+            c = _gks_components(a + 1e-5 * random_hermitian(rng, 3))
+            assert np.array_equal(fit_objective(c, props, _h_ptm(h_super), schedule)[1],
+                                  _jacobian_block_assembly(c, h_super, schedule))
 
     def test_fit_jacobian_matches_unscaled_directions(self):
         # the 2^-k direction scaling against the blocks at the directions' own
@@ -416,8 +461,9 @@ class TestGeneratorEstimates:
         cases.append((np.zeros((3, 3)), np.zeros((4, 4))))
         props = np.zeros((3, 4, 4))
         for a, h_super in cases:
-            jac = fit_objective(a, props, _h_ptm(h_super), schedule)[1]
-            expected = _jacobian_block_assembly(a, h_super, schedule, scaled=False)
+            c = _gks_components(a)
+            jac = fit_objective(c, props, _h_ptm(h_super), schedule)[1]
+            expected = _jacobian_block_assembly(c, h_super, schedule, scaled=False)
             assert np.isfinite(jac).all()
             assert np.linalg.norm(jac - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -428,7 +474,8 @@ class TestGeneratorEstimates:
         for _ in range(50):
             a = rng.uniform(0.01, 100) * TestDissipator._random_gks(rng)
             h_super = hamiltonian_superop(detuning_hamiltonian(rng.uniform(-1, 1)))
-            gen = lindblad._ptm(1j * h_super) + (a.ravel() @ lindblad._DISSIPATOR_PTMS).reshape(4, 4)
+            basis_ptms = lindblad._BASIS_PTMS.reshape(9, 16)
+            gen = lindblad._ptm(1j * h_super) + (_gks_components(a) @ basis_ptms).reshape(4, 4)
             oracle = lindblad._ptm(1j * h_super + dissipator_superop(a))
             assert np.array_equal(gen[0], np.zeros(4))
             assert np.abs(gen.imag).max() <= 1e-15 * max(1.0, np.abs(gen).max())

@@ -310,37 +310,31 @@ def _components(a):
     return (basis.conj() @ np.asarray(a, dtype=complex).ravel()).real
 
 
-def _rosenbrock(a):
-    # 100 (a11 - a00^2)^2 + (1 - a00)^2 as a sum of squares, with its
-    # Jacobian; the off-diagonal components are pinned to zero, so the
-    # minimum diag(1, 1) is PSD
-    c = _components(a)
+def _rosenbrock(c):
+    # 100 (a11 - a00^2)^2 + (1 - a00)^2 as a sum of squares of the components
+    # c of a, with its Jacobian; the off-diagonal components are pinned to
+    # zero, so the minimum diag(1, 1) is PSD
     jac = np.eye(4)
     jac[:2, :2] = [[-20 * c[0], 10.0], [-1.0, 0.0]]
     return np.array([10 * (c[1] - c[0] ** 2), 1 - c[0], c[2], c[3]]), jac
 
 
 def _identity_model(residuals):
-    """The model (residuals(a), I) of residuals linear in the components."""
-    return lambda a: (residuals(a), np.eye(np.size(a)))
+    """The model (residuals(c), I) of residuals linear in the components c."""
+    return lambda c: (residuals(c), np.eye(len(c)))
 
 
 class TestTriangular:
     def test_equals_index_list_form(self, rng):
+        # the strictly lower entries row by row, np.tril_indices(n, -1)'s order
         for n in range(1, 6):
-            pairs = [(i, i - k) for k in range(1, n) for i in range(k, n)]
+            pairs = [(i, j) for i in range(n) for j in range(i)]
             rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
             for _ in range(20):
                 x = rng.normal(size=n * n)
                 expected = np.diag(x[:n]).astype(complex)
                 expected[rows, cols] = x[n::2] + 1j * x[n + 1::2]
                 assert np.array_equal(numkit.triangular_from_params(x, n), expected)
-
-    def test_shared_indices_are_read_only(self):
-        rows, cols = numkit._strict_lower(3)
-        with pytest.raises(ValueError):
-            rows[0] = 0
-        assert numkit._strict_lower(3) is numkit._strict_lower(3)
 
 
 class TestHermitianBasis:
@@ -402,7 +396,7 @@ class TestPsdModelStep:
 class TestLevenbergMarquardt:
     def test_parabola(self):
         a, f, _, converged = numkit.levenberg_marquardt(
-            _identity_model(lambda a: a.real.ravel() - 2), np.zeros((1, 1)))
+            _identity_model(lambda c: c - 2), np.zeros((1, 1)))
         assert abs(a[0, 0] - 2) <= 1e-8
         assert f <= 1e-16
         assert converged
@@ -421,7 +415,7 @@ class TestLevenbergMarquardt:
         for _ in range(10):
             target = random_hermitian(rng, 3)
             a, f, _, converged = numkit.levenberg_marquardt(
-                _identity_model(lambda a: _components(a - target)), np.eye(3))
+                _identity_model(lambda c: c - _components(target)), np.eye(3))
             w = np.linalg.eigvalsh(target)
             assert f <= float(w[w < 0] @ w[w < 0]) * (1 + 1e-14)
             assert np.linalg.norm(a - numkit.clip_negative_eigs(target)) <= 1e-7
@@ -430,27 +424,26 @@ class TestLevenbergMarquardt:
     def test_constant_objective_takes_one_jacobian(self):
         a0 = np.diag([1.0, 2.0, 3.0])
         a, f, evals, converged = numkit.levenberg_marquardt(
-            lambda a: (np.array([7.0, 1.0]), np.zeros((2, 9))), a0)
+            lambda c: (np.array([7.0, 1.0]), np.zeros((2, 9))), a0)
         assert np.allclose(a, a0, rtol=0, atol=1e-15)
         assert f == 50.0
         assert evals == 1  # the start point, with its Jacobian
         assert converged  # a zero gradient gives a zero step
 
     def test_never_worse_than_start(self, rng):
-        def bumpy(a):
-            c = _components(a)
+        def bumpy(c):
             return (np.concatenate([c, [np.sin(5 * c[0])]]),
                     np.vstack([np.eye(4), [5 * np.cos(5 * c[0]), 0.0, 0.0, 0.0]]))
 
         for _ in range(5):
             a0 = numkit.clip_negative_eigs(random_hermitian(rng, 2))
             _, f, _, _ = numkit.levenberg_marquardt(bumpy, a0)
-            assert f <= float(np.sum(bumpy(a0)[0] ** 2))
+            assert f <= float(np.sum(bumpy(_components(a0))[0] ** 2))
 
     def test_zero_parameter_moves_on_exact_jacobian(self):
         # the start a = 0 sits on the boundary of the cone
         a, f, _, _ = numkit.levenberg_marquardt(
-            _identity_model(lambda a: a.real.ravel() - 0.3), np.zeros((1, 1)))
+            _identity_model(lambda c: c - 0.3), np.zeros((1, 1)))
         assert abs(a[0, 0] - 0.3) <= 1e-8
 
     def test_diverging_objective(self):
@@ -461,9 +454,9 @@ class TestLevenbergMarquardt:
     def test_budget_charges_each_evaluation(self, monkeypatch):
         calls = []
 
-        def counted(a):
+        def counted(c):
             calls.append(1)
-            return _rosenbrock(a)
+            return _rosenbrock(c)
 
         monkeypatch.setattr(numkit, "MAX_EVALUATIONS", 1)
         a, f, evals, converged = numkit.levenberg_marquardt(counted, np.diag([-1.2, 1.0]))
@@ -475,9 +468,9 @@ class TestLevenbergMarquardt:
         # an accepted trial brings its own Jacobian, so no point is revisited
         points = []
 
-        def recorded(a):
-            points.append(a.tobytes())
-            return _rosenbrock(a)
+        def recorded(c):
+            points.append(c.tobytes())
+            return _rosenbrock(c)
 
         _, f, evals, converged = numkit.levenberg_marquardt(recorded, np.diag([-1.2, 1.0]))
         assert converged and f < 1e-12
@@ -486,7 +479,21 @@ class TestLevenbergMarquardt:
     def test_rejects_non_hermitian_start(self):
         for a0 in (np.zeros((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]])):
             with pytest.raises(NumkitError):
-                numkit.levenberg_marquardt(_identity_model(lambda a: a.real.ravel()), a0)
+                numkit.levenberg_marquardt(_identity_model(lambda c: c), a0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_model_takes_a_real_component_vector(self, rng, n):
+        # the model sees the coordinates of its Jacobian: n^2 real components
+        seen, target = [], _components(random_hermitian(rng, n))
+
+        def recorded(c):
+            seen.append(c)
+            return c - target, np.eye(n * n)
+
+        numkit.levenberg_marquardt(recorded, np.eye(n))
+        assert len(seen) >= 2
+        for c in seen:
+            assert type(c) is np.ndarray and c.dtype == np.float64 and c.shape == (n * n,)
 
 
 def _richardson(f, t1):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nvqpt import cpfit, lindblad, nvsim, qpt
+from nvqpt import cpfit, lindblad, numkit, nvsim, qpt
 from nvqpt.nvsim import (
     INPUT_LABELS,
     ExperimentRecord,
@@ -261,7 +261,7 @@ class TestPipelineStatistics:
         for _, (props, h_super, schedule), fit in _noisy_fits():
             a = fit.gks
             ptms, h_ptm = lindblad._ptm(props).real, lindblad._ptm(1j * h_super).real
-            r, jac = lindblad.fit_objective(a, ptms, h_ptm, schedule)
+            r, jac = lindblad.fit_objective(numkit._to_components(a), ptms, h_ptm, schedule)
             grad = np.tensordot(2 * jac.T @ r, hermitian_basis(3), 1)
             scale = np.linalg.norm(jac) * np.linalg.norm(r)
             assert fit.converged
