@@ -2,9 +2,9 @@
 
 Subcommands: simulate, reconstruct, project, metrics, lindblad,
 ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
-argument value or NVQPT_TOLERANCES override), 3 data error (including a
-malformed input document), 4 numerical failure (including any kernel
-error no stage maps itself).
+argument value, an unwritable --out or an NVQPT_TOLERANCES override), 3
+data error (including a malformed input document), 4 numerical failure
+(including any kernel error no stage maps itself); stages raise, main prints.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -30,6 +30,10 @@ LINDBLAD_SCHEMA = "qpt-lindblad/1"
 AXES = ("sx", "sy", "sz")
 
 
+class UsageError(Exception):
+    exit_code = EXIT_USAGE
+
+
 class DataError(Exception):
     exit_code = EXIT_DATA
 
@@ -47,8 +51,11 @@ def _write(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _dump_json(obj: dict, path: str) -> None:
@@ -82,7 +89,7 @@ def _field(doc, path: str, *keys):
 def _real_array(doc, path: str, key: str) -> np.ndarray:
     try:
         return np.array(_field(doc, path, key), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {key} is not a rectangular array of numbers") from exc
 
 
@@ -165,16 +172,14 @@ def cmd_simulate(args) -> int:
         schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
         record = nvsim.run_experiment(cfg, schedule)
     except (nvsim.SimulationError, lindblad.LindbladError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     _dump_json(record.to_record_dict(), args.out)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     if not np.isfinite(args.time):
-        print(f"error: --time must be finite, got {args.time}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--time must be finite, got {args.time}")
     times, grid = _read_record(args.record)
     matches = [i for i, t in enumerate(times)
                if abs(t - args.time) <= 1e-9 * max(1.0, abs(args.time))]
@@ -239,7 +244,7 @@ def cmd_metrics(args) -> int:
     chi_a = _read_process(args.process_a)
     chi_b = _read_process(args.process_b)
     norms = qpt.unphysicality_norms(chi_a, chi_b)
-    table: dict[str, float | None] = dict(norms)
+    table: dict[str, float | str | None] = dict(norms)
     warning = None
     if _is_cptp(chi_a) and _is_cptp(chi_b):
         rho_a = qpt.jamiolkowski_state(chi_a)
@@ -254,10 +259,9 @@ def cmd_metrics(args) -> int:
             "CPTP and they could be nonsensical"
         )
     if args.json:
-        out = {k: v for k, v in table.items()}
         if warning:
-            out["warning"] = warning
-        print(json.dumps(out, indent=2, sort_keys=True))
+            table["warning"] = warning
+        print(json.dumps(table, indent=2, sort_keys=True))
     else:
         for name, value in table.items():
             print(f"{name:<28} {_fmt(value)}")
@@ -270,8 +274,7 @@ def cmd_lindblad(args) -> int:
     try:
         h_super = lindblad.hamiltonian_superop(lindblad.detuning_hamiltonian(args.hamiltonian))
     except lindblad.LindbladError as exc:
-        print(f"error: --hamiltonian: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--hamiltonian: {exc}") from exc
     times, grid = _read_record(args.record)
     if len(times) < 3:
         raise DataError("need at least three timepoints on a doubling schedule")
@@ -407,7 +410,7 @@ def main(argv=None) -> int:
     except tolerances.ToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, NumericalError) as exc:
+    except (UsageError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (qpt.ProcessError, lindblad.LindbladError, qstate.StateError) as exc:

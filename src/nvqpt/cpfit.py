@@ -47,7 +47,6 @@ class ProjectionResult:
     chi_tilde: np.ndarray
     iterations: int
     converged: bool
-    chi_start: np.ndarray      # eigenvalue-clipped input, the first PSD iterate
     min_eigenvalue: float
     tp_defect: float
     frobenius_distance: float
@@ -63,7 +62,7 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     """
     chi = np.asarray(chi, dtype=complex)
     gap_tol = CONVERGENCE_GAP * max(1.0, float(np.linalg.norm(chi)))
-    psd = chi_start = clip_negative_eigs(chi)
+    psd = clip_negative_eigs(chi)
     correction = chi - psd
     for iterations in range(1, MAX_ITERATIONS + 1):
         chi_tilde = tp_project(psd)
@@ -81,7 +80,6 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
         chi_tilde=chi_tilde,
         iterations=iterations,
         converged=converged,
-        chi_start=chi_start,
         min_eigenvalue=min_eig,
         tp_defect=defect,
         frobenius_distance=float(np.linalg.norm(chi_tilde - chi)),

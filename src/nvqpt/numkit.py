@@ -111,22 +111,13 @@ def _to_components(a: np.ndarray) -> np.ndarray:
     return (hermitian_basis(len(a)).reshape(a.size, a.size).conj() @ a.ravel()).real
 
 
-# Pade [m/m] coefficients b_0..b_m, keyed by the 1-norm bound theta_m up to
-# which degree m is accurate to unit roundoff (Higham, SIAM J. Matrix Anal.
-# Appl. 26, 1179 (2005), Table 2.3), lowest degree first; above the last,
-# theta_13, the matrix is scaled into it.
-_PADE = {
-    1.495585217958292e-2: (120.0, 60.0, 12.0, 1.0),
-    2.539398330063230e-1: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    9.504178996162932e-1: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                           1512.0, 56.0, 1.0),
-    2.097847961257068e0: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                          30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    5.371920351148152e0: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                          1187353796428800.0, 129060195264000.0, 10559470521600.0,
-                          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-                          960960.0, 16380.0, 182.0, 1.0),
-}
+# Pade [m/m] coefficients b_k = (2m-k)!/(k!(m-k)!), k = 0..m, keyed by the 1-norm bound
+# theta_m to which degree m is accurate to unit roundoff (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005), Table 2.3), lowest first; above theta_13 the matrix is scaled.
+_PADE = {theta: tuple(float(math.perm(2 * m - k, m) // math.factorial(k)) for k in range(m + 1))
+         for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                          (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+                          (13, 5.371920351148152e0))}
 MAX_SQUARINGS = 26  # each can double the relative error, and 2^26 u < 1e-8 (u = 2^-53)
 
 # 7-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the

@@ -161,10 +161,8 @@ def chi_to_affine(chi: np.ndarray) -> AffineMap:
     return AffineMap.from_parts(r[1:, 1:], r[1:, 0])
 
 
-def affine_to_chi(affine: AffineMap | np.ndarray) -> np.ndarray:
+def affine_to_chi(affine: AffineMap) -> np.ndarray:
     """Inverse of chi_to_affine: chi = sum_mn R_mn sigma_m (x) sigma_n^T / 2."""
-    if not isinstance(affine, AffineMap):
-        affine = AffineMap(np.asarray(affine, dtype=float))
     return np.einsum("mn,mnij->ij", affine.matrix, PAULI_PAIRS) / 2
 
 

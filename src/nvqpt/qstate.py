@@ -33,7 +33,7 @@ def bloch_to_density(r) -> np.ndarray:
         raise StateError("Bloch vector must have three components")
     norm = np.linalg.norm(r)
     tol = tolerances.get("bloch_ball")
-    if norm > 1 + tol:
+    if not norm <= 1 + tol:  # NaN fails too
         raise StateError(f"Bloch vector norm {norm} exceeds 1")
     if norm > 1:
         r = r / norm

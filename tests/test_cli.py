@@ -143,6 +143,9 @@ def _put(value, *keys):
     pytest.param("ellipsoid", _drop("affine"), id="no-affine"),
     pytest.param("ellipsoid", _put([[1.0, 0.0, 0.0, 0.0], [0.0]], "affine"),
                  id="affine-ragged"),
+    # a JSON integer past float range parses, but does not convert to float
+    pytest.param("project", _put(10**400, "chi_re", 0, 0), id="bigint-chi"),
+    pytest.param("ellipsoid", _put(10**400, "affine", 1, 1), id="bigint-affine"),
 ])
 def test_malformed_document_is_data_error(record_path, process_path, tmp_path,
                                           stage, edit, capsys):
@@ -163,6 +166,34 @@ def test_malformed_document_is_data_error(record_path, process_path, tmp_path,
     }[stage]
     assert run(*argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
+    """An --out that cannot be opened exits 2 with one error line, not a traceback."""
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path / "dir"
+    if where == "directory":
+        out.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvqpt.cli", "simulate", "--seed", "1", "--out", str(out)],
+        env=_env_with_src(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == ([out] if where == "directory" else [])
+
+
+@pytest.mark.parametrize("stage", ["reconstruct", "project", "lindblad", "ellipsoid"])
+def test_unwritable_out_is_usage_error(record_path, process_path, tmp_path, stage, capsys):
+    argv = {
+        "reconstruct": ("reconstruct", str(record_path), "--time", "20"),
+        "project": ("project", str(process_path)),
+        "lindblad": ("lindblad", str(record_path)),
+        "ellipsoid": ("ellipsoid", str(process_path), "--points", "8"),
+    }[stage]
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_unmeasured_axis_is_not_an_error(record_path, tmp_path):

@@ -51,6 +51,11 @@ class TestBlochConversions:
         with pytest.raises(StateError):
             bloch_to_density([1.0, 1.0, 0.0])
 
+    def test_nan_rejected(self):
+        # NaN compares False with every bound, so a "norm > bound" guard passes it
+        with pytest.raises(StateError):
+            bloch_to_density([np.nan, 0.0, 0.0])
+
     def test_slightly_outside_clamped(self):
         rho = bloch_to_density([0, 0, 1 + 1e-12])
         assert np.allclose(rho, KET0)
