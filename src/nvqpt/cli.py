@@ -4,7 +4,8 @@ Subcommands: simulate, reconstruct, project, metrics, lindblad,
 ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
 argument value, an unwritable --out or an NVQPT_TOLERANCES override), 3
 data error (including a malformed input document), 4 numerical failure
-(including any kernel error no stage maps itself); stages raise, main prints.
+(including a kernel error no stage maps itself, and a float overflow, division
+by zero or invalid operation, which main makes numpy raise); stages raise, main prints.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -31,15 +32,24 @@ AXES = ("sx", "sy", "sz")
 
 
 class UsageError(Exception):
-    exit_code = EXIT_USAGE
+    pass
 
 
 class DataError(Exception):
-    exit_code = EXIT_DATA
+    pass
 
 
 class NumericalError(Exception):
-    exit_code = EXIT_NUMERICAL
+    pass
+
+
+# An error a stage raises exits with the code of the first class here that it is an instance of.
+EXIT_CODES = {
+    UsageError: EXIT_USAGE, tolerances.ToleranceError: EXIT_USAGE,
+    DataError: EXIT_DATA, qpt.ProcessError: EXIT_DATA, lindblad.LindbladError: EXIT_DATA,
+    qstate.StateError: EXIT_DATA, NumericalError: EXIT_NUMERICAL, NumkitError: EXIT_NUMERICAL,
+    FloatingPointError: EXIT_NUMERICAL, np.linalg.LinAlgError: EXIT_NUMERICAL,
+}
 
 
 def _fmt(x: float) -> str:
@@ -181,8 +191,7 @@ def cmd_reconstruct(args) -> int:
     if not np.isfinite(args.time):
         raise UsageError(f"--time must be finite, got {args.time}")
     times, grid = _read_record(args.record)
-    matches = [i for i, t in enumerate(times)
-               if abs(t - args.time) <= 1e-9 * max(1.0, abs(args.time))]
+    matches = [i for i, t in enumerate(times) if lindblad.same_time(t, args.time)]
     if not matches:
         raise DataError(f"{args.record}: time {args.time} not in record times {times}")
     time, row = times[matches[-1]], grid[matches[-1]]
@@ -351,30 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
         "generator estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # the stages that write a file
+    out.add_argument("--out", default="-")
 
-    p = sub.add_parser("simulate", help="generate a synthetic experiment record")
-    p.add_argument("--t1", type=float, default=1e6, help="T1 in ns")
-    p.add_argument("--t2", type=float, default=2000.0, help="T2 in ns")
-    p.add_argument("--detuning", type=float, default=0.0, help="rad/ns")
-    p.add_argument("--alpha", type=float, default=0.4,
+    p = sub.add_parser("simulate", parents=[out], help="generate a synthetic experiment record")
+    p.add_argument("--t1", type=float, default=nvsim.SimConfig.t1_ns, help="T1 in ns")
+    p.add_argument("--t2", type=float, default=nvsim.SimConfig.t2_ns, help="T2 in ns")
+    p.add_argument("--detuning", type=float, default=nvsim.SimConfig.detuning, help="rad/ns")
+    p.add_argument("--alpha", type=float, default=nvsim.SimConfig.polarization,
                    help="pseudopure polarization, recorded in the record's config only; "
                    "inputs are prepared pure")
-    p.add_argument("--shots", type=int, default=10000, help="0 = noise-free")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--shots", type=int, default=nvsim.SimConfig.shots, help="0 = noise-free")
+    p.add_argument("--seed", type=int, default=nvsim.SimConfig.seed)
     p.add_argument("--t1ns", type=float, default=20.0, help="first schedule time (ns)")
-    p.add_argument("--timepoints", type=int, default=3)
-    p.add_argument("--out", default="-")
+    p.add_argument("--timepoints", type=int, default=lindblad.TimeSchedule.count)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reconstruct", help="raw chi + affine from a record")
+    p = sub.add_parser("reconstruct", parents=[out], help="raw chi + affine from a record")
     p.add_argument("record")
     p.add_argument("--time", type=float, required=True, help="record time (ns)")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("project", help="repair a process to the nearest CPTP map")
+    p = sub.add_parser("project", parents=[out], help="repair a process to the nearest CPTP map")
     p.add_argument("process")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("metrics", help="distance table between two processes")
@@ -383,17 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("lindblad", help="fit a Markovian generator to a record")
+    p = sub.add_parser("lindblad", parents=[out], help="fit a Markovian generator to a record")
     p.add_argument("record")
     p.add_argument("--hamiltonian", type=float, default=0.0,
                    help="rotating-frame detuning (rad/ns)")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_lindblad)
 
-    p = sub.add_parser("ellipsoid", help="Bloch-sphere point cloud as CSV")
+    p = sub.add_parser("ellipsoid", parents=[out], help="Bloch-sphere point cloud as CSV")
     p.add_argument("process")
     p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_ellipsoid)
 
     return parser
@@ -405,21 +411,12 @@ def main(argv=None) -> int:
     if getattr(args, "points", 1) < 1:
         parser.error("--points must be at least 1")
     try:
-        tolerances.table()
-        return args.func(args)
-    except tolerances.ToleranceError as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tolerances.table()
+            return args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UsageError, DataError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (qpt.ProcessError, lindblad.LindbladError, qstate.StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumkitError as exc:
-        # a kernel check that no stage maps itself, e.g. an overflow to inf
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -78,6 +78,11 @@ def hamiltonian_superop(h) -> np.ndarray:
     return out.reshape(4, 4)
 
 
+def same_time(t: float, ref: float) -> bool:
+    """Whether a time t (ns) matches ref, to 1e-9 of |ref|."""
+    return abs(t - ref) <= 1e-9 * abs(ref)
+
+
 @dataclass(frozen=True)
 class TimeSchedule:
     """Doubling schedule t_m = 2^m t1, m = 0..count-1 (ns)."""
@@ -106,7 +111,7 @@ class TimeSchedule:
         if len(times) < 1 or times[0] <= 0:
             raise LindbladError("need positive, strictly doubling times")
         for a, b in zip(times, times[1:]):
-            if abs(b - 2 * a) > 1e-9 * max(1.0, abs(b)):
+            if not same_time(2 * a, b):
                 raise LindbladError(f"times {times} are not strictly doubling")
         return cls(t1=times[0], count=len(times))
 
@@ -175,8 +180,10 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
 
 
-# U = [vec(sigma_n) / sqrt(2)], sigma_0 = I, is unitary: U^dag S U is the PTM of S, same norm.
-_PTM_BASIS = np.column_stack([vectorize(s) for s in (IDENTITY_2, *PAULIS)]) / np.sqrt(2)
+# Column n is vec(sigma_n^T), sigma_0 = I, so vec(rho) @ PAULI_READOUT = tr(rho sigma_n).
+PAULI_READOUT = np.column_stack([vectorize(s.T) for s in (IDENTITY_2, *PAULIS)])
+# U = [vec(sigma_n) / sqrt(2)] is unitary: U^dag S U is the PTM of S, same norm.
+_PTM_BASIS = PAULI_READOUT.conj() / np.sqrt(2)
 
 
 def _ptm(superop) -> np.ndarray:
@@ -279,11 +286,6 @@ def contributions_from_operators(operators) -> list[float]:
     return [w / total for w in weights] if total else []
 
 
-# Column k is vec(sigma_k^T), so vec(rho) @ BLOCH_READOUT = tr(rho sigma_k).
-BLOCH_READOUT = np.column_stack([vectorize(s.T) for s in PAULIS])
-_PAULI_READOUT = np.sqrt(2) * _PTM_BASIS.conj()  # columns vec(I), then BLOCH_READOUT's
-
-
 def predict_expectations(r_hat: np.ndarray, h_super: np.ndarray, rho0,
                          times) -> list[PauliExpectations]:
     """Evolve a state under exp(-(iH_hat + R_hat)t) and read out Pauli
@@ -292,7 +294,7 @@ def predict_expectations(r_hat: np.ndarray, h_super: np.ndarray, rho0,
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
     exponent = -gen * np.asarray(times, dtype=float)[:, None, None]
     props = _propagators(exponent.shape, exponent.tobytes())
-    pauli = (vectorize(rho0) @ _PAULI_READOUT).real
+    pauli = (vectorize(rho0) @ PAULI_READOUT).real
     bloch = np.clip((props @ pauli)[:, 1:], -1.0, 1.0)
     return [PauliExpectations(*r) for r in bloch.tolist()]
 

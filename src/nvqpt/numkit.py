@@ -122,14 +122,11 @@ MAX_SQUARINGS = 26  # each can double the relative error, and 2^26 u < 1e-8 (u =
 
 # 7-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the
 # [7/7] Pade approximant of log(I + X), accurate to unit roundoff for
-# |X|_1 <= 0.25 (Higham, SIAM J. Matrix Anal. Appl. 22, 1126 (2001)).
-_GL_NODES = np.array([0.0254460438286207377, 0.1292344072003027801,
-                      0.2970774243113014165, 0.5, 0.7029225756886985835,
-                      0.8707655927996972199, 0.9745539561713792623])
-_GL_WEIGHTS = np.array([0.0647424830844348466, 0.1398526957446383340,
-                        0.1909150252525594725, 0.2089795918367346939,
-                        0.1909150252525594725, 0.1398526957446383340,
-                        0.0647424830844348466])
+# |X|_1 <= 0.25 (Higham, SIAM J. Matrix Anal. Appl. 22, 1126 (2001)).  The eigenpairs
+# (x, v) of the Legendre Jacobi matrix, off-diagonal k/sqrt(4k^2 - 1), give the nodes
+# (x + 1)/2 and weights v_0^2 (Golub and Welsch, Math. Comp. 23, 221 (1969)).
+_x, _v = np.linalg.eigh(np.diag([k / math.sqrt(4 * k * k - 1) for k in range(1, 7)], -1))
+_GL_NODES, _GL_WEIGHTS = (_x + 1) / 2, _v[0] ** 2
 
 
 def _norm1(a: np.ndarray) -> float:

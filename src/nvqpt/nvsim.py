@@ -8,7 +8,7 @@ after reference normalization, and the qpt-record/1 expectation table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,13 +114,7 @@ class ExperimentRecord:
             "times_ns": times,
             "inputs": list(INPUT_LABELS),
             "expectations": expectation_table(times, rows),
-            "config": {
-                "t1_ns": self.config.t1_ns,
-                "t2_ns": self.config.t2_ns,
-                "detuning": self.config.detuning,
-                "polarization": self.config.polarization,
-                "shots": self.config.shots,
-            },
+            "config": {k: v for k, v in asdict(self.config).items() if k != "seed"},
             "seed": self.config.seed,
         }
 
@@ -145,7 +139,7 @@ def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> Experimen
     # the noise is drawn label-major
     vecs = np.array([lindblad.vectorize(rho) for rho in qpt.input_states()])
     states = (props @ vecs[:, None, :, None])[..., 0]
-    bloch = measure_expectations((states @ lindblad.BLOCH_READOUT).real, cfg,
+    bloch = measure_expectations((states @ lindblad.PAULI_READOUT[:, 1:]).real, cfg,
                                  np.random.default_rng(cfg.seed))
     expectations = {label: {t: PauliExpectations(*r) for t, r in zip(times, rows)}
                     for label, rows in zip(INPUT_LABELS, bloch.tolist())}

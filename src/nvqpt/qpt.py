@@ -152,7 +152,8 @@ class AffineMap:
         return cls(m)
 
     def apply(self, r) -> np.ndarray:
-        return self.linear @ np.asarray(r, dtype=float) + self.translation
+        """E r + t for Bloch vectors r of shape (..., 3)."""
+        return np.asarray(r, dtype=float) @ self.linear.T + self.translation
 
 
 def chi_to_affine(chi: np.ndarray) -> AffineMap:
@@ -226,6 +227,5 @@ def ellipsoid_samples(affine: AffineMap, n: int):
     Returns (inputs, outputs, violation) where violation flags output
     vectors leaving the Bloch ball (trace-violating protrusions)."""
     pts = fibonacci_sphere(n)
-    outs = pts @ affine.linear.T + affine.translation
-    violation = np.linalg.norm(outs, axis=1) > 1 + tolerances.get("bloch_ball")
-    return pts, outs, violation
+    outs = affine.apply(pts)
+    return pts, outs, np.linalg.norm(outs, axis=1) > 1 + tolerances.get("bloch_ball")

@@ -87,6 +87,13 @@ class TestSimulate:
             assert code == 2, args
             assert not (tmp_path / "x.json").exists(), args
 
+    def test_defaults_are_simconfig_and_schedule_defaults(self):
+        args = cli.build_parser().parse_args(["simulate"])
+        cfg = nvsim.SimConfig()
+        assert (args.t1, args.t2, args.detuning, args.alpha, args.shots, args.seed) == (
+            cfg.t1_ns, cfg.t2_ns, cfg.detuning, cfg.polarization, cfg.shots, cfg.seed)
+        assert args.timepoints == lindblad.TimeSchedule(t1=20.0).count
+
     def test_overflowing_rates_stderr_is_one_error_line(self, tmp_path):
         # GKS entries near 1e300: the generator's own checks must not make
         # numpy print an overflow warning before the run's one error line
@@ -168,6 +175,50 @@ def test_malformed_document_is_data_error(record_path, process_path, tmp_path,
     assert "error:" in capsys.readouterr().err
 
 
+def _retime(times):
+    """Move a record's expectations from its times to `times`."""
+    def edit(doc):
+        for per_time in doc["expectations"].values():
+            for old, new in zip(doc["times_ns"], times):
+                per_time[repr(new)] = per_time.pop(repr(old))
+        doc["times_ns"] = times
+    return edit
+
+
+_HUGE = (1e200 * np.eye(4)).tolist()
+
+
+@pytest.mark.parametrize("stage, edit", [
+    pytest.param("lindblad", _retime([1e300, 2e300, 4e300]), id="times-1e300"),
+    pytest.param("lindblad", _retime([1e-320, 2e-320, 4e-320]), id="times-1e-320"),
+    pytest.param("project", _put(_HUGE, "chi_re"), id="project-chi-1e200"),
+    pytest.param("metrics", _put(_HUGE, "chi_re"), id="metrics-chi-1e200"),
+    pytest.param("ellipsoid", _put([[1.0, 0, 0, 0]] + [[1e200] * 4] * 3, "affine"),
+                 id="affine-1e200"),
+])
+def test_float_range_stderr_is_one_error_line(tmp_path, stage, edit):
+    """Arithmetic past float range exits 4 with one error line: no traceback,
+    no numpy warning, and no Infinity (which is not JSON) on stdout."""
+    record, process = tmp_path / "record.json", tmp_path / "process.json"
+    assert run("simulate", "--seed", "1", "--out", str(record)) == 0
+    assert run("reconstruct", str(record), "--time", "20", "--out", str(process)) == 0
+    source = record if stage == "lindblad" else process
+    doc = json.loads(source.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "x.out"
+    extra = {"metrics": (str(process), "--json"),
+             "ellipsoid": ("--points", "8", "--out", str(out))}
+    argv = (stage, str(bad), *extra.get(stage, ("--out", str(out))))
+    proc = subprocess.run([sys.executable, "-m", "nvqpt.cli", *argv],
+                          env=_env_with_src(), capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Infinity" not in proc.stdout
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
     """An --out that cannot be opened exits 2 with one error line, not a traceback."""
@@ -232,6 +283,15 @@ class TestReconstruct:
         assert near["chi_re"] == exact["chi_re"] and near["chi_im"] == exact["chi_im"]
         # the report names the matched record time, not the requested one
         assert near["diagnostics"]["time_ns"] == 20.0
+
+    def test_sub_ns_time_matches_relative(self, tmp_path, capsys):
+        # at 1e-10 ns an absolute 1e-9 ns tolerance would match every record time
+        record, out = tmp_path / "record.json", tmp_path / "raw.json"
+        assert run("simulate", "--t1ns", "1e-10", "--shots", "0", "--out", str(record)) == 0
+        capsys.readouterr()
+        assert run("reconstruct", str(record), "--time", "1e-10", "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("reconstructed process at 1e-10 ns:")
+        assert json.loads(out.read_text())["diagnostics"]["time_ns"] == 1e-10
 
     @pytest.mark.parametrize("time", ["nan", "inf"])
     def test_non_finite_time_is_usage_error(self, record_path, time, tmp_path, capsys):

@@ -252,6 +252,12 @@ class TestMatrixLog:
             with pytest.raises(NumkitError):
                 numkit.matrix_log_principal(m)
 
+    def test_gauss_legendre_rule_integrates_monomials(self):
+        # 7 nodes integrate x^k exactly on [0, 1] for every k <= 13
+        k = np.arange(14)
+        integrals = numkit._GL_NODES ** k[:, None] @ numkit._GL_WEIGHTS
+        assert np.abs(integrals - 1 / (k + 1)).max() <= 1e-15
+
     def test_diagonal(self):
         out = numkit.matrix_log_principal(np.diag([np.exp(-2.0), np.exp(-3.0)]))
         assert np.allclose(out, np.diag([-2.0, -3.0]))
