@@ -2,10 +2,10 @@
 
 Subcommands: simulate, reconstruct, project, metrics, lindblad,
 ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
-argument value, an unwritable --out or an NVQPT_TOLERANCES override), 3
-data error (including a malformed input document), 4 numerical failure
-(including a kernel error no stage maps itself, and a float overflow, division
-by zero or invalid operation, which main makes numpy raise); stages raise, main prints.
+argument value or an unwritable --out), 3 data error (including a
+malformed input document), 4 numerical failure (including a kernel error
+no stage maps itself, and a float overflow, division by zero or invalid
+operation, which main makes numpy raise); stages raise, main prints.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -45,9 +45,9 @@ class NumericalError(Exception):
 
 # An error a stage raises exits with the code of the first class here that it is an instance of.
 EXIT_CODES = {
-    UsageError: EXIT_USAGE, tolerances.ToleranceError: EXIT_USAGE,
-    DataError: EXIT_DATA, qpt.ProcessError: EXIT_DATA, lindblad.LindbladError: EXIT_DATA,
-    qstate.StateError: EXIT_DATA, NumericalError: EXIT_NUMERICAL, NumkitError: EXIT_NUMERICAL,
+    UsageError: EXIT_USAGE, DataError: EXIT_DATA, qpt.ProcessError: EXIT_DATA,
+    lindblad.LindbladError: EXIT_DATA, qstate.StateError: EXIT_DATA,
+    NumericalError: EXIT_NUMERICAL, NumkitError: EXIT_NUMERICAL,
     FloatingPointError: EXIT_NUMERICAL, np.linalg.LinAlgError: EXIT_NUMERICAL,
 }
 
@@ -341,7 +341,10 @@ def cmd_lindblad(args) -> int:
 def cmd_ellipsoid(args) -> int:
     doc = _load_json(args.process, PROCESS_SCHEMA)
     affine = qpt.AffineMap(_real_array(doc, args.process, "affine"))
-    pts, outs, violation = qpt.ellipsoid_samples(affine, args.points)
+    try:
+        pts, outs, violation = qpt.ellipsoid_samples(affine, args.points)
+    except ValueError as exc:  # numpy refuses a sample count past its array size
+        raise UsageError(f"--points: {exc}") from exc
     lines = ["in_x,in_y,in_z,out_x,out_y,out_z,violation"]
     for p, o, v in zip(pts, outs, violation):
         lines.append(
@@ -412,7 +415,6 @@ def main(argv=None) -> int:
         parser.error("--points must be at least 1")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            tolerances.table()
             return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import _clip_eigs, clip_negative_eigs, eig_hermitian, triangular_from_params
+from .numkit import NumkitError, _clip_eigs, clip_negative_eigs, eig_hermitian, triangular_from_params
 from .qstate import IDENTITY_2
 
 # Dykstra converges once the PSD and affine iterates are this close (relative
@@ -61,7 +61,11 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     missed or when the projection stops on its iteration budget.
     """
     chi = np.asarray(chi, dtype=complex)
-    gap_tol = CONVERGENCE_GAP * max(1.0, float(np.linalg.norm(chi)))
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(chi))
+    if scale == np.inf:  # an infinite gap tolerance would pass any iterate
+        raise NumkitError("chi's Frobenius norm is beyond float range")
+    gap_tol = CONVERGENCE_GAP * max(1.0, scale)
     psd = clip_negative_eigs(chi)
     correction = chi - psd
     for iterations in range(1, MAX_ITERATIONS + 1):

@@ -8,6 +8,8 @@ after reference normalization, and the qpt-record/1 expectation table.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,6 +44,8 @@ class SimConfig:
             raise SimulationError("polarization must lie in [0, 1]")
         if self.shots < 0:
             raise SimulationError("shots must be non-negative")
+        if self.shots > sys.float_info.max:
+            raise SimulationError("shots is beyond float range")
         if self.seed is not None and self.seed < 0:
             raise SimulationError("seed must be non-negative")
 
@@ -84,7 +88,7 @@ def measure_expectations(bloch, cfg: SimConfig, rng: np.random.Generator) -> np.
     means noise-free."""
     r = np.asarray(bloch, dtype=float)
     if cfg.shots > 0:
-        r = r + rng.normal(0.0, 1.0 / np.sqrt(cfg.shots), size=r.shape)
+        r = r + rng.normal(0.0, 1.0 / math.sqrt(cfg.shots), size=r.shape)
     return np.clip(r, -1.0, 1.0)
 
 

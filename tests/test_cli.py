@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nvqpt
-from nvqpt import cli, lindblad, numkit, nvsim, qpt, qstate, tolerances
+from nvqpt import cli, lindblad, numkit, nvsim, qpt, qstate
 
 
 def run(*argv):
@@ -82,6 +82,7 @@ class TestSimulate:
             ("--timepoints", "1100"),         # 2**1099 is beyond float range
             ("--t1ns", "1e308"),              # the last time overflows to inf
             ("--t1", "1e-12", "--t2", "1e-12"),  # propagators lose trace
+            ("--shots", "1" + "0" * 400),     # beyond float range
         ]:
             code = run("simulate", *args, "--out", str(tmp_path / "x.json"))
             assert code == 2, args
@@ -96,15 +97,22 @@ class TestSimulate:
 
     def test_overflowing_rates_stderr_is_one_error_line(self, tmp_path):
         # GKS entries near 1e300: the generator's own checks must not make
-        # numpy print an overflow warning before the run's one error line
-        out = tmp_path / "x.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvqpt.cli", "simulate", "--t1", "1e-300",
-             "--t2", "1e-300", "--out", str(out)],
-            env=_env_with_src(), capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert not out.exists()
+        # numpy print an overflow warning before the run's one error line;
+        # a shot count past float range is one error line too, and one past
+        # int64 but within float range runs
+        for args, code in [(("--t1", "1e-300", "--t2", "1e-300"), 2),
+                           (("--shots", "1" + "0" * 400), 2),
+                           (("--shots", "1" + "0" * 20), 0)]:
+            out = tmp_path / "x.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "nvqpt.cli", "simulate", *args, "--out", str(out)],
+                env=_env_with_src(), capture_output=True, text=True)
+            assert proc.returncode == code, args
+            if code:
+                assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+                assert not out.exists()
+            else:
+                assert proc.stderr == "" and out.exists()
 
 
 def _drop(*keys):
@@ -605,86 +613,27 @@ class TestEllipsoid:
             run("ellipsoid", str(process_path), "--points", "0")
         assert exc.value.code == 2
 
+    def test_points_past_array_size_is_usage_error(self, process_path, tmp_path, capsys):
+        # numpy refuses 1e20 samples before it allocates any
+        out = tmp_path / "cloud.csv"
+        assert run("ellipsoid", str(process_path), "--points", "1" + "0" * 20,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points") and err.count("\n") == 1
+        assert not out.exists()
 
-class TestToleranceOverride:
-    @pytest.fixture
-    def override(self, monkeypatch, tmp_path):
-        """Point NVQPT_TOLERANCES at a file with the given text and drop the
-        cached table; monkeypatch restores both afterwards."""
-        def write(text):
-            path = tmp_path / "tol.json"
-            path.write_text(text)
-            monkeypatch.setenv("NVQPT_TOLERANCES", str(path))
-            monkeypatch.setattr(tolerances, "_TABLE", None)
-            return path
-        return write
 
-    def test_good_override_applies(self, override, record_path, tmp_path):
-        override(json.dumps({"bloch_ball": 1e-6}))
-        assert run("reconstruct", str(record_path), "--time", "20",
-                   "--out", str(tmp_path / "raw.json")) == 0
-        assert tolerances.get("bloch_ball") == 1e-6
-        assert tolerances.get("tp_defect_max") == tolerances.DEFAULTS["tp_defect_max"]
-
-    @pytest.mark.parametrize("text", [
-        '{"bloch_ball": ',                 # bad JSON
-        '{"no_such_key": 1e-6}',           # unknown key
-        '{"pinv_rcond": 1e-10}',           # deleted key
-        '{"bloch_ball": "tiny"}',          # non-numeric value
-        '{"bloch_ball": "1e-6"}',          # numeric string
-        '[1e-6]',                          # not an object
-        '{"hermitian_input": NaN}',        # would disable the Hermitian check
-        '{"bloch_ball": Infinity}',
-        '{"bloch_ball": true}',            # would read as 1.0
-        pytest.param('{"bloch_ball": 1' + '0' * 400 + '}', id="beyond-float-range"),
-        '{"hermitian_input": -1}',         # would reject every eigendecomposition
-        '{"tp_defect_max": -1}',           # would fail every projection
-        '{"log_roundtrip": 0}',            # would fail every principal logarithm
-        '{"min_eig_floor": 1e-3}',         # would reject PSD matrices with a zero eigenvalue
-        '{"kraus_eig_floor": 1}',
-    ])
-    def test_bad_override_is_usage_error(self, override, record_path, text, capsys):
-        override(text)
-        with pytest.raises(tolerances.ToleranceError):
-            tolerances.table()
-        assert run("reconstruct", str(record_path), "--time", "20") == 2
-        assert "NVQPT_TOLERANCES" in capsys.readouterr().err
-
-    def test_every_key_has_a_sign_rule(self, override):
-        # each override keeps its default's sign: 0 fails only the positive
-        # keys, and +1 fails only the non-positive ones
-        assert {d > 0 for d in tolerances.DEFAULTS.values()} == {True, False}
-        for key, default in tolerances.DEFAULTS.items():
-            override(json.dumps({key: 2 * default}))
-            assert tolerances.get(key) == 2 * default
-            for value in (0, 1):
-                override(json.dumps({key: value}))
-                if (value > 0) == (default > 0) or (value == 0 and default < 0):
-                    assert tolerances.get(key) == value
-                else:
-                    rule = "must be positive" if default > 0 else "must not be positive"
-                    with pytest.raises(tolerances.ToleranceError, match=f"{key} {rule}"):
-                        tolerances.table()
-
-    def test_zero_floor_is_accepted(self, override):
-        override(json.dumps({"min_eig_floor": 0, "kraus_eig_floor": 0.0}))
-        assert tolerances.get("min_eig_floor") == 0.0
-
-    def test_min_eig_floor_override(self, override):
-        rho = np.diag([1 + 1e-7, -1e-7])
-        gks = np.diag([0.01, 0.0, -1e-7])
-        with pytest.raises(qstate.StateError):
-            qstate.validate_density(rho)
-        with pytest.raises(lindblad.LindbladError):
-            lindblad.lindblads_from_gks(gks)
-        override(json.dumps({"min_eig_floor": -1e-6}))
-        qstate.validate_density(rho)
-        assert len(lindblad.lindblads_from_gks(gks).operators) == 1
-
-    def test_unreadable_override_is_usage_error(self, monkeypatch, tmp_path, record_path):
-        monkeypatch.setenv("NVQPT_TOLERANCES", str(tmp_path / "missing.json"))
-        monkeypatch.setattr(tolerances, "_TABLE", None)
-        assert run("reconstruct", str(record_path), "--time", "20") == 2
+def test_tolerances_variable_is_not_read(record_path, tmp_path):
+    """The tolerances are fixed: NVQPT_TOLERANCES, even naming a missing file,
+    changes neither the exit code nor the output bytes."""
+    outputs = []
+    for unread in ({}, {"NVQPT_TOLERANCES": str(tmp_path / "missing.json")}):
+        env, out = dict(_env_with_src(), **unread), tmp_path / f"raw{len(outputs)}.json"
+        proc = subprocess.run([sys.executable, "-m", "nvqpt.cli", "reconstruct", str(record_path),
+                               "--time", "20", "--out", str(out)], env=env, capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == b""
+        outputs.append((proc.stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_chain_is_byte_deterministic(tmp_path, capsys):

@@ -118,6 +118,10 @@ class TestUncheckedSteps:
         bound = tolerances.get("hermitian_input") * np.linalg.norm(CHI_IDENTITY)
         with pytest.raises(NumkitError, match="not Hermitian"):
             project_to_cp(CHI_IDENTITY + bound * skew / np.linalg.norm(skew))
+        # finite entries whose norm overflows: an infinite gap tolerance would
+        # pass the first iterate as converged, and the norm must not warn
+        with pytest.raises(NumkitError, match="beyond float range"):
+            project_to_cp(1e200 * np.eye(4))
 
     def test_clip_equals_core(self, rng):
         for scale in (1e-6, 1.0, 1e3):

@@ -559,8 +559,10 @@ class TestLindbladDecomposition:
         )
 
     def test_negative_gks_rejected(self):
-        with pytest.raises(LindbladError):
-            lindblads_from_gks(np.diag([1.0, 0.0, -0.1]))
+        # -1e-7 is below the min_eig_floor of -1e-9
+        for gks in (np.diag([1.0, 0.0, -0.1]), np.diag([0.01, 0.0, -1e-7])):
+            with pytest.raises(LindbladError):
+                lindblads_from_gks(gks)
 
     def test_zero_gks_empty(self):
         lset = lindblads_from_gks(np.zeros((3, 3)))

@@ -71,8 +71,10 @@ class TestValidateDensity:
             validate_density(PAULIS[2])
 
     def test_rejects_negative(self):
-        with pytest.raises(StateError):
-            validate_density(np.diag([1.2, -0.2]))
+        # -1e-7 is below the min_eig_floor of -1e-9
+        for rho in (np.diag([1.2, -0.2]), np.diag([1 + 1e-7, -1e-7])):
+            with pytest.raises(StateError):
+                validate_density(rho)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(StateError):
