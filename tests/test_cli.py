@@ -636,6 +636,18 @@ def test_tolerances_variable_is_not_read(record_path, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+class TestToleranceOverride:
+    def test_min_eig_floor_override(self):
+        # the fixed floor (-1e-9) rejects a density matrix and a GKS matrix
+        # just below it and accepts both just above it
+        with pytest.raises(qstate.StateError):
+            qstate.validate_density(np.diag([1 + 1e-7, -1e-7]))
+        with pytest.raises(lindblad.LindbladError):
+            lindblad.lindblads_from_gks(np.diag([0.01, 0.0, -1e-7]))
+        qstate.validate_density(np.diag([1 + 1e-10, -1e-10]))
+        assert len(lindblad.lindblads_from_gks(np.diag([0.01, 0.0, -1e-10])).operators) == 1
+
+
 def test_chain_is_byte_deterministic(tmp_path, capsys):
     """Every stage of a seeded, noisy chain writes the same bytes twice."""
     outputs = []
