@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,10 +26,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-RECORD_SCHEMA = "qpt-record/1"
 PROCESS_SCHEMA = "qpt-process/1"
 LINDBLAD_SCHEMA = "qpt-lindblad/1"
-AXES = ("sx", "sy", "sz")
+# checked with type(), not isinstance(): a JSON true is a bool, an int subclass
+JSON_NUMBER = (int, float)
 
 
 class UsageError(Exception):
@@ -98,9 +99,14 @@ def _field(doc, path: str, *keys):
 
 def _real_array(doc, path: str, key: str) -> np.ndarray:
     try:
-        return np.array(_field(doc, path, key), dtype=float)
+        raw = np.array(_field(doc, path, key), dtype=object)
+        arr = raw.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {key} is not a rectangular array of numbers") from exc
+    # ravel(), not flat: flat refuses arrays of more than 32 dimensions
+    if any(type(v) not in JSON_NUMBER for v in raw.ravel()) or not np.all(np.isfinite(arr)):
+        raise DataError(f"{path}: {key} has non-numeric or non-finite entries")
+    return arr
 
 
 def _matrix_fields(name: str, m: np.ndarray) -> dict:
@@ -120,8 +126,6 @@ def _read_process(path: str) -> np.ndarray:
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise DataError(f"{path}: chi must be 4x4")
     chi = re + 1j * im
-    if not np.all(np.isfinite(chi)):
-        raise DataError(f"{path}: chi has non-finite entries")
     if np.linalg.norm(chi - chi.conj().T) > 1e-6:
         raise DataError(f"{path}: chi is not Hermitian")
     return (chi + chi.conj().T) / 2
@@ -142,17 +146,11 @@ def _read_record(path: str) -> tuple[list[float], list[list[qstate.PauliExpectat
     """Validate a whole qpt-record/1 file; return (times, grid), where
     grid[i][k] is the qstate.PauliExpectations of input nvsim.INPUT_LABELS[k]
     at times[i] (None marks an unmeasured axis)."""
-    doc = _load_json(path, RECORD_SCHEMA)
-    raw = _field(doc, path, "times_ns")
-    # type(), not isinstance(): a JSON true is a bool, an int subclass
-    if not isinstance(raw, list) or any(type(t) not in (int, float) for t in raw):
+    doc = _load_json(path, nvsim.RECORD_SCHEMA)
+    times = _real_array(doc, path, "times_ns")
+    if times.ndim != 1:
         raise DataError(f"{path}: times_ns must be a list of numbers")
-    try:
-        times = [float(t) for t in raw]
-    except OverflowError as exc:
-        raise DataError(f"{path}: times_ns has an entry beyond float range") from exc
-    if not np.all(np.isfinite(times)):
-        raise DataError(f"{path}: times_ns has non-finite entries")
+    times = times.tolist()
     if _field(doc, path, "inputs") != list(nvsim.INPUT_LABELS):
         raise DataError(f"{path}: inputs must be {list(nvsim.INPUT_LABELS)}")
     grid = []
@@ -160,8 +158,8 @@ def _read_record(path: str) -> tuple[list[float], list[list[qstate.PauliExpectat
         key = repr(t)
         row = []
         for label in nvsim.INPUT_LABELS:
-            values = [_field(doc, path, "expectations", label, key, ax) for ax in AXES]
-            if any(v is not None and type(v) not in (int, float) for v in values):
+            values = [_field(doc, path, "expectations", label, key, ax) for ax in nvsim.AXES]
+            if any(v is not None and type(v) not in JSON_NUMBER for v in values):
                 raise DataError(f"{path}: {label} at {key} ns: expectations must be "
                                 "numbers or null")
             row.append(qstate.PauliExpectations(*values))
@@ -171,14 +169,7 @@ def _read_record(path: str) -> tuple[list[float], list[list[qstate.PauliExpectat
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = nvsim.SimConfig(
-            t1_ns=args.t1,
-            t2_ns=args.t2,
-            detuning=args.detuning,
-            polarization=args.alpha,
-            shots=args.shots,
-            seed=args.seed,
-        )
+        cfg = nvsim.SimConfig(**{f.name: getattr(args, f.name) for f in fields(nvsim.SimConfig)})
         schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
         record = nvsim.run_experiment(cfg, schedule)
     except (nvsim.SimulationError, lindblad.LindbladError) as exc:
@@ -197,7 +188,7 @@ def cmd_reconstruct(args) -> int:
     time, row = times[matches[-1]], grid[matches[-1]]
     missing = {}
     for label, e in zip(nvsim.INPUT_LABELS, row):
-        gaps = [ax for ax, v in zip(AXES, e.as_tuple()) if v is None]
+        gaps = [ax for ax, v in zip(nvsim.AXES, e.as_tuple()) if v is None]
         if gaps:
             missing[label] = gaps
     chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])
@@ -339,6 +330,8 @@ def cmd_lindblad(args) -> int:
 
 
 def cmd_ellipsoid(args) -> int:
+    if args.points < 1:
+        raise UsageError("--points must be at least 1")
     doc = _load_json(args.process, PROCESS_SCHEMA)
     affine = qpt.AffineMap(_real_array(doc, args.process, "affine"))
     try:
@@ -367,10 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default="-")
 
     p = sub.add_parser("simulate", parents=[out], help="generate a synthetic experiment record")
-    p.add_argument("--t1", type=float, default=nvsim.SimConfig.t1_ns, help="T1 in ns")
-    p.add_argument("--t2", type=float, default=nvsim.SimConfig.t2_ns, help="T2 in ns")
+    # each dest is the SimConfig field the option sets
+    p.add_argument("--t1", dest="t1_ns", type=float, default=nvsim.SimConfig.t1_ns, help="T1 in ns")
+    p.add_argument("--t2", dest="t2_ns", type=float, default=nvsim.SimConfig.t2_ns, help="T2 in ns")
     p.add_argument("--detuning", type=float, default=nvsim.SimConfig.detuning, help="rad/ns")
-    p.add_argument("--alpha", type=float, default=nvsim.SimConfig.polarization,
+    p.add_argument("--alpha", dest="polarization", type=float,
+                   default=nvsim.SimConfig.polarization,
                    help="pseudopure polarization, recorded in the record's config only; "
                    "inputs are prepared pure")
     p.add_argument("--shots", type=int, default=nvsim.SimConfig.shots, help="0 = noise-free")
@@ -411,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "points", 1) < 1:
-        parser.error("--points must be at least 1")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

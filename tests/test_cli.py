@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import nvqpt
-from nvqpt import cli, lindblad, numkit, nvsim, qpt, qstate
+from nvqpt import cli, cpfit, lindblad, numkit, nvsim, qpt, qstate
 
 
 def run(*argv):
@@ -91,9 +92,18 @@ class TestSimulate:
     def test_defaults_are_simconfig_and_schedule_defaults(self):
         args = cli.build_parser().parse_args(["simulate"])
         cfg = nvsim.SimConfig()
-        assert (args.t1, args.t2, args.detuning, args.alpha, args.shots, args.seed) == (
+        assert (args.t1_ns, args.t2_ns, args.detuning, args.polarization, args.shots,
+                args.seed) == (
             cfg.t1_ns, cfg.t2_ns, cfg.detuning, cfg.polarization, cfg.shots, cfg.seed)
         assert args.timepoints == lindblad.TimeSchedule(t1=20.0).count
+
+    def test_t2_at_the_simconfig_bound_simulates(self, tmp_path):
+        # SimConfig admits T2 <= 2 T1 + 1e-12 ns; the dephasing rate's rounding
+        # below zero at that bound is clamped, not refused a second time
+        cfg = nvsim.SimConfig(t1_ns=0.001, t2_ns=0.002000000000001)
+        assert nvsim.true_gks_matrix(cfg)[2, 2] == 0
+        assert run("simulate", "--t1", "0.001", "--t2", "0.002000000000001", "--t1ns", "0.0001",
+                   "--shots", "0", "--out", str(tmp_path / "x.json")) == 0
 
     def test_overflowing_rates_stderr_is_one_error_line(self, tmp_path):
         # GKS entries near 1e300: the generator's own checks must not make
@@ -133,6 +143,7 @@ def _put(value, *keys):
 
 @pytest.mark.parametrize("stage, edit", [
     pytest.param("reconstruct", _drop("inputs"), id="no-inputs"),
+    pytest.param("reconstruct", _put(["z-", "z+", "x+", "y+"], "inputs"), id="inputs-reordered"),
     pytest.param("reconstruct", _drop("expectations", "x+", "20.0"), id="no-time-entry"),
     pytest.param("reconstruct", _drop("expectations", "z+", "20.0", "sx"), id="no-sx"),
     pytest.param("reconstruct", _put("abc", "expectations", "z+", "20.0", "sx"),
@@ -161,6 +172,12 @@ def _put(value, *keys):
     # a JSON integer past float range parses, but does not convert to float
     pytest.param("project", _put(10**400, "chi_re", 0, 0), id="bigint-chi"),
     pytest.param("ellipsoid", _put(10**400, "affine", 1, 1), id="bigint-affine"),
+    # a JSON string or bool is not a number, even where float() would take it
+    pytest.param("project", lambda doc: doc.update(
+        chi_re=[[repr(v) for v in row] for row in doc["chi_re"]]), id="chi-re-strings"),
+    pytest.param("metrics", _put([[False] * 4] * 4, "chi_im"), id="chi-im-bools"),
+    pytest.param("ellipsoid", _put("0.9", "affine", 1, 1), id="affine-string"),
+    pytest.param("project", _put(0.25, "chi_im", 0, 1), id="chi-not-hermitian"),
 ])
 def test_malformed_document_is_data_error(record_path, process_path, tmp_path,
                                           stage, edit, capsys):
@@ -362,6 +379,20 @@ class TestProject:
         assert doc["diagnostics"]["success"] is True
         assert doc["diagnostics"]["min_eigenvalue"] >= -1e-9
         assert doc["diagnostics"]["tp_defect"] <= 1e-3
+
+    def test_budget_stop_is_numerical_error(self, noisy_record_path, tmp_path, monkeypatch,
+                                            capsys):
+        raw, fixed = tmp_path / "raw.json", tmp_path / "fixed.json"
+        assert run("reconstruct", str(noisy_record_path), "--time", "20",
+                   "--out", str(raw)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cpfit, "MAX_ITERATIONS", 1)
+        assert run("project", str(raw), "--out", str(fixed)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: projection failed after 1 iterations")
+        assert err.count("\n") == 1
+        # the output file is still written, and says the projection failed
+        assert json.loads(fixed.read_text())["diagnostics"]["success"] is False
 
     def test_repairs_noisy_process(self, noisy_record_path, tmp_path):
         raw = tmp_path / "raw.json"
@@ -608,10 +639,10 @@ class TestEllipsoid:
         assert run("ellipsoid", str(bad), "--points", "8", "--out", str(out)) == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_zero_points_is_usage_error(self, process_path):
-        with pytest.raises(SystemExit) as exc:
-            run("ellipsoid", str(process_path), "--points", "0")
-        assert exc.value.code == 2
+    def test_zero_points_is_usage_error(self, process_path, capsys):
+        assert run("ellipsoid", str(process_path), "--points", "0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points") and err.count("\n") == 1
 
     def test_points_past_array_size_is_usage_error(self, process_path, tmp_path, capsys):
         # numpy refuses 1e20 samples before it allocates any
@@ -667,6 +698,105 @@ def test_chain_is_byte_deterministic(tmp_path, capsys):
         outputs.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())})
     assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("stage", ["simulate", "reconstruct", "project", "metrics",
+                                   "lindblad", "ellipsoid"])
+def test_help_exits_zero(stage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(stage, "--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: nvqpt {stage}")
+    if stage == "simulate":  # each dest, and so each metavar, names a SimConfig field
+        for option in ("--t1 T1_NS", "--t2 T2_NS", "--alpha POLARIZATION"):
+            assert option in text
+
+
+def _nested(depth):
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# values no well-formed document holds, and values of a wrong JSON type for a number
+_EXTREMES = [0, -0.0, -1, 1e-320, 1e300, -1e300, 10**400, float("nan"), float("inf"),
+             "abc", [], {}, [[1.0]], _nested(64), _nested(70)]
+_WRONG_TYPES = [True, "0.5", None]
+_SIM_OPTIONS = ["--t1", "--t2", "--detuning", "--alpha", "--shots", "--seed", "--t1ns",
+                "--timepoints"]
+_SIM_VALUES = ["0", "-1", "5", "0.5", "1e-320", "1e-12", "1e300", "-1e300", "nan", "inf",
+               "1" + "0" * 400, "abc"]
+
+
+def _slots(doc, path=()):
+    """The key path of every value in a JSON document, containers and leaves alike."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
+    """Extreme values in every field of a record and of a process document,
+    and in simulate's options.  Each run exits 0, 2, 3 or 4, and no exception
+    but argparse's SystemExit, which carries the code, escapes main; exit 3 or
+    4 prints exactly one error: line; no run warns; and a wrong JSON type
+    where a number belongs, in times_ns or a process array the stage reads,
+    exits 3."""
+    rng = np.random.default_rng(22)
+    record, process, bad, out = (str(tmp_path / name) for name in
+                                 ("record.json", "process.json", "bad.json", "out"))
+    assert run("simulate", "--seed", "1", "--out", record) == 0
+    assert run("reconstruct", record, "--time", "20", "--out", process) == 0
+    argvs = {
+        "reconstruct": ["reconstruct", bad, "--time", "20", "--out", out],
+        "lindblad": ["lindblad", bad, "--out", out],
+        "project": ["project", bad, "--out", out],
+        "metrics": ["metrics", bad, process, "--json"],
+        "ellipsoid": ["ellipsoid", bad, "--points", "8", "--out", out],
+    }
+    readers = {"times_ns": ["reconstruct", "lindblad"], "chi_re": ["project", "metrics"],
+               "chi_im": ["project", "metrics"], "affine": ["ellipsoid"]}
+    runs = []  # (argv, document or None, must exit 3)
+    for source, stages in ((record, ["reconstruct", "lindblad"]),
+                           (process, ["project", "metrics", "ellipsoid"])):
+        with open(source) as fh:
+            doc = json.load(fh)
+        for slot in _slots(doc):
+            for values, wrong in ((_EXTREMES, False), (_WRONG_TYPES, True)):
+                fuzzed = json.loads(json.dumps(doc))
+                _put(values[rng.integers(len(values))], *slot)(fuzzed)
+                stage = str(rng.choice(readers.get(slot[0], stages)))
+                runs.append((argvs[stage], fuzzed, wrong and slot[0] in readers))
+    for _ in range(60):
+        options = rng.choice(_SIM_OPTIONS, size=rng.integers(1, 3), replace=False)
+        argv = ["simulate", "--out", out]
+        for option in options:
+            argv += [str(option), str(rng.choice(_SIM_VALUES))]
+        runs.append((argv, None, False))
+
+    capsys.readouterr()
+    for argv, doc, data_error in runs:
+        if doc is not None:
+            with open(bad, "w") as fh:
+                json.dump(doc, fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = capsys.readouterr().err
+        case = (argv, doc)
+        assert code in (0, 2, 3, 4), case
+        assert not caught and "warning" not in err, case
+        if code in (3, 4):
+            assert err.startswith("error: ") and err.count("\n") == 1, case
+        if data_error:
+            assert code == 3, case
 
 
 def _env_with_src() -> dict:

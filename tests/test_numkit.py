@@ -482,6 +482,21 @@ class TestLevenbergMarquardt:
         assert converged and f < 1e-12
         assert evals == len(points) == len(set(points))
 
+    def test_rejected_step_raises_damping(self):
+        # r = c^2 - 4 from c = 0.01: the undamped Gauss-Newton step lands near
+        # c = 200, whose cost far exceeds the start's, so the step is refused
+        # and lam raised before the fit reaches c = 2
+        costs = []
+
+        def recorded(c):
+            costs.append(float((c[0] ** 2 - 4) ** 2))
+            return np.array([c[0] ** 2 - 4]), np.array([[2 * c[0]]])
+
+        a, _, _, converged = numkit.levenberg_marquardt(recorded, np.array([[0.01]]))
+        assert max(costs[1:]) > costs[0]
+        assert converged
+        assert abs(a[0, 0] - 2) <= 1e-8
+
     def test_rejects_non_hermitian_start(self):
         for a0 in (np.zeros((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]])):
             with pytest.raises(NumkitError):
