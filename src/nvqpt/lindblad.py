@@ -30,7 +30,7 @@ from .numkit import (_from_components, clip_negative_eigs, eig_hermitian, hermit
 from .qstate import IDENTITY_2, PAULIS, PauliExpectations
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
-F_BASIS = tuple(s / np.sqrt(2) for s in PAULIS)
+F_BASIS = np.array(PAULIS) / np.sqrt(2)
 
 
 class LindbladError(ValueError):
@@ -209,7 +209,7 @@ class GeneratorFit:
     relaxation: np.ndarray     # fitted R_hat superoperator
     residual: float            # sum over the schedule of |exp(-G t) - P_t|_F^2
     evaluations: int           # fit_objective calls, each residuals and Jacobian
-    converged: bool           # False when the fit stopped on numkit.MAX_EVALUATIONS
+    converged: bool           # False on numkit.MAX_EVALUATIONS or MAX_NEWTON_STEPS
 
 
 def fit_objective(c: np.ndarray, ptms: np.ndarray, h_ptm: np.ndarray, schedule: TimeSchedule):
@@ -270,11 +270,8 @@ def lindblads_from_gks(a: np.ndarray) -> LindbladSet:
             f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
         )
     d = np.clip(res.eigenvalues, 0.0, None)
-    ops = [
-        np.sqrt(d[i]) * sum(res.eigenvectors[j, i] * F_BASIS[j] for j in range(3))
-        for i in (2, 1, 0)  # descending eigenvalue order
-        if d[i] > 0 and d[i] >= 1e-12 * d[2]
-    ]
+    ops = ((np.sqrt(d) * res.eigenvectors).T @ F_BASIS.reshape(3, 4)).reshape(3, 2, 2)
+    ops = [ops[i] for i in (2, 1, 0) if d[i] > 0 and d[i] >= 1e-12 * d[2]]  # descending
     contributions = contributions_from_operators(ops)
     return LindbladSet(operators=ops if contributions else [], contributions=contributions)
 

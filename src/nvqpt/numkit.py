@@ -1,12 +1,12 @@
 """Dense complex linear algebra and optimization kernel.
 
-Everything here operates on small (dimension <= 16) numpy arrays and is a
-pure function of its inputs.  Eigendecompositions, QR and linear solves
-come from numpy.linalg.  The matrix exponential (one Pade 3-13 evaluation, scaled
-and squared only above theta_13, also of stacks, real for float64), the principal
-logarithm (inverse scaling and squaring) and the Levenberg-Marquardt
-least-squares solver over the positive semidefinite cone (the model
-supplies its Jacobian) are implemented here, so the package needs numpy only.
+Everything here operates on small (dimension <= 16) numpy arrays and is a pure function of
+its inputs.  Eigendecompositions, QR and linear solves come from numpy.linalg.  The matrix
+exponential (one Pade 3-13 evaluation, scaled and squared only above theta_13, also of
+stacks, real for float64), the principal logarithm (inverse scaling and squaring, a 13-point
+Gauss-Legendre rule) and the Levenberg-Marquardt least-squares solver over the positive
+semidefinite cone (each step a semismooth Newton solve; the model supplies its Jacobian) are
+implemented here, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -52,15 +52,16 @@ class EigResult:
 def eig_hermitian(m) -> EigResult:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized as (M + M^dag)/2 before decomposing; inputs
-    whose anti-Hermitian part exceeds the `hermitian_input` tolerance are
-    rejected.
-    """
+    The input is symmetrized as (M + M^dag)/2 before decomposing; inputs whose anti-Hermitian
+    part exceeds `hermitian_input` times max(1, |M|_F) are rejected."""
     a = _as_square(m)
     h = a.conj().T
-    skew = a - h
+    skew, size = a - h, math.sqrt(np.vdot(a, a).real)
+    if size == math.inf:  # vdot overflows: the same relative test on a / max|a_ij|
+        u = a / np.abs(a).max()
+        skew, size = u - u.conj().T, math.sqrt(np.vdot(u, u).real)
     defect = math.sqrt(np.vdot(skew, skew).real)
-    if defect > tolerances.get("hermitian_input") * max(1.0, math.sqrt(np.vdot(a, a).real)):
+    if defect > tolerances.get("hermitian_input") * max(1.0, size):
         raise NumkitError(f"matrix is not Hermitian (defect {defect:.3g})")
     return EigResult(*np.linalg.eigh((a + h) / 2))
 
@@ -120,12 +121,12 @@ _PADE = {theta: tuple(float(math.perm(2 * m - k, m) // math.factorial(k)) for k 
                           (13, 5.371920351148152e0))}
 MAX_SQUARINGS = 26  # each can double the relative error, and 2^26 u < 1e-8 (u = 2^-53)
 
-# 7-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the
-# [7/7] Pade approximant of log(I + X), accurate to unit roundoff for
-# |X|_1 <= 0.25 (Higham, SIAM J. Matrix Anal. Appl. 22, 1126 (2001)).  The eigenpairs
-# (x, v) of the Legendre Jacobi matrix, off-diagonal k/sqrt(4k^2 - 1), give the nodes
-# (x + 1)/2 and weights v_0^2 (Golub and Welsch, Math. Comp. 23, 221 (1969)).
-_x, _v = np.linalg.eigh(np.diag([k / math.sqrt(4 * k * k - 1) for k in range(1, 7)], -1))
+# 13-point Gauss-Legendre rule on [0, 1]: sum_j w_j X (I + n_j X)^-1 is the [13/13] Pade
+# approximant of log(I + X) (Higham, SIAM J. Matrix Anal. Appl. 22, 1126 (2001)), its error at
+# most the scalar one at -|X|_1 (Kenney and Laub, Int. J. Control 50, 707 (1989)): 2.2e-17
+# at 0.6.  The eigenpairs (x, v) of the Legendre Jacobi matrix, off-diagonal k/sqrt(4k^2 - 1),
+# give the nodes (x + 1)/2 and weights v_0^2 (Golub and Welsch, Math. Comp. 23, 221 (1969)).
+_x, _v = np.linalg.eigh(np.diag([k / math.sqrt(4 * k * k - 1) for k in range(1, 13)], -1))
 _GL_NODES, _GL_WEIGHTS = (_x + 1) / 2, _v[0] ** 2
 
 
@@ -174,16 +175,15 @@ def matrix_exp(m) -> np.ndarray:
 def matrix_log_principal(m) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring.
 
-    Raises PrincipalLogUndefined when an eigenvalue sits on (or within
-    `log_branch` of) the closed negative real axis, where the principal
-    branch is ambiguous -- for propagators this means the decoherence
-    time is too long for an unambiguous branch.
+    Raises PrincipalLogUndefined when an eigenvalue sits on (or within `log_branch` of) the
+    closed negative real axis, where the principal branch is ambiguous -- for propagators
+    this means the decoherence time is too long for an unambiguous branch.
 
-    Product-form Denman-Beavers square roots bring A^(1/2^k) within
-    |A^(1/2^k) - I|_1 <= 0.25; the Gauss-Legendre [7/7] Pade approximant of
-    log(I + X) then gives log A = 2^k log(I + X) (Cheng, Higham, Kenney and
-    Laub, SIAM J. Matrix Anal. Appl. 22, 1112 (2001)).  No eigenvector
-    basis is formed, so defective input such as a Jordan block is fine.
+    Product-form Denman-Beavers square roots (none while |A - I|_1 <= 0.6) bring A^(1/2^k)
+    within |A^(1/2^k) - I|_1 <= 0.6; the Gauss-Legendre [13/13] Pade approximant of
+    log(I + X) then gives log A = 2^k log(I + X) (Cheng, Higham, Kenney and Laub, SIAM J.
+    Matrix Anal. Appl. 22, 1112 (2001)).  No eigenvector basis is formed, so defective
+    input such as a Jordan block is fine.
     """
     a = _as_square(m)
     _finite_norm1(a)  # NumkitError, not numpy warnings, where the 1-norm passes float range
@@ -197,7 +197,7 @@ def matrix_log_principal(m) -> np.ndarray:
             )
     eye = np.eye(len(a), dtype=complex)
     y, k = a, 0
-    while _norm1(y - eye) > 0.25 and k < 64:
+    while _norm1(y - eye) > 0.6 and k < 64:
         # y -> y^(1/2) while mk -> I, quadratically: the step taken once
         # |mk - I|_1 <= 1e-8 brings y to roundoff.  Far from I, each step is
         # scaled by mu = |det mk|^(-1/2n), from slogdet (det overflows), to keep |det mk| 1.
@@ -211,7 +211,7 @@ def matrix_log_principal(m) -> np.ndarray:
             if gap <= 1e-8:
                 break
     x = y - eye
-    terms = np.linalg.solve(eye + _GL_NODES[:, None, None] * x, np.broadcast_to(x, (7, *x.shape)))
+    terms = np.linalg.solve(eye + _GL_NODES[:, None, None] * x, np.broadcast_to(x, (13, *x.shape)))
     out = 2.0**k * np.tensordot(_GL_WEIGHTS, terms, axes=1)
     with np.errstate(over="ignore"):  # inf, not a warning, past entries of about 1e154
         residual, size = np.linalg.norm(matrix_exp(out) - a), np.linalg.norm(a)
@@ -221,49 +221,62 @@ def matrix_log_principal(m) -> np.ndarray:
 
 
 MAX_EVALUATIONS = 200
+MAX_NEWTON_STEPS = 100
 
 
-def psd_model_step(metric, grad, c) -> np.ndarray:
-    """Components (in hermitian_basis) of the PSD y minimizing the model
-    (y - c)^T metric (y - c) / 2 + grad^T (y - c): the unconstrained
-    minimizer if PSD, else the clipped iterate of over-relaxed ADMM (Boyd et
-    al., Found. Trends Mach. Learn. 3, 1 (2011)): up to 500 rounds of a solve
-    with the cached (metric + rho I)^-1, rho = sqrt(lambda_min lambda_max),
-    and one eigenvalue clip, stopping on 1e-13 primal and dual residuals,
-    relative as in OSQP (Stellato et al., Math. Prog. Comp. 12, 637 (2020))."""
+def psd_projection_jacobian(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Generalized Jacobian, on hermitian_basis components, of the PSD clip at V diag(w) V^dag:
+    divided differences of max(w, 0) (1 or 0 on ties, by sign) in the eigenbasis V."""
+    pos, gap = np.maximum(w, 0.0), w[:, None] - w
+    omega = np.divide(pos[:, None] - pos, gap, out=(w[:, None] > 0) + 0.0 * gap, where=gap != 0)
+    b = (v.conj().T @ hermitian_basis(len(w)) @ v).reshape(len(w) ** 2, -1)
+    return (b.conj() * omega.ravel() @ b.T).real
+
+
+def psd_model_step(metric, grad, c) -> tuple[np.ndarray, bool]:
+    """(y, converged): components y in hermitian_basis of the PSD minimizer of the model
+    q(y) = (y - c)^T metric (y - c) / 2 + grad^T (y - c): the unconstrained minimizer if PSD,
+    else semismooth Newton from its clip on F(y) = y - P(y - q'(y) / s), P the clip and
+    s = |metric|_F (Zhao, Sun and Toh, SIAM J. Optim. 20, 1737 (2010)), halving steps until
+    the envelope falls (Stella, Themelis and Patrinos, Comput. Optim. Appl. 67, 443 (2017)).
+    Returns the PSD P(...) once |F|^2 <= 1e-26 (|y|^2 + |q'(y) / s|^2), or unconverged
+    after MAX_NEWTON_STEPS clips."""
     y = c - np.linalg.solve(metric, grad)
-    if np.linalg.eigvalsh(_from_components(y))[0] >= 0:
-        return y
-    lam = np.linalg.eigvalsh(metric)
-    rho = math.sqrt(lam[0] * lam[-1])
-    inv = np.linalg.inv(metric + rho * np.eye(len(c)))
-    q = metric @ c - grad
-    z, u = c, -grad / rho  # start at c, with the scaled multiplier that fits it
-    for _ in range(500):
-        y = inv @ (q + rho * (z - u))
-        relaxed = 1.8 * y - 0.8 * z
-        w, v = np.linalg.eigh(_from_components(relaxed + u))
-        z_old, z = z, _to_components(_clip_eigs(w, v))
-        u += relaxed - z
-        prim, dual = y - z, rho * (z - z_old)
-        if (prim @ prim <= 1e-26 * max(y @ y, z @ z)
-                and dual @ dual <= 1e-26 * max(q @ q, rho * rho * (u @ u))):
-            break
-    return z
+    w, v = np.linalg.eigh(_from_components(y))
+    if w[0] >= 0:
+        return y, True
+    scale, eye = np.linalg.norm(metric), np.eye(len(c))  # > lambda_max: Newton steps descend
+    metric, grad, y = metric / scale, grad / scale, _to_components(_clip_eigs(w, v))
+    d = y_grad = np.zeros(len(c))  # the start's step is 0, and its envelope +inf
+    t, envelope, slope = 0.0, math.inf, 0.0
+    for _ in range(MAX_NEWTON_STEPS):
+        trial = y + t * d
+        q_grad = metric @ (trial - c) + grad
+        w, v = np.linalg.eigh(_from_components(trial - q_grad))
+        z = _to_components(_clip_eigs(w, v))
+        f = trial - z
+        if f @ f <= 1e-26 * (trial @ trial + q_grad @ q_grad):
+            return z, True
+        merit = f @ f / 2 - q_grad @ f  # (envelope - q) / s; q's change is exact below
+        if t * (y_grad @ d + t / 2 * d @ metric @ d) + merit - envelope > 1e-4 * t * slope:
+            t /= 2  # the envelope fell by less than 1e-4 of its slope
+            continue
+        y, y_grad, envelope = trial, q_grad, merit
+        d = -np.linalg.solve(eye - psd_projection_jacobian(w, v) @ (eye - metric), f)
+        t, slope = 1.0, (f - metric @ f) @ d
+    return z, False
 
 
 def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize sum(r(c)**2) over the components c in hermitian_basis of PSD
-    matrices, from a0 clipped to PSD, given model(c) = (r(c), d r / dc) for c
-    a 1-D float vector of length n^2; returns (a_best, cost, evaluations,
-    converged), a_best the matrix of the best c.
+    """Minimize sum(r(c)**2) over the components c in hermitian_basis of PSD matrices, from
+    a0 clipped to PSD, given model(c) = (r(c), d r / dc) for c a 1-D float vector of length
+    n^2; returns (a_best, cost, evaluations, converged), a_best the matrix of the best c.
 
-    Each step minimizes the Gauss-Newton model, damped by lam * max(diag
-    J^T J), on the PSD cone (psd_model_step).  Converges before evaluating a
-    trial step y when the undamped model |r + J (y - c)|^2 lowers the cost
-    by <= 1e-15 of it, or y - c is below 1e-12 relative to c.  An accepted
-    trial brings its own J.  The solver stops unconverged before a trial
-    step that would exceed MAX_EVALUATIONS."""
+    Each step minimizes the Gauss-Newton model, damped by lam * max(diag J^T J), on the PSD
+    cone (psd_model_step).  Converges before evaluating a trial step y when the undamped
+    model |r + J (y - c)|^2 lowers the cost by <= 1e-15 of it, or y - c is below 1e-12
+    relative to c.  An accepted trial brings its own J.  The solver stops unconverged before
+    a trial step that would exceed MAX_EVALUATIONS, or on an unconverged model step."""
     c, evals = _to_components(clip_negative_eigs(a0)), 0
 
     def f(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -280,7 +293,9 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye
         while evals < MAX_EVALUATIONS:  # raise lam until a step lowers the cost
-            y = psd_model_step(jtj + lam * damping, grad, c)
+            y, solved = psd_model_step(jtj + lam * damping, grad, c)
+            if not solved:
+                return _from_components(c), cost, evals, False
             linear = r + jac @ (y - c)  # the linearized residual at y
             if (cost - linear @ linear <= 1e-15 * cost
                     or np.linalg.norm(y - c) <= 1e-12 * (np.linalg.norm(c) + 1e-12)):

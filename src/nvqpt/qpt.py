@@ -55,24 +55,22 @@ def input_states() -> list[np.ndarray]:
     return [np.outer(k, k.conj()) for k in kets]
 
 
-def matrix_unit_images(outputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Images of the four matrix units under the measured channel.
+# E(|0><1|) = E(rho_+) + i E(rho_+i) - (1+i)/2 (E(rho_0) + E(rho_1)) and its conjugate for
+# E(|1><0|), by linearity: row k maps the outputs of input_states() to E(matrix_units()[k]).
+_UNIT_MIX = np.array([[1, 0, 0, 0], [-(1 + 1j) / 2, -(1 + 1j) / 2, 1, 1j],
+                      [-(1 - 1j) / 2, -(1 - 1j) / 2, 1, -1j], [0, 1, 0, 0]])
 
-    Uses linearity: E(|0><1|) = E(rho_+) + i E(rho_+i)
-    - (1+i)/2 (E(rho_0) + E(rho_1)), and the conjugate identity for
-    E(|1><0|).  Output order matches matrix_units()."""
+
+def matrix_unit_images(outputs: list[np.ndarray]) -> np.ndarray:
+    """Images (4, 2, 2) of matrix_units() under the measured channel: _UNIT_MIX @ outputs."""
     if len(outputs) != 4:
         raise ProcessError("need exactly four outputs")
-    e0, e1, ep, ei = (np.asarray(o, dtype=complex) for o in outputs)
-    e01 = ep + 1j * ei - (1 + 1j) / 2 * (e0 + e1)
-    e10 = ep - 1j * ei - (1 - 1j) / 2 * (e0 + e1)
-    return [e0, e01, e10, e1]
+    return (_UNIT_MIX @ np.reshape(np.asarray(outputs, dtype=complex), (4, 4))).reshape(4, 2, 2)
 
 
 def chi_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
     """chi[2a+i, 2b+j] = E(|i><j|)[a, b] from the outputs of input_states()."""
-    images = np.array(matrix_unit_images(outputs))
-    return images.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    return matrix_unit_images(outputs).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:

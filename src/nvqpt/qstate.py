@@ -7,6 +7,7 @@ Pole convention throughout the package: |0> sits at Bloch z = +1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,15 @@ def bloch_to_density(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise StateError("Bloch vector must have three components")
-    norm = np.linalg.norm(r)
-    tol = tolerances.get("bloch_ball")
-    if not norm <= 1 + tol:  # NaN fails too
-        raise StateError(f"Bloch vector norm {norm} exceeds 1")
-    if norm > 1:
-        r = r / norm
-    return (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2
+    if not math.hypot(*r.tolist()) <= 1 + tolerances.get("bloch_ball"):  # NaN fails too
+        raise StateError(f"Bloch vector norm {np.linalg.norm(r)} exceeds 1")
+    return _clamped_density(*r.tolist())
+
+
+def _clamped_density(x: float, y: float, z: float) -> np.ndarray:
+    s = max(1.0, math.hypot(x, y, z))  # radially onto the unit sphere from outside it
+    x, y, z = x / s, y / s, z / s
+    return np.array([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
 
 
 def density_to_bloch(rho) -> np.ndarray:
@@ -83,11 +86,7 @@ def maxent_reconstruct(e: PauliExpectations) -> np.ndarray:
     maximization drops them); if the measured components alone leave the
     Bloch ball, they are scaled radially onto the unit sphere.
     """
-    r = np.array([v if v is not None else 0.0 for v in e.as_tuple()])
-    norm = np.linalg.norm(r)
-    if norm > 1:
-        r = r / norm
-    return bloch_to_density(r)
+    return _clamped_density(*(0.0 if v is None else v for v in e.as_tuple()))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

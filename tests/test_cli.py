@@ -560,6 +560,29 @@ class TestLindblad:
         err = capsys.readouterr().err
         assert "stopped on its budget after 1 evaluations" in err
 
+    def test_newton_cap_stop_is_reported(self, tmp_path, monkeypatch, capsys):
+        # all 5 model steps of the seed-1 record's fit are constrained, and one
+        # clip per step cannot meet the Newton stop: the fit stops unconverged,
+        # and says so, as on the evaluation budget
+        record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
+        assert run("simulate", "--seed", "1", "--out", str(record)) == 0
+        times, grid = cli._read_record(record)
+        schedule = lindblad.TimeSchedule.from_times(times)
+        props = [lindblad.propagator_from_outputs([qstate.maxent_reconstruct(e) for e in row])
+                 for row in grid]
+        h_super = np.zeros((4, 4))
+        start = lindblad.gks_start_from_generator(
+            lindblad.generator_bch_estimate(props, h_super, schedule))
+        assert lindblad.fit_generator(props, h_super, schedule, start).converged
+        monkeypatch.setattr(numkit, "MAX_NEWTON_STEPS", 1)
+        assert not lindblad.fit_generator(props, h_super, schedule, start).converged
+        capsys.readouterr()
+        assert run("lindblad", str(record), "--out", str(out)) == 4
+        assert json.loads(out.read_text())["converged"] is False
+        err = capsys.readouterr().err
+        assert err.startswith("warning: generator fit stopped on its budget")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("detuning", ["0", "0.03"])
     def test_fast_decay_scales_and_squares(self, tmp_path, detuning):
         # t1 = 100 ns at T1 = 100 ns, T2 = 50 ns: the 400 ns exponent's 1-norm

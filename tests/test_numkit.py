@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvqpt import lindblad, numkit, tolerances
+from nvqpt import lindblad, numkit, nvsim, qstate, tolerances
 from nvqpt.numkit import NumkitError, ObjectiveDiverged, PrincipalLogUndefined
 
 from conftest import THETAS, random_hermitian
@@ -65,6 +65,19 @@ class TestEigHermitian:
             else:
                 with pytest.raises(NumkitError, match="not Hermitian"):
                     numkit.eig_hermitian(a)
+
+    @pytest.mark.parametrize("m", [[[0.0, 1e200], [0.0, 0.0]], [[1e160, 1e160], [0.0, 1e160]]])
+    def test_rejects_non_hermitian_past_norm_overflow(self, m):
+        # both Frobenius norms overflow to inf, and inf > 1e-8 * inf is False: the
+        # relative test must run on a / max|a_ij|, or these decompose to +-5e199 and
+        # [5e159, 1.5e160]
+        with pytest.raises(NumkitError, match="not Hermitian"):
+            numkit.eig_hermitian(m)
+
+    def test_hermitian_past_norm_overflow_decomposes(self):
+        res = numkit.eig_hermitian(1e200 * np.eye(2))
+        assert np.array_equal(res.eigenvalues, [1e200, 1e200])
+        assert np.linalg.norm(res.eigenvectors.conj().T @ res.eigenvectors - np.eye(2)) <= 1e-15
 
     def test_rejects_infinite_imaginary_part(self):
         # complex(0, inf): writing 1j * np.inf would give nan + inf j
@@ -231,6 +244,19 @@ def _complex_pade_exp(a):
     return r
 
 
+def propagator_at_gap(rng, gap):
+    """(A, exp(A)) for a random complex 4x4 A, scaled by bisection so that
+    |exp(A) - I|_1 = gap to 1e-12."""
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a /= np.abs(a).sum(axis=0).max()
+    lo, hi = 0.0, 2.0
+    while hi - lo > 1e-12 * hi:
+        mid = (lo + hi) / 2
+        gap_mid = np.abs(numkit.matrix_exp(mid * a) - np.eye(4)).sum(axis=0).max()
+        lo, hi = (mid, hi) if gap_mid < gap else (lo, mid)
+    return lo * a, numkit.matrix_exp(lo * a)
+
+
 class TestMatrixLog:
     def test_identity(self):
         assert np.allclose(numkit.matrix_log_principal(np.eye(3)), 0)
@@ -253,8 +279,9 @@ class TestMatrixLog:
                 numkit.matrix_log_principal(m)
 
     def test_gauss_legendre_rule_integrates_monomials(self):
-        # 7 nodes integrate x^k exactly on [0, 1] for every k <= 13
-        k = np.arange(14)
+        # 13 nodes integrate x^k exactly on [0, 1] for every k <= 25
+        assert len(numkit._GL_NODES) == 13
+        k = np.arange(26)
         integrals = numkit._GL_NODES ** k[:, None] @ numkit._GL_WEIGHTS
         assert np.abs(integrals - 1 / (k + 1)).max() <= 1e-15
 
@@ -267,6 +294,19 @@ class TestMatrixLog:
         a = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         m = numkit.matrix_exp(a)
         assert np.linalg.norm(numkit.matrix_log_principal(m) - a) <= 1e-8
+
+    @pytest.mark.parametrize("gap", [0.24, 0.26, 0.59, 0.61, 1.5])
+    def test_round_trip_at_threshold_norms(self, monkeypatch, gap):
+        # |P - I|_1 = gap: the 13-point rule alone up to 0.6, square roots above it
+        a, p = propagator_at_gap(np.random.default_rng(61), gap)
+        assert abs(np.abs(p - np.eye(4)).sum(axis=0).max() - gap) <= 1e-9
+        roots = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: roots.append(1) or inv(m))
+        out = numkit.matrix_log_principal(p)
+        assert bool(roots) == (gap > 0.6)
+        assert np.linalg.norm(out - a) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(numkit.matrix_exp(out) - p) <= 1e-14 * np.linalg.norm(p)
 
     def test_negative_axis_rejected(self):
         with pytest.raises(PrincipalLogUndefined):
@@ -366,6 +406,80 @@ class TestHermitianBasis:
         assert numkit.hermitian_basis(3) is basis
 
 
+def assert_model_step_kkt(metric, g, c, y):
+    """KKT of the model step: Y PSD, the model gradient G = M (y - c) + g PSD,
+    and tr(G Y) = 0."""
+    basis = numkit.hermitian_basis(math.isqrt(len(c)))
+    ymat = np.tensordot(y, basis, 1)
+    gmat = np.tensordot(metric @ (y - c) + g, basis, 1)
+    scale = np.linalg.norm(metric) * max(np.linalg.norm(c), np.linalg.norm(y))
+    assert np.linalg.eigvalsh(ymat).min() >= -1e-14
+    assert np.linalg.eigvalsh(gmat).min() >= -1e-12 * scale
+    assert abs(np.trace(gmat @ ymat)) <= 1e-12 * scale * np.linalg.norm(y)
+
+
+def admm_model_steps(metric, grad, c, rounds=500):
+    """The model step psd_model_step solved by over-relaxed ADMM before its Newton
+    step (Boyd et al., Found. Trends Mach. Learn. 3, 1 (2011)), batched over a stack
+    of constrained problems of one size: (z, stopped) per problem.  Each round solves
+    with the cached (metric + rho I)^-1, rho = sqrt(lambda_min lambda_max), and clips
+    once; a problem freezes at its last clip z once its primal and dual residuals
+    reach 1e-13, relative as in OSQP (Stellato et al., Math. Prog. Comp. 12, 637
+    (2020)), and stays unstopped at the round cap."""
+    count, m = c.shape
+    n = math.isqrt(m)
+    basis = numkit.hermitian_basis(n).reshape(m, m)
+    lam = np.linalg.eigvalsh(metric)
+    rho = np.sqrt(lam[:, :1] * lam[:, -1:])
+    inv = np.linalg.inv(metric + rho[:, :, None] * np.eye(m))
+    q = np.einsum("kij,kj->ki", metric, c) - grad
+    z, u, stopped = c, -grad / rho, np.zeros(count, dtype=bool)
+    for _ in range(rounds):
+        y = np.einsum("kij,kj->ki", inv, q + rho * (z - u))
+        relaxed = 1.8 * y - 0.8 * z
+        w, v = np.linalg.eigh(((relaxed + u) @ basis).reshape(count, n, n))
+        clip = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        z_new = (clip.reshape(count, m) @ basis.conj().T).real
+        u_new = u + relaxed - z_new
+        prim, dual = y - z_new, rho * (z_new - z)
+        stop = ((np.sum(prim**2, axis=1) <= 1e-26 * np.maximum(np.sum(y**2, axis=1),
+                                                               np.sum(z_new**2, axis=1)))
+                & (np.sum(dual**2, axis=1) <= 1e-26 * np.maximum(
+                    np.sum(q**2, axis=1), rho[:, 0]**2 * np.sum(u_new**2, axis=1))))
+        z = np.where(stopped[:, None], z, z_new)
+        u = np.where(stopped[:, None], u, u_new)
+        stopped |= stop
+        if stopped.all():
+            break
+    return z, stopped
+
+
+def grid_model_steps():
+    """The (metric, grad, c) of every model step in the criterion-05 grid's fits."""
+    from test_acceptance import PIPELINE_GRID
+
+    steps, solve = [], numkit.psd_model_step
+    schedule = lindblad.TimeSchedule(t1=20.0)
+
+    def recorded(metric, grad, c):
+        steps.append((metric, grad, c))
+        return solve(metric, grad, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numkit, "psd_model_step", recorded)
+        for t1_ns, t2_ns, delta in PIPELINE_GRID:
+            cfg = nvsim.SimConfig(t1_ns=t1_ns, t2_ns=t2_ns, detuning=delta, shots=0)
+            record = nvsim.run_experiment(cfg, schedule)
+            props = [lindblad.propagator_from_outputs(
+                [qstate.maxent_reconstruct(record.expectations[k][t]) for k in nvsim.INPUT_LABELS])
+                for t in schedule.times()]
+            h_super = nvsim.true_generator(cfg)[0]
+            start = lindblad.gks_start_from_generator(
+                lindblad.generator_bch_estimate(props, h_super, schedule))
+            lindblad.fit_generator(props, h_super, schedule, start)
+    return steps
+
+
 class TestPsdModelStep:
     def test_identity_metric_is_the_clip(self, rng):
         # (y - c)^2 / 2 + g (y - c) is |y - (c - g)|^2 / 2 up to a constant
@@ -374,29 +488,86 @@ class TestPsdModelStep:
                 c, g = _components(random_hermitian(rng, n)), rng.normal(size=n * n)
                 oracle = _components(numkit.clip_negative_eigs(
                     np.tensordot(c - g, numkit.hermitian_basis(n), 1)))
-                y = numkit.psd_model_step(np.eye(n * n), g, c)
-                assert np.linalg.norm(y - oracle) <= 1e-12
+                y, converged = numkit.psd_model_step(np.eye(n * n), g, c)
+                assert converged and np.linalg.norm(y - oracle) <= 1e-12
 
     def test_optimality(self, rng):
-        # KKT: Y PSD, the model gradient G = M (y - c) + g PSD, and tr(G Y) = 0
-        basis = numkit.hermitian_basis(3)
         for _ in range(20):
             q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
             metric = (q * rng.uniform(1.0, 10.0, 9)) @ q.T
             c, g = rng.normal(size=9), rng.normal(size=9)
-            y = numkit.psd_model_step(metric, g, c)
-            ymat = np.tensordot(y, basis, 1)
-            gmat = np.tensordot(metric @ (y - c) + g, basis, 1)
-            scale = np.linalg.norm(metric) * max(np.linalg.norm(c), np.linalg.norm(y))
-            assert np.linalg.eigvalsh(ymat).min() >= -1e-14
-            assert np.linalg.eigvalsh(gmat).min() >= -1e-12 * scale
-            assert abs(np.trace(gmat @ ymat)) <= 1e-12 * scale * np.linalg.norm(y)
+            y, converged = numkit.psd_model_step(metric, g, c)
+            assert converged
+            assert_model_step_kkt(metric, g, c, y)
+
+    def test_halved_steps_stop_a_newton_cycle(self):
+        # on this metric of condition number 1e6 (one of 47 in 3,000 such seeds),
+        # full Newton steps on F cycle; halving them on the envelope converges
+        rng = np.random.default_rng(13)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        metric = (q * np.logspace(0, 6, 4)) @ q.T
+        c, g = rng.normal(size=4), rng.normal(size=4)
+        m, h = metric / np.linalg.norm(metric), g / np.linalg.norm(metric)
+        y = _components(numkit.clip_negative_eigs(
+            np.tensordot(c - np.linalg.solve(metric, g), numkit.hermitian_basis(2), 1)))
+        for _ in range(numkit.MAX_NEWTON_STEPS):  # full steps from the same start
+            w, v = np.linalg.eigh(np.tensordot(y - m @ (y - c) - h, numkit.hermitian_basis(2), 1))
+            f = y - _components(numkit._clip_eigs(w, v))
+            jac = numkit.psd_projection_jacobian(w, v)
+            y = y - np.linalg.solve(np.eye(4) - jac @ (np.eye(4) - m), f)
+        assert f @ f > 1e-6
+        y, converged = numkit.psd_model_step(metric, g, c)
+        assert converged
+        assert_model_step_kkt(metric, g, c, y)
 
     def test_psd_unconstrained_step_is_taken(self, rng):
         metric, c = np.diag(rng.uniform(1.0, 2.0, 9)), _components(np.eye(3))
         g = 0.01 * rng.normal(size=9)
-        assert np.allclose(numkit.psd_model_step(metric, g, c), c - g / np.diag(metric),
-                           rtol=0, atol=1e-15)
+        y, converged = numkit.psd_model_step(metric, g, c)
+        assert converged and np.allclose(y, c - g / np.diag(metric), rtol=0, atol=1e-15)
+
+
+class TestNewtonAgainstAdmm:
+    """psd_model_step against the ADMM solve it replaced, on constrained problems:
+    seeded metrics of condition number 1 to 1e6 (n = 2 and 3), and every
+    constrained model step of the criterion-05 grid's fits."""
+
+    @staticmethod
+    def constrained(rng, n, count):
+        m, problems = n * n, []
+        while len(problems) < count:
+            q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            cond = 10 ** rng.uniform(0, 6)
+            lam = cond ** rng.uniform(0, 1, m)
+            lam[:2] = 1.0, cond
+            metric, c, g = (q * lam) @ q.T, rng.normal(size=m), rng.normal(size=m)
+            if np.linalg.eigvalsh(np.tensordot(c - np.linalg.solve(metric, g),
+                                               numkit.hermitian_basis(n), 1))[0] < 0:
+                problems.append((metric, g, c))
+        return problems
+
+    def test_matches_admm(self):
+        rng = np.random.default_rng(2010)
+        grid = [(m, g, c) for m, g, c in grid_model_steps()
+                if np.linalg.eigvalsh(np.tensordot(c - np.linalg.solve(m, g),
+                                                   numkit.hermitian_basis(3), 1))[0] < 0]
+        assert len(grid) >= 5
+        compared = 0
+        for problems in (self.constrained(rng, 2, 360), self.constrained(rng, 3, 360), grid):
+            metric, g, c = (np.array(x) for x in zip(*problems))
+            reference, stopped = admm_model_steps(metric, g, c)
+            for problem, z, z_stopped in zip(problems, reference, stopped):
+                y, converged = numkit.psd_model_step(*problem)
+                assert converged
+                assert_model_step_kkt(*problem, y)
+                # ADMM stalls on some metrics of condition number past 1e4, within 3% of
+                # the solution at its cap; where it stopped on its residuals, it is the
+                # reference
+                if z_stopped:
+                    assert np.linalg.norm(y - z) <= 1e-9 * max(1.0, np.linalg.norm(y))
+            compared += int(stopped.sum())
+        assert stopped.all()  # every grid step compares
+        assert compared >= 500
 
 
 class TestLevenbergMarquardt:
