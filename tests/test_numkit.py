@@ -418,6 +418,12 @@ def assert_model_step_kkt(metric, g, c, y):
     assert abs(np.trace(gmat @ ymat)) <= 1e-12 * scale * np.linalg.norm(y)
 
 
+def leaves_the_cone(metric, g, c):
+    """Whether the unconstrained minimizer of the model step is not PSD."""
+    y = c - np.linalg.solve(metric, g)
+    return np.linalg.eigvalsh(np.tensordot(y, numkit.hermitian_basis(math.isqrt(len(c))), 1))[0] < 0
+
+
 def admm_model_steps(metric, grad, c, rounds=500):
     """The model step psd_model_step solved by over-relaxed ADMM before its Newton
     step (Boyd et al., Found. Trends Mach. Learn. 3, 1 (2011)), batched over a stack
@@ -541,16 +547,13 @@ class TestNewtonAgainstAdmm:
             lam = cond ** rng.uniform(0, 1, m)
             lam[:2] = 1.0, cond
             metric, c, g = (q * lam) @ q.T, rng.normal(size=m), rng.normal(size=m)
-            if np.linalg.eigvalsh(np.tensordot(c - np.linalg.solve(metric, g),
-                                               numkit.hermitian_basis(n), 1))[0] < 0:
+            if leaves_the_cone(metric, g, c):
                 problems.append((metric, g, c))
         return problems
 
     def test_matches_admm(self):
         rng = np.random.default_rng(2010)
-        grid = [(m, g, c) for m, g, c in grid_model_steps()
-                if np.linalg.eigvalsh(np.tensordot(c - np.linalg.solve(m, g),
-                                                   numkit.hermitian_basis(3), 1))[0] < 0]
+        grid = [step for step in grid_model_steps() if leaves_the_cone(*step)]
         assert len(grid) >= 5
         compared = 0
         for problems in (self.constrained(rng, 2, 360), self.constrained(rng, 3, 360), grid):
