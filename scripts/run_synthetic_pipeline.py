@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from nvqpt import cpfit, lindblad, nvsim, qpt, qstate, tolerances
+from nvqpt import cpfit, lindblad, nvsim, qpt, qstate
 
 
 def main() -> None:
@@ -40,9 +40,9 @@ def main() -> None:
             for label in nvsim.INPUT_LABELS
         ]
         chi = qpt.chi_from_outputs(outputs)
-        min_eig = float(np.linalg.eigvalsh(chi).min())
-        print(f"\nt = {t:g} ns: raw chi min eigenvalue {min_eig:.3e}")
-        if min_eig < tolerances.get("min_eig_floor"):
+        min_eig, defect, cptp = qpt.cptp_verdict(chi)
+        print(f"\nt = {t:g} ns: raw chi min eigenvalue {min_eig:.3e}, tp defect {defect:.2e}")
+        if not cptp:
             result = cpfit.project_to_cp(chi)
             norms = qpt.unphysicality_norms(chi, result.chi_tilde)
             print(

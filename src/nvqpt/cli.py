@@ -19,8 +19,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import cpfit, lindblad, nvsim, qpt, qstate, tolerances
-from .numkit import NumkitError, PrincipalLogUndefined, eig_hermitian
+from . import cpfit, lindblad, numkit, nvsim, qpt, qstate
+from .numkit import NumkitError, PrincipalLogUndefined
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -192,10 +192,11 @@ def cmd_reconstruct(args) -> int:
         if gaps:
             missing[label] = gaps
     chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])
+    min_eig, defect, _ = qpt.cptp_verdict(chi)
     diagnostics = {
         "time_ns": time,
-        "min_eigenvalue": float(eig_hermitian(chi).eigenvalues[0]),
-        "tp_defect": qpt.tp_defect(chi),
+        "min_eigenvalue": min_eig,
+        "tp_defect": defect,
         "unmeasured": missing,
     }
     _dump_json(_process_doc(chi, diagnostics), args.out)
@@ -233,20 +234,13 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _is_cptp(chi: np.ndarray) -> bool:
-    return (
-        eig_hermitian(chi).eigenvalues[0] >= tolerances.get("min_eig_floor")
-        and qpt.tp_defect(chi) <= tolerances.get("tp_defect_max")
-    )
-
-
 def cmd_metrics(args) -> int:
     chi_a = _read_process(args.process_a)
     chi_b = _read_process(args.process_b)
     norms = qpt.unphysicality_norms(chi_a, chi_b)
     table: dict[str, float | str | None] = dict(norms)
     warning = None
-    if _is_cptp(chi_a) and _is_cptp(chi_b):
+    if qpt.cptp_verdict(chi_a)[2] and qpt.cptp_verdict(chi_b)[2]:
         rho_a = qpt.jamiolkowski_state(chi_a)
         rho_b = qpt.jamiolkowski_state(chi_b)
         table["jamiolkowski_trace_distance"] = qstate.trace_distance(rho_a, rho_b)
@@ -322,8 +316,10 @@ def cmd_lindblad(args) -> int:
     print("lindblad fit: residual", _fmt(fit.residual))
     for i, c in enumerate(lset.contributions, start=1):
         print(f"  L{i} relative contribution {_fmt(100 * c)}%")
-    if not fit.converged:
-        print(f"warning: generator fit stopped on its budget after {fit.evaluations} "
+    if not fit.converged:  # a model step runs only below the evaluation budget
+        spent = fit.evaluations >= numkit.MAX_EVALUATIONS
+        cause = "its budget" if spent else "a model step's Newton cap"
+        print(f"warning: generator fit stopped on {cause} after {fit.evaluations} "
               "evaluations (each with its Jacobian) before converging", file=sys.stderr)
         return EXIT_NUMERICAL
     return 0

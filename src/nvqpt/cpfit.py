@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qpt, tolerances
-from .numkit import NumkitError, _clip_eigs, clip_negative_eigs, eig_hermitian, triangular_from_params
+from . import qpt
+from .numkit import NumkitError, _clip_eigs, clip_negative_eigs, triangular_from_params
 from .qstate import IDENTITY_2
 
 # Dykstra converges once the PSD and affine iterates are this close (relative
@@ -56,9 +56,8 @@ class ProjectionResult:
 def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     """Find the nearest CPTP chi~ to a Hermitian (possibly unphysical) chi.
 
-    Physicality thresholds (`min_eig_floor`, `tp_defect_max`) are
-    reported, not silently ignored: `success` is False when they are
-    missed or when the projection stops on its iteration budget.
+    qpt.cptp_verdict judges the result: `success` is False when it fails
+    or when the projection stops on its iteration budget.
     """
     chi = np.asarray(chi, dtype=complex)
     with np.errstate(over="ignore"):
@@ -78,8 +77,7 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
         converged = float(np.linalg.norm(chi_tilde - psd)) <= gap_tol
         if converged:
             break
-    min_eig = float(eig_hermitian(chi_tilde).eigenvalues[0])
-    defect = qpt.tp_defect(chi_tilde)
+    min_eig, defect, cptp = qpt.cptp_verdict(chi_tilde)
     return ProjectionResult(
         chi_tilde=chi_tilde,
         iterations=iterations,
@@ -87,9 +85,5 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
         min_eigenvalue=min_eig,
         tp_defect=defect,
         frobenius_distance=float(np.linalg.norm(chi_tilde - chi)),
-        success=(
-            converged
-            and min_eig >= tolerances.get("min_eig_floor")
-            and defect <= tolerances.get("tp_defect_max")
-        ),
+        success=converged and cptp,
     )

@@ -2,8 +2,8 @@
 
 Density matrices are column-stacked into 4-vectors, so vec(A X B) =
 (B^T (x) A) vec X writes every commutator and GKS term as Kronecker
-products, and a measured channel's superpropagator is the realignment
-P[a+2b, i+2j] = chi[2a+i, 2b+j] of its chi (Choi) matrix.  The
+products, and a measured channel's superpropagator is qpt.superop_from_chi
+of its chi (Choi) matrix.  The
 relaxation generator is estimated from propagators at a doubling time
 schedule (matrix log; symmetric BCH with closed-form Richardson weights),
 clipped to a PSD GKS matrix, refined by a Levenberg-Marquardt fit of it on
@@ -11,7 +11,7 @@ the PSD cone to the propagators (exact Jacobian from block-triangular
 exponentials), and diagonalized into Lindblad operators with contributions.
 
 The API stays in Liouville form; the start, the fit and the predictions work on real
-Pauli transfer matrices (PTMs), qpt's R_mn = tr(sigma_m S(sigma_n))/2 (Boulant et al. 2003).
+Pauli transfer matrices (PTMs), qpt.ptm's R_mn = tr(sigma_m S(sigma_n))/2 (Boulant 2003).
 
 Units: time in ns, rates in 1/ns, Hamiltonians in rad/ns.
 """
@@ -119,9 +119,8 @@ class TimeSchedule:
 def propagator_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
     """Superpropagator of the channel behind the four measured outputs
     (inputs ordered as qpt.input_states()): column i+2j is vec E(|i><j|),
-    the realignment P[a+2b, i+2j] = chi[2a+i, 2b+j]."""
-    chi = qpt.chi_from_outputs(outputs)
-    return chi.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    the realignment qpt.superop_from_chi of the channel's chi."""
+    return qpt.superop_from_chi(qpt.chi_from_outputs(outputs))
 
 
 def propagator_from_superop(generator: np.ndarray, t: float) -> np.ndarray:
@@ -180,19 +179,9 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
 
 
-# Column n is vec(sigma_n^T), sigma_0 = I, so vec(rho) @ PAULI_READOUT = tr(rho sigma_n).
-PAULI_READOUT = np.column_stack([vectorize(s.T) for s in (IDENTITY_2, *PAULIS)])
-# U = [vec(sigma_n) / sqrt(2)] is unitary: U^dag S U is the PTM of S, same norm.
-_PTM_BASIS = PAULI_READOUT.conj() / np.sqrt(2)
-
-
-def _ptm(superop) -> np.ndarray:
-    return _PTM_BASIS.conj().T @ np.asarray(superop, dtype=complex) @ _PTM_BASIS
-
-
 # Row k is the real PTM of R_hat(B_k), B_k = hermitian_basis(3)[k], first (trace) row exactly 0:
 # c @ _BASIS_PTMS is R_hat(a)'s for a's components c, and _GKS_START inverts its rows 1-3.
-_BASIS_PTMS = _ptm(dissipator_superop(hermitian_basis(3))).real * [[0.0], [1.0], [1.0], [1.0]]
+_BASIS_PTMS = qpt.ptm(dissipator_superop(hermitian_basis(3))).real * [[0.0], [1.0], [1.0], [1.0]]
 _BASIS_NORM1 = np.abs(_BASIS_PTMS).sum(axis=1).max()
 _GKS_START = np.linalg.pinv(_BASIS_PTMS[:, 1:].reshape(9, 12).T)
 
@@ -200,7 +189,7 @@ _GKS_START = np.linalg.pinv(_BASIS_PTMS[:, 1:].reshape(9, 12).T)
 def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     """The fit's start: the GKS matrix a whose R_hat(a) is nearest an
     unconstrained generator estimate in least squares, clipped to PSD."""
-    return clip_negative_eigs(_from_components(_GKS_START @ _ptm(r_estimate)[1:].real.ravel()))
+    return clip_negative_eigs(_from_components(_GKS_START @ qpt.ptm(r_estimate)[1:].real.ravel()))
 
 
 @dataclass(frozen=True)
@@ -244,7 +233,7 @@ def fit_generator(props: list[np.ndarray], h_super: np.ndarray, schedule: TimeSc
     on the PSD cone with the exact Jacobian, in PTM form (fit_objective)."""
     if len(props) != schedule.count:
         raise LindbladError("propagator count does not match schedule")
-    ptms, h_ptm = _ptm(props), _ptm(1j * np.asarray(h_super, complex)).real
+    ptms, h_ptm = qpt.ptm(props), qpt.ptm(1j * np.asarray(h_super, complex)).real
     # the cost's parts that no a moves: row 0 (exp(-G t) keeps (1, 0, 0, 0)) and Im
     fixed = np.sum(ptms.imag**2) + np.sum((ptms.real[:, 0] - np.eye(4)[0])**2)
     a, cost, evals, converged = levenberg_marquardt(
@@ -291,7 +280,7 @@ def predict_expectations(r_hat: np.ndarray, h_super: np.ndarray, rho0,
     gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
     exponent = -gen * np.asarray(times, dtype=float)[:, None, None]
     props = _propagators(exponent.shape, exponent.tobytes())
-    pauli = (vectorize(rho0) @ PAULI_READOUT).real
+    pauli = (vectorize(rho0) @ qpt.PAULI_READOUT).real
     bloch = np.clip((props @ pauli)[:, 1:], -1.0, 1.0)
     return [PauliExpectations(*r) for r in bloch.tolist()]
 
@@ -299,6 +288,6 @@ def predict_expectations(r_hat: np.ndarray, h_super: np.ndarray, rho0,
 @functools.lru_cache(maxsize=1)
 def _propagators(shape: tuple, data: bytes) -> np.ndarray:
     """Real PTM exponentials of the Liouville stack `shape` in `data`; shared, read-only."""
-    props = matrix_exp(_ptm(np.frombuffer(data, dtype=complex).reshape(shape)).real)
+    props = matrix_exp(qpt.ptm(np.frombuffer(data, dtype=complex).reshape(shape)).real)
     props.flags.writeable = False
     return props

@@ -52,18 +52,19 @@ class EigResult:
 def eig_hermitian(m) -> EigResult:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized as (M + M^dag)/2 before decomposing; inputs whose anti-Hermitian
-    part exceeds `hermitian_input` times max(1, |M|_F) are rejected."""
+    The input is symmetrized as M/2 + M^dag/2 (halved first, so nothing overflows); inputs
+    whose anti-Hermitian part exceeds `hermitian_input` times max(1, |M|_F) are rejected."""
     a = _as_square(m)
-    h = a.conj().T
-    skew, size = a - h, math.sqrt(np.vdot(a, a).real)
+    half = a / 2
+    h = half.conj().T
+    skew, size = half - h, math.sqrt(np.vdot(a, a).real)
     if size == math.inf:  # vdot overflows: the same relative test on a / max|a_ij|
         u = a / np.abs(a).max()
-        skew, size = u - u.conj().T, math.sqrt(np.vdot(u, u).real)
-    defect = math.sqrt(np.vdot(skew, skew).real)
+        skew, size = (u - u.conj().T) / 2, math.sqrt(np.vdot(u, u).real)
+    defect = 2 * math.sqrt(np.vdot(skew, skew).real)  # a Python float: inf, not a warning
     if defect > tolerances.get("hermitian_input") * max(1.0, size):
         raise NumkitError(f"matrix is not Hermitian (defect {defect:.3g})")
-    return EigResult(*np.linalg.eigh((a + h) / 2))
+    return EigResult(*np.linalg.eigh(half + h))
 
 
 def clip_negative_eigs(m) -> np.ndarray:

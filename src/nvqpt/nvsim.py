@@ -143,7 +143,7 @@ def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> Experimen
     # the noise is drawn label-major
     vecs = np.array([lindblad.vectorize(rho) for rho in qpt.input_states()])
     states = (props @ vecs[:, None, :, None])[..., 0]
-    bloch = measure_expectations((states @ lindblad.PAULI_READOUT[:, 1:]).real, cfg,
+    bloch = measure_expectations((states @ qpt.PAULI_READOUT[:, 1:]).real, cfg,
                                  np.random.default_rng(cfg.seed))
     expectations = {label: {t: PauliExpectations(*r) for t, r in zip(times, rows)}
                     for label, rows in zip(INPUT_LABELS, bloch.tolist())}

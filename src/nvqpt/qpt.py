@@ -4,8 +4,8 @@ A process is carried as a 4x4 chi matrix over the normal operator basis
 A_{2i+j+1} = |i><j|; in this basis chi coincides with the Choi matrix,
 chi[2a+i, 2b+j] = E(|i><j|)[a, b].  chi_from_outputs builds it in one
 reshape from the matrix-unit images, which follow from the four measured
-outputs by linearity.  The Bloch-affine form is the Pauli transfer matrix
-of chi, reached in both directions through the PAULI_PAIRS constant.
+outputs by linearity.  Each change of form (superop_from_chi, ptm, the
+Bloch-affine map) and the CPTP verdict (cptp_verdict) is defined here once.
 Kraus operators, the Jamiolkowski state, and the unphysicality norms
 used to quantify the distance between an experimental chi and its
 repaired counterpart also live here.
@@ -37,11 +37,20 @@ def matrix_units() -> list[np.ndarray]:
 
 _NORMAL_BASIS = tuple(matrix_units())
 
-# PAULI_PAIRS[m, n] = sigma_m (x) sigma_n^T over (I, X, Y, Z): the Pauli
-# transfer matrix of chi is R_mn = Re tr(PAULI_PAIRS[m, n] chi) / 2 and
-# chi = sum_mn R_mn PAULI_PAIRS[m, n] / 2.
-PAULI_PAIRS = np.array([[np.kron(a, b.T) for b in (IDENTITY_2, *PAULIS)]
-                        for a in (IDENTITY_2, *PAULIS)])
+# Column n is vec(sigma_n^T) = sigma_n.ravel() (sigma_0 = I), so vec(rho) @ it is tr(rho sigma_n).
+PAULI_READOUT = np.reshape((IDENTITY_2, *PAULIS), (4, 4)).T
+# U = [vec(sigma_n) / sqrt(2)] is unitary: U^dag S U is the PTM of S, same norm.
+_PTM_BASIS = PAULI_READOUT.conj() / np.sqrt(2)
+
+
+def ptm(superop) -> np.ndarray:
+    """R_mn = tr(sigma_m S(sigma_n))/2 of a column-stacked superoperator S, or of a stack."""
+    return _PTM_BASIS.conj().T @ np.asarray(superop, dtype=complex) @ _PTM_BASIS
+
+
+def superop_from_chi(chi: np.ndarray) -> np.ndarray:
+    """The realignment P[a+2b, i+2j] = chi[2a+i, 2b+j]: column i+2j of P is vec E(|i><j|)."""
+    return np.asarray(chi, dtype=complex).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def input_states() -> list[np.ndarray]:
@@ -142,27 +151,22 @@ class AffineMap:
     def translation(self) -> np.ndarray:
         return self.matrix[1:, 0]
 
-    @classmethod
-    def from_parts(cls, linear, translation) -> "AffineMap":
-        m = np.eye(4)
-        m[1:, 1:] = np.asarray(linear, dtype=float)
-        m[1:, 0] = np.asarray(translation, dtype=float)
-        return cls(m)
-
     def apply(self, r) -> np.ndarray:
         """E r + t for Bloch vectors r of shape (..., 3)."""
         return np.asarray(r, dtype=float) @ self.linear.T + self.translation
 
 
 def chi_to_affine(chi: np.ndarray) -> AffineMap:
-    """(E | t) read off the Pauli transfer matrix R_mn = tr(sigma_m E(sigma_n))/2."""
-    r = np.einsum("mnij,ji->mn", PAULI_PAIRS, np.asarray(chi, dtype=complex)).real / 2
-    return AffineMap.from_parts(r[1:, 1:], r[1:, 0])
+    """(E | t) read off the real Pauli transfer matrix of chi, row 0 set to (1, 0, 0, 0)."""
+    r = ptm(superop_from_chi(chi)).real
+    r[0] = (1.0, 0.0, 0.0, 0.0)
+    return AffineMap(r)
 
 
 def affine_to_chi(affine: AffineMap) -> np.ndarray:
-    """Inverse of chi_to_affine: chi = sum_mn R_mn sigma_m (x) sigma_n^T / 2."""
-    return np.einsum("mn,mnij->ij", affine.matrix, PAULI_PAIRS) / 2
+    """Inverse of chi_to_affine: the superoperator U R U^dag, realigned back into chi."""
+    superop = _PTM_BASIS @ affine.matrix @ _PTM_BASIS.conj().T
+    return superop.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
 
 
 def chi_to_choi(chi: np.ndarray) -> np.ndarray:
@@ -192,6 +196,14 @@ def tp_sum(chi: np.ndarray) -> np.ndarray:
 def tp_defect(chi: np.ndarray) -> float:
     """Frobenius norm of sum_mn chi_mn A_n^dag A_m - I."""
     return float(np.linalg.norm(tp_sum(chi) - IDENTITY_2))
+
+
+def cptp_verdict(chi: np.ndarray) -> tuple[float, float, bool]:
+    """(smallest eigenvalue, TP defect, whether they meet `min_eig_floor` and
+    `tp_defect_max`) of a Hermitian chi: the one test of physicality."""
+    min_eig, defect = float(eig_hermitian(chi).eigenvalues[0]), tp_defect(chi)
+    return min_eig, defect, (min_eig >= tolerances.get("min_eig_floor")
+                             and defect <= tolerances.get("tp_defect_max"))
 
 
 def unphysicality_norms(chi: np.ndarray, chi_tilde: np.ndarray) -> dict[str, float]:

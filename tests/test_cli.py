@@ -562,8 +562,8 @@ class TestLindblad:
 
     def test_newton_cap_stop_is_reported(self, tmp_path, monkeypatch, capsys):
         # all 5 model steps of the seed-1 record's fit are constrained, and one
-        # clip per step cannot meet the Newton stop: the fit stops unconverged,
-        # and says so, as on the evaluation budget
+        # clip per step cannot meet the Newton stop: the fit stops unconverged
+        # below its evaluation budget, and the warning names the Newton cap
         record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
         assert run("simulate", "--seed", "1", "--out", str(record)) == 0
         times, grid = cli._read_record(record)
@@ -580,7 +580,8 @@ class TestLindblad:
         assert run("lindblad", str(record), "--out", str(out)) == 4
         assert json.loads(out.read_text())["converged"] is False
         err = capsys.readouterr().err
-        assert err.startswith("warning: generator fit stopped on its budget")
+        assert err.startswith("warning: generator fit stopped on a model step's Newton cap "
+                              "after 1 evaluations")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("detuning", ["0", "0.03"])

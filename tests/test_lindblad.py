@@ -277,12 +277,12 @@ def _bch_per_time(props, h_super, schedule):
 
 def _h_ptm(h_super):
     """The real PTM of i H_hat, as fit_generator passes it to fit_objective."""
-    return lindblad._ptm(1j * np.asarray(h_super)).real
+    return qpt.ptm(1j * np.asarray(h_super)).real
 
 
 def _ptm_data(props, h_super):
     """fit_objective's data from Liouville propagators and H_hat: the real PTMs."""
-    return lindblad._ptm(props).real, _h_ptm(h_super)
+    return qpt.ptm(props).real, _h_ptm(h_super)
 
 
 def _jacobian_block_assembly(c, h_super, schedule, scaled=True):
@@ -307,7 +307,7 @@ def _matrix_route_objective(a, ptms, h_ptm, schedule):
     """fit_objective as it was when it took the GKS matrix a: the generator's PTM from
     a.ravel() through the complex (9, 16) PTMs of the elementary GKS terms (first row
     zeroed), and the directions mapped from those through hermitian_basis(3)."""
-    term_ptms = lindblad._ptm(-lindblad._DISSIPATOR_TENSOR) * [[0.0], [1.0], [1.0], [1.0]]
+    term_ptms = qpt.ptm(-lindblad._DISSIPATOR_TENSOR) * [[0.0], [1.0], [1.0], [1.0]]
     term_ptms = term_ptms.reshape(9, 16)
     basis_ptms = (hermitian_basis(3).reshape(9, 9) @ term_ptms).real.reshape(9, 4, 4)
     gen = h_ptm + (np.asarray(a).ravel() @ term_ptms).real.reshape(4, 4)
@@ -397,7 +397,7 @@ class TestGeneratorEstimates:
         a = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
         a = a + 1e-5 * random_hermitian(rng, 3)
         fit_gen = 1j * h_super + dissipator_superop(a)
-        diff = np.array([lindblad._ptm(propagator_from_superop(fit_gen, t) - p).real
+        diff = np.array([qpt.ptm(propagator_from_superop(fit_gen, t) - p).real
                          for p, t in zip(props, schedule.times())])
         expected = diff[:, 1:].ravel()  # rows 1-3: 12 residuals per time
         out = fit_objective(_gks_components(a), *_ptm_data(props, h_super), schedule)[0]
@@ -477,8 +477,8 @@ class TestGeneratorEstimates:
             a = rng.uniform(0.01, 100) * TestDissipator._random_gks(rng)
             h_super = hamiltonian_superop(detuning_hamiltonian(rng.uniform(-1, 1)))
             basis_ptms = lindblad._BASIS_PTMS.reshape(9, 16)
-            gen = lindblad._ptm(1j * h_super) + (_gks_components(a) @ basis_ptms).reshape(4, 4)
-            oracle = lindblad._ptm(1j * h_super + dissipator_superop(a))
+            gen = qpt.ptm(1j * h_super) + (_gks_components(a) @ basis_ptms).reshape(4, 4)
+            oracle = qpt.ptm(1j * h_super + dissipator_superop(a))
             assert np.array_equal(gen[0], np.zeros(4))
             assert np.abs(gen.imag).max() <= 1e-15 * max(1.0, np.abs(gen).max())
             assert np.abs(gen - oracle).max() <= 1e-15 * max(1.0, np.abs(gen).max())
@@ -632,14 +632,14 @@ class TestPrediction:
         # exponent's real PTM, and only the repeated call hits
         times = [20.0, 40.0, 80.0]
         rho0 = bloch_to_density([0.6, -0.3, 0.5])
-        pauli = (vectorize(rho0) @ lindblad.PAULI_READOUT).real
+        pauli = (vectorize(rho0) @ qpt.PAULI_READOUT).real
         assert np.allclose(pauli, [1.0, 0.6, -0.3, 0.5], rtol=0, atol=1e-15)
         problem = TestGeneratorEstimates().make_problem
         (_, h_a, r_a, _), (_, h_b, r_b, _) = problem(rng, 0.01), problem(rng, -0.02)
         lindblad._propagators.cache_clear()
         for h_super, r_hat in ((h_a, r_a), (h_b, r_b), (h_a, r_a), (h_a, r_a)):
             exponent = -(1j * h_super + r_hat) * np.array(times)[:, None, None]
-            props = matrix_exp(lindblad._ptm(exponent).real)
+            props = matrix_exp(qpt.ptm(exponent).real)
             assert props.dtype == np.float64
             expected = np.clip((props @ pauli)[:, 1:], -1, 1)
             out = predict_expectations(r_hat, h_super, rho0, times)

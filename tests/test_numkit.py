@@ -79,6 +79,32 @@ class TestEigHermitian:
         assert np.array_equal(res.eigenvalues, [1e200, 1e200])
         assert np.linalg.norm(res.eigenvectors.conj().T @ res.eigenvectors - np.eye(2)) <= 1e-15
 
+    @pytest.mark.parametrize("m", [[[0.0, 1.5e308], [-1.5e308, 0.0]],
+                                   [[0.0, 1e308], [-1e308, 0.0]]])
+    def test_rejects_non_hermitian_near_float_max(self, m):
+        # a - a^dag overflowed here, a RuntimeWarning instead of the verdict
+        with pytest.raises(NumkitError, match="not Hermitian"):
+            numkit.eig_hermitian(m)
+
+    @pytest.mark.parametrize("m, eigenvalues", [
+        ([[1e308, 1e308], [1e308, -1e308]], [-math.sqrt(2) * 1e308, math.sqrt(2) * 1e308]),
+        ([[0.0, 1.5e308], [1.5e308, 0.0]], [-1.5e308, 1.5e308]),
+        (1.5e308 * np.eye(2), [1.5e308, 1.5e308]),
+    ])
+    def test_hermitian_near_float_max_decomposes(self, m, eigenvalues):
+        # (a + a^dag) / 2 overflowed here: a is halved before the sum
+        res = numkit.eig_hermitian(m)
+        np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=1e-15)
+        assert np.linalg.norm(res.eigenvectors.conj().T @ res.eigenvectors - np.eye(2)) <= 1e-15
+
+    def test_halving_keeps_the_symmetrized_input(self, rng):
+        # a/2 + a^dag/2 is (a + a^dag)/2 bit for bit away from float max and subnormals
+        for _ in range(100):
+            a = random_hermitian(rng, 4) + 1e-12 * rng.normal(size=(4, 4))
+            res = numkit.eig_hermitian(a)
+            w, v = np.linalg.eigh((a + a.conj().T) / 2)
+            assert np.array_equal(res.eigenvalues, w) and np.array_equal(res.eigenvectors, v)
+
     def test_rejects_infinite_imaginary_part(self):
         # complex(0, inf): writing 1j * np.inf would give nan + inf j
         m = np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]])

@@ -260,7 +260,7 @@ class TestPipelineStatistics:
         noise-free optimum r is at roundoff, so only noisy fits test this.)"""
         for _, (props, h_super, schedule), fit in _noisy_fits():
             a = fit.gks
-            ptms, h_ptm = lindblad._ptm(props).real, lindblad._ptm(1j * h_super).real
+            ptms, h_ptm = qpt.ptm(props).real, qpt.ptm(1j * h_super).real
             r, jac = lindblad.fit_objective(numkit._to_components(a), ptms, h_ptm, schedule)
             grad = np.tensordot(2 * jac.T @ r, hermitian_basis(3), 1)
             scale = np.linalg.norm(jac) * np.linalg.norm(r)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nvqpt import qpt
+from nvqpt import lindblad, tolerances
+from nvqpt.numkit import eig_hermitian
 from nvqpt.qpt import (
     AffineMap,
     NotCompletelyPositive,
@@ -18,11 +19,16 @@ from nvqpt.qpt import (
     kraus_from_chi,
     matrix_unit_images,
     matrix_units,
+    cptp_verdict,
+    ptm,
+    superop_from_chi,
     tp_defect,
     tp_sum,
     unphysicality_norms,
 )
-from nvqpt.qstate import IDENTITY_2, SIGMA_X, SIGMA_Z, bloch_to_density, density_to_bloch
+from nvqpt.qstate import IDENTITY_2, PAULIS, SIGMA_X, SIGMA_Z, bloch_to_density, density_to_bloch
+
+from conftest import random_hermitian
 
 CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
@@ -77,10 +83,12 @@ def chi_by_inversion(outputs):
 def affine_by_definition(chi):
     """Push the Bloch basis through apply_chi to read off (E | t)."""
     t = density_to_bloch(apply_chi(chi, bloch_to_density([0.0, 0.0, 0.0])))
-    linear = np.column_stack([
+    m = np.eye(4)
+    m[1:, 0] = t
+    m[1:, 1:] = np.column_stack([
         density_to_bloch(apply_chi(chi, bloch_to_density(r))) - t for r in np.eye(3)
     ])
-    return AffineMap.from_parts(linear, t)
+    return AffineMap(m)
 
 
 def noisy_outputs(rng, scale=0.05):
@@ -240,9 +248,63 @@ class TestAffine:
             assert np.abs(affine_by_definition(back).matrix - aff.matrix).max() <= 1e-12
 
     def test_apply(self):
-        aff = AffineMap.from_parts(np.diag([0.5, 0.5, 0.5]), [0, 0, 0.5])
+        aff = AffineMap(np.array([[1, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
+                                 [0.5, 0, 0, 0.5]]))  # E = I/2, t = (0, 0, 1/2)
         assert np.allclose(aff.apply([0, 0, 1]), [0, 0, 1.0])
         assert np.allclose(aff.apply([0, 0, -1]), [0, 0, 0.0])
+
+
+class TestSuperopAndPtm:
+    def test_superop_from_chi_matches_channel_action(self, rng):
+        # any Hermitian chi, physical or not: the realignment is the channel's action
+        for k in range(120):
+            chi = random_hermitian(rng, 4) * 10.0 ** (k % 3 - 1)
+            oracle = lindblad.superop_from_action(lambda m: apply_chi(chi, m))
+            assert np.abs(superop_from_chi(chi) - oracle).max() <= 1e-14
+
+    @staticmethod
+    def _ptm_by_definition(superop):
+        """R_mn = tr(sigma_m S(sigma_n)) / 2 over (I, X, Y, Z), S acting on column stacks."""
+        paulis = (IDENTITY_2, *PAULIS)
+        return np.array([[np.trace(sm @ lindblad.devectorize(superop @ lindblad.vectorize(sn))) / 2
+                          for sn in paulis] for sm in paulis])
+
+    def test_ptm_matches_definition(self, rng):
+        # 50 single superoperators, then a (3, 4, 4) stack
+        for shape in [(4, 4)] * 50 + [(3, 4, 4)]:
+            s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = np.array([self._ptm_by_definition(x) for x in s.reshape(-1, 4, 4)])
+            assert np.abs(ptm(s) - want.reshape(shape)).max() <= 1e-14
+
+
+class TestCptpVerdict:
+    def test_reports_eigenvalue_and_defect(self, rng):
+        chi = random_hermitian(rng, 4)
+        min_eig, defect, cptp = cptp_verdict(chi)
+        assert min_eig == eig_hermitian(chi).eigenvalues[0]
+        assert defect == tp_defect(chi)
+        assert not cptp
+
+    def test_min_eig_floor_from_both_sides(self):
+        floor = tolerances.get("min_eig_floor")
+        # CHI_IDENTITY has eigenvalues (0, 0, 0, 2); diag(0, m, m, 0) moves two
+        # zeros to m and shifts tp_sum by m I, far below tp_defect_max
+        for m, expected in ((floor / 2, True), (2 * floor, False)):
+            min_eig, defect, cptp = cptp_verdict(CHI_IDENTITY + np.diag([0, m, m, 0]))
+            assert min_eig == pytest.approx(m, rel=1e-6)
+            assert defect <= 1e-8
+            assert cptp is expected
+
+    def test_tp_defect_max_from_both_sides(self):
+        tp_max = tolerances.get("tp_defect_max")
+        # s CHI_IDENTITY keeps the eigenvalues (0, 0, 0, 2s) and has tp_sum s I,
+        # a defect of sqrt(2) |s - 1|
+        for defect_wanted, expected in ((tp_max / 2, True), (2 * tp_max, False)):
+            s = 1 + defect_wanted / np.sqrt(2)
+            min_eig, defect, cptp = cptp_verdict(s * CHI_IDENTITY)
+            assert min_eig >= tolerances.get("min_eig_floor")
+            assert defect == pytest.approx(defect_wanted, rel=1e-9)
+            assert cptp is expected
 
 
 class TestChoi:
@@ -324,7 +386,8 @@ class TestEllipsoid:
         assert np.allclose(np.linalg.norm(outs, axis=1), 1.0, atol=1e-12)
 
     def test_translation_flags_protrusion(self):
-        aff = AffineMap.from_parts(np.eye(3), [0, 0, 0.2])
+        aff = AffineMap(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                 [0.2, 0, 0, 1]]))  # E = I, t = (0, 0, 0.2)
         _, outs, violation = ellipsoid_samples(aff, 100)
         assert violation.any()
         assert not violation.all()
