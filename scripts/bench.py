@@ -8,17 +8,34 @@ its output.  The file written at the repository root records the commit
 and scipy versions, and for every workload and metric the per-seed values
 with their median and quartiles, plus the attempted and failed item totals.
 
+With --pairs PARENT_DIR, a clean checkout of the parent commit, it instead
+compares the two checkouts and writes no file.  For each workload and seed
+it runs `perfbench/run.py` in both, alternating which runs first (the parent
+on the first seed), and prints each run's end-to-end metrics.  For every
+end-to-end metric of BENCHMARK.json it then prints each side's median and
+quartiles and two verdicts:
+  - the claim rule: the change is better on at least 90% of the pairs (9 of
+    10), and its median is better than the parent's by more than the
+    parent's interquartile range;
+  - the bound: the change's median is not worse than the parent's by more
+    than the metric's relative bound.
+It also flags a larger share of failed items in the change.
+
 Usage: python scripts/bench.py --label L --workloads repair closure
                                --seeds 61 62 63 --seconds 20 [--size tiny]
+       python scripts/bench.py --pairs PARENT_DIR --workloads repair
+                               --seeds 311 312 313 --seconds 20
 
 Exits 1 if any run fails or reports "correct": false; the file is still
-written.  Uses the standard library only.
+written.  The verdicts of --pairs are a report and do not set the exit
+status.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -40,12 +57,19 @@ def _label(text: str) -> str:
 
 def _parse(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True, type=_label, help="names BENCH_<label>.json")
+    p.add_argument("--label", type=_label, help="names BENCH_<label>.json")
+    p.add_argument("--pairs", type=Path, metavar="PARENT_DIR",
+                   help="compare with the parent checkout in alternating pairs")
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--seeds", nargs="+", type=int, required=True)
     p.add_argument("--seconds", type=float, default=20.0, help="per run")
     p.add_argument("--size", choices=("full", "tiny"), default="full")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs is None and args.label is None:
+        p.error("--label is required unless --pairs is given")
+    if args.pairs is not None and not (args.pairs / "perfbench" / "run.py").is_file():
+        p.error(f"--pairs: no perfbench/run.py under {args.pairs}")
+    return args
 
 
 def _git(*args: str) -> str | None:
@@ -89,11 +113,11 @@ def environment() -> dict:
     }
 
 
-def run_one(workload: str, seed: int, seconds: float, size: str) -> dict:
-    """One perfbench run; its summary, or a failed entry if it printed none."""
+def run_one(workload: str, seed: int, seconds: float, size: str, root: Path = ROOT) -> dict:
+    """One perfbench run in checkout `root`; its summary, or a failed entry if it printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--size", size]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         summary = json.loads(lines[-1])
@@ -128,8 +152,65 @@ def workload_summary(runs: list[dict]) -> dict:
     }
 
 
+def compare(name: str, better: str, bound: float, parent: list[float],
+            change: list[float]) -> str:
+    """One metric's lines: both sides' medians and quartiles, the claim rule and the bound."""
+    p, c = summarize(parent), summarize(change)
+    sign = 1.0 if better == "higher" else -1.0  # sign * (change - parent) > 0 is a gain
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    gain, iqr = sign * (c["median"] - p["median"]), p["q3"] - p["q1"]
+    claim = wins >= math.ceil(0.9 * len(parent)) and gain > iqr
+    worse = -gain / abs(p["median"]) if p["median"] else (0.0 if gain >= 0 else math.inf)
+    if worse > bound:
+        verdict = "BEYOND BOUND"
+    elif iqr > bound * abs(p["median"]) and min(sign * x for x in change) <= max(
+            sign * x for x in parent):
+        verdict = "unresolved: the parent's IQR is wider than the bound"
+    else:
+        verdict = "within bound"
+    return (f"  {name} ({better} is better): parent {p['median']:.4g} [{p['q1']:.4g}, "
+            f"{p['q3']:.4g}], change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]\n"
+            f"    claim: better in {wins} of {len(parent)} pairs, median gain {gain:.4g} "
+            f"against the parent's IQR {iqr:.4g}: {'holds' if claim else 'does not hold'}\n"
+            f"    bound: worse by {100 * worse:+.1f}% (bound {100 * bound:.0f}%): {verdict}")
+
+
+def run_pairs(args) -> int:
+    """Alternating parent/change runs per seed, then every end-to-end metric's verdicts."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.pairs.resolve(), "change": ROOT}
+    correct = True
+    for workload in args.workloads:
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                run = run_one(workload, seed, args.seconds, args.size, sides[side])
+                runs[side].append(run)
+                values = " ".join(f"{m['name']}={run['metrics'].get(m['name'], math.nan):.4g}"
+                                  for m in metrics)
+                print(f"{workload} seed {seed} {side}: correct={run['correct']} "
+                      f"attempted={run['attempted']} failed={run['failed']} {values}",
+                      flush=True)
+                correct = correct and run["correct"]
+        print(f"{workload}, {len(args.seeds)} pairs:")
+        if not all(r["correct"] for side in runs.values() for r in side):
+            print("  a run failed; no verdicts")
+            continue
+        for m in metrics:
+            print(compare(m["name"], m["better"], m["bound"],
+                          *([r["metrics"][m["name"]] for r in runs[side]]
+                            for side in ("parent", "change"))))
+        share = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+                 for side, rs in runs.items()}
+        print(f"  failed share: parent {share['parent']:.3g}, change {share['change']:.3g}"
+              f"{' (LARGER in the change)' if share['change'] > share['parent'] else ''}")
+    return 0 if correct else 1
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
+    if args.pairs is not None:
+        return run_pairs(args)
     report = {"label": args.label, "seconds": args.seconds, "size": args.size,
               "environment": environment(), "workloads": {}}
     for workload in args.workloads:

@@ -5,8 +5,8 @@ The nearest CPTP chi~ in Frobenius norm is found by Dykstra's alternating
 projection (Boyle and Dykstra 1986; Knee, Bolduc, Leach and Gauger 2018)
 between the positive semidefinite cone (clip negative eigenvalues) and
 the affine subspace tp_sum(chi) = I (shift both diagonal 2x2 blocks by
-half the defect).  The returned iterate is the affine one, so it is
-exactly trace-preserving; convergence makes it positive semidefinite.
+half the defect); a step is one eigh, the clip and one matvec.  It returns
+the affine iterate, exactly trace-preserving and PSD once converged.
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ def tp_project(chi: np.ndarray) -> np.ndarray:
     return out
 
 
+# chi - tp_project(chi) as one matvec, read off tp_project.  Its a/2 + b/2 - 1/2 rounds as
+# tp_project's (a + b - 1)/2 because halving is exact, except that a subnormal entry (below
+# 2.2e-308) can differ by one subnormal ulp, because halving a subnormal is inexact.
+_HALF_IDENTITY = tp_project(np.zeros((4, 4))).ravel()
+_HALF_BLOCK_SUM = np.stack([(e - tp_project(e)).ravel() + _HALF_IDENTITY
+                            for e in np.eye(16).reshape(16, 4, 4)], axis=1)
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     chi_tilde: np.ndarray
@@ -68,7 +76,7 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     psd = clip_negative_eigs(chi)
     correction = chi - psd
     for iterations in range(1, MAX_ITERATIONS + 1):
-        chi_tilde = tp_project(psd)
+        chi_tilde = psd - (_HALF_BLOCK_SUM @ psd.ravel() - _HALF_IDENTITY).reshape(4, 4)
         # y is Hermitian and finite because the checked chi is, so the
         # clip skips eig_hermitian's checks but symmetrizes alike
         y = chi_tilde + correction

@@ -124,10 +124,9 @@ class ExperimentRecord:
 
 
 def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> ExperimentRecord:
-    """Evolve each input of qpt.input_states() under the true generator, measure
-    at every schedule time, and package the record for the CLI pipeline.  Raises
-    SimulationError when a propagator's trace defect |vec(I)^T P - vec(I)^T| exceeds
-    `tp_defect_max`, or is unbounded, as at relaxation times far below the schedule's."""
+    """Evolve each input of qpt.input_states() under the true generator, measure at every
+    schedule time, and package the record for the CLI pipeline.  Raises SimulationError when
+    a propagator's qpt.tp_defect exceeds `tp_defect_max` or cannot be bounded (tiny T1, T2)."""
     h_super, r_hat = true_generator(cfg)
     gen = 1j * h_super + r_hat
     times = schedule.times()
@@ -135,8 +134,7 @@ def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> Experimen
         props = np.array([matrix_exp(-gen * t) for t in times])
     except NumkitError as exc:
         raise SimulationError(f"propagator trace defect cannot be bounded: {exc}") from exc
-    trace_row = lindblad.vectorize(np.eye(2))
-    defect = np.linalg.norm(trace_row @ props - trace_row, axis=-1).max()
+    defect = max(qpt.tp_defect(qpt.chi_from_superop(p)) for p in props)
     if not defect <= tolerances.get("tp_defect_max"):
         raise SimulationError(f"propagator trace defect {defect:.3g} exceeds tp_defect_max")
     # states[k, m] is input k at times[m], by evolve()'s matrix-vector product;

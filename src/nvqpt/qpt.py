@@ -53,6 +53,11 @@ def superop_from_chi(chi: np.ndarray) -> np.ndarray:
     return np.asarray(chi, dtype=complex).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
+def chi_from_superop(superop: np.ndarray) -> np.ndarray:
+    """Inverse of superop_from_chi: chi[2a+i, 2b+j] = P[a+2b, i+2j]."""
+    return np.reshape(superop, (2, 2, 2, 2)).transpose(1, 3, 0, 2).reshape(4, 4)
+
+
 def input_states() -> list[np.ndarray]:
     """The canonical tomography inputs |0>, |1>, |+>, |+i> as densities."""
     kets = [
@@ -112,11 +117,9 @@ class KrausSet:
 
 def kraus_from_chi(chi: np.ndarray) -> KrausSet:
     res = eig_hermitian(chi)
-    if res.eigenvalues[0] < tolerances.get("kraus_eig_floor"):
-        raise NotCompletelyPositive(
-            f"chi has eigenvalue {res.eigenvalues[0]:.3g}: not completely "
-            "positive -- repair it first (cpfit.project_to_cp)"
-        )
+    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
+        raise NotCompletelyPositive(f"chi has eigenvalue {res.eigenvalues[0]:.3g}: not completely "
+                                    "positive -- repair it first (cpfit.project_to_cp)")
     ops = []
     dmax = max(res.eigenvalues[-1], 1.0)
     for i, d in enumerate(res.eigenvalues):
@@ -165,8 +168,7 @@ def chi_to_affine(chi: np.ndarray) -> AffineMap:
 
 def affine_to_chi(affine: AffineMap) -> np.ndarray:
     """Inverse of chi_to_affine: the superoperator U R U^dag, realigned back into chi."""
-    superop = _PTM_BASIS @ affine.matrix @ _PTM_BASIS.conj().T
-    return superop.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    return chi_from_superop(_PTM_BASIS @ affine.matrix @ _PTM_BASIS.conj().T)
 
 
 def chi_to_choi(chi: np.ndarray) -> np.ndarray:

@@ -11,12 +11,10 @@ DEFAULTS: dict[str, float] = {
     "hermitian_input": 1e-8,        # allowed anti-Hermitian part before symmetrizing
     "log_branch": 1e-8,             # distance of eigenvalues from negative real axis
     "log_roundtrip": 1e-8,
-    # process physics thresholds
+    # physical thresholds for processes and states
     "tp_defect_max": 1e-3,          # accepted trace-preservation defect after repair
-    "min_eig_floor": -1e-9,         # accepted smallest eigenvalue: repaired chi, density, GKS matrix
-    # state-space tolerances
+    "min_eig_floor": -1e-9,         # smallest accepted eigenvalue: CP chi, density, GKS matrix
     "bloch_ball": 1e-9,             # |r| may exceed 1 by this much before rejection
-    "kraus_eig_floor": -1e-8,       # chi eigenvalues below this are not CP
 }
 
 

@@ -56,6 +56,23 @@ class TestClipAndStart:
         assert np.linalg.norm(clip_negative_eigs(chi) - chi) < 1e-8
 
 
+class TestAffineStep:
+    """project_to_cp takes tp_project as one precomputed matvec; it must give
+    tp_project's bits on normal-range inputs."""
+
+    @staticmethod
+    def matvec_step(psd):
+        return psd - (cpfit._HALF_BLOCK_SUM @ psd.ravel() - cpfit._HALF_IDENTITY).reshape(4, 4)
+
+    @pytest.mark.parametrize("low, high", [(-300, 150), (-3, 3)])
+    def test_equals_tp_project_bit_for_bit(self, rng, low, high):
+        # independent log-uniform magnitudes and signs for every real and imaginary part
+        parts = rng.choice([-1.0, 1.0], size=(10_000, 2, 4, 4)) * 10.0 ** rng.uniform(
+            low, high, size=(10_000, 2, 4, 4))
+        for psd in parts[:, 0] + 1j * parts[:, 1]:
+            assert np.array_equal(self.matvec_step(psd), tp_project(psd))
+
+
 class TestUncheckedSteps:
     """project_to_cp checks its input once and runs each Dykstra step on
     the unchecked clip; the results must equal the loop that checks every

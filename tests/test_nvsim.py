@@ -138,6 +138,12 @@ class TestRecord:
         with pytest.raises(SimulationError, match="trace defect"):
             run_experiment(cfg, lindblad.TimeSchedule(t1=20.0))
 
+    def test_reports_the_propagators_tp_defect(self, monkeypatch):
+        # 1.01 P scales every output trace by 1.01: tp_sum is 1.01 I, a defect of 0.01 sqrt(2)
+        monkeypatch.setattr(nvsim, "matrix_exp", lambda a: 1.01 * numkit.matrix_exp(a))
+        with pytest.raises(SimulationError, match="trace defect 0.0141 exceeds tp_defect_max"):
+            run_experiment(SimConfig(shots=0), lindblad.TimeSchedule(t1=20.0))
+
     def test_different_seeds_differ(self):
         schedule = lindblad.TimeSchedule(t1=20.0)
         d1 = run_experiment(SimConfig(seed=1), schedule).to_record_dict()

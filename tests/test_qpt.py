@@ -10,6 +10,7 @@ from nvqpt.qpt import (
     affine_to_chi,
     apply_chi,
     chi_from_outputs,
+    chi_from_superop,
     chi_to_affine,
     chi_to_choi,
     ellipsoid_samples,
@@ -195,6 +196,18 @@ class TestKraus:
         with pytest.raises(NotCompletelyPositive):
             kraus_from_chi(chi)
 
+    @pytest.mark.parametrize("e, cp", [(-5e-9, False), (-5e-10, True)])
+    def test_floor_is_the_cptp_verdicts(self, e, cp):
+        # CHI_IDENTITY's eigenvalues are (0, 0, 0, 2); chi[1, 1] = e adds the eigenvalue e
+        chi = CHI_IDENTITY.copy()
+        chi[1, 1] = e
+        assert cptp_verdict(chi)[2] is cp
+        if cp:
+            assert len(kraus_from_chi(chi).operators) == 1
+        else:
+            with pytest.raises(NotCompletelyPositive):
+                kraus_from_chi(chi)
+
 
 class TestAffine:
     def test_first_row_enforced(self):
@@ -255,6 +268,11 @@ class TestAffine:
 
 
 class TestSuperopAndPtm:
+    def test_chi_from_superop_inverts_superop_from_chi(self, rng):
+        for _ in range(50):
+            chi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            assert np.array_equal(chi_from_superop(superop_from_chi(chi)), chi)
+
     def test_superop_from_chi_matches_channel_action(self, rng):
         # any Hermitian chi, physical or not: the realignment is the channel's action
         for k in range(120):
