@@ -193,8 +193,9 @@ def run_pairs(args) -> int:
                       flush=True)
                 correct = correct and run["correct"]
         print(f"{workload}, {len(args.seeds)} pairs:")
-        if not all(r["correct"] for side in runs.values() for r in side):
-            print("  a run failed; no verdicts")
+        if not all(m["name"] in r["metrics"] for m in metrics
+                   for rs in runs.values() for r in rs):
+            print("  a run printed no summary; no verdicts")
             continue
         for m in metrics:
             print(compare(m["name"], m["better"], m["bound"],
