@@ -3,8 +3,8 @@
 
 Simulates a qubit with known T1/T2 and detuning, reconstructs the process
 at each schedule time, repairs the (shot-noise-broken) chi, fits the
-Markovian generator, and compares the fitted GKS matrix against the
-ground truth the data was generated from.
+Markovian generator with lindblad.analyze, and compares the fitted GKS
+matrix against the ground truth the data was generated from.
 
 Usage: python scripts/run_synthetic_pipeline.py [--shots N] [--seed S]
 """
@@ -33,33 +33,27 @@ def main() -> None:
     record = nvsim.run_experiment(cfg, schedule)
     print(f"simulated record at t = {schedule.times()} ns, shots = {cfg.shots}")
 
-    props = []
+    outputs = []
     for t in schedule.times():
-        outputs = [
+        outputs.append([
             qstate.maxent_reconstruct(record.expectations[label][t])
             for label in nvsim.INPUT_LABELS
-        ]
-        chi = qpt.chi_from_outputs(outputs)
+        ])
+        chi = qpt.chi_from_outputs(outputs[-1])
         min_eig, defect, cptp = qpt.cptp_verdict(chi)
         print(f"\nt = {t:g} ns: raw chi min eigenvalue {min_eig:.3e}, tp defect {defect:.2e}")
         if not cptp:
             result = cpfit.project_to_cp(chi)
-            norms = qpt.unphysicality_norms(chi, result.chi_tilde)
             print(
-                f"  repaired: fro distance {norms['fro']:.4f}, "
+                f"  repaired: fro distance {result.frobenius_distance:.4f}, "
                 f"min eig {result.min_eigenvalue:.2e}, "
                 f"tp defect {result.tp_defect:.2e}, "
                 f"{result.iterations} iterations, converged {result.converged}"
             )
-        props.append(lindblad.propagator_from_outputs(outputs))
 
-    h_super = lindblad.hamiltonian_superop(
-        lindblad.detuning_hamiltonian(cfg.detuning)
-    )
-    start = lindblad.gks_start_from_generator(
-        lindblad.generator_bch_estimate(props, h_super, schedule)
-    )
-    fit = lindblad.fit_generator(props, h_super, schedule, start)
+    h_super = lindblad.hamiltonian_superop(lindblad.detuning_hamiltonian(cfg.detuning))
+    analysis = lindblad.analyze(outputs, h_super, schedule)
+    fit, lset = analysis.fit, analysis.lindblads
     truth = nvsim.true_gks_matrix(cfg)
     rel_err = np.linalg.norm(fit.gks - truth) / np.linalg.norm(truth)
 
@@ -67,7 +61,6 @@ def main() -> None:
           f"{fit.evaluations} evaluations (residuals with their Jacobian), "
           f"converged {fit.converged}")
     print(f"GKS matrix relative error vs ground truth: {100 * rel_err:.2f}%")
-    lset = lindblad.lindblads_from_gks(fit.gks)
     for i, (op, c) in enumerate(zip(lset.operators, lset.contributions), start=1):
         print(f"\nL{i} (relative contribution {100 * c:.4g}%):")
         print(np.array_str(np.round(op, 6), suppress_small=True))

@@ -274,34 +274,23 @@ def cmd_lindblad(args) -> int:
         raise DataError("need at least three timepoints on a doubling schedule")
     schedule = lindblad.TimeSchedule.from_times(times)
     outputs = [[qstate.maxent_reconstruct(e) for e in row] for row in grid]
-    props = [lindblad.propagator_from_outputs(out) for out in outputs]
     measured = nvsim.expectation_table(schedule.times(), [
         [qstate.PauliExpectations(*qstate.density_to_bloch(rho)) for rho in out]
         for out in outputs
     ])
-
     try:
-        r_log = lindblad.generator_log_estimate(props[0], h_super, schedule.t1)
+        result = lindblad.analyze(outputs, h_super, schedule)
     except PrincipalLogUndefined as exc:
         raise NumericalError(f"{exc}; reduce t1") from exc
-    r_re = lindblad.generator_bch_estimate(props, h_super, schedule)
-    a_start = lindblad.gks_start_from_generator(r_re)
-    fit = lindblad.fit_generator(props, h_super, schedule, a_start)
-    lset = lindblad.lindblads_from_gks(fit.gks)
-
-    per_input = [
-        lindblad.predict_expectations(fit.relaxation, h_super, rho0, schedule.times())
-        for rho0 in qpt.input_states()
-    ]
-    predicted = nvsim.expectation_table(schedule.times(), zip(*per_input))
+    fit, lset = result.fit, result.lindblads
 
     report = {
         "schema": LINDBLAD_SCHEMA,
         "times_ns": schedule.times(),
         "detuning": args.hamiltonian,
-        **_matrix_fields("a_start", a_start),
+        **_matrix_fields("a_start", result.start),
         **_matrix_fields("a_fit", fit.gks),
-        **_matrix_fields("log_estimate", r_log),
+        **_matrix_fields("log_estimate", result.log_estimate),
         "lindblads": [
             {"re": op.real.tolist(), "im": op.imag.tolist()}
             for op in lset.operators
@@ -309,7 +298,7 @@ def cmd_lindblad(args) -> int:
         "contributions": lset.contributions,
         "converged": fit.converged,
         "residual": fit.residual,
-        "predicted_expectations": predicted,
+        "predicted_expectations": nvsim.expectation_table(schedule.times(), result.predicted),
         "measured_expectations": measured,
     }
     _dump_json(report, args.out)

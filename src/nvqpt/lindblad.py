@@ -9,6 +9,7 @@ schedule (matrix log; symmetric BCH with closed-form Richardson weights),
 clipped to a PSD GKS matrix, refined by a Levenberg-Marquardt fit of it on
 the PSD cone to the propagators (exact Jacobian from block-triangular
 exponentials), and diagonalized into Lindblad operators with contributions.
+analyze owns that sequence, from measured outputs to predicted expectations.
 
 The API stays in Liouville form; the start, the fit and the predictions work on real
 Pauli transfer matrices (PTMs), qpt.ptm's R_mn = tr(sigma_m S(sigma_n))/2 (Boulant 2003).
@@ -291,3 +292,26 @@ def _propagators(shape: tuple, data: bytes) -> np.ndarray:
     props = matrix_exp(qpt.ptm(np.frombuffer(data, dtype=complex).reshape(shape)).real)
     props.flags.writeable = False
     return props
+
+
+@dataclass(frozen=True)
+class Analysis:
+    log_estimate: np.ndarray   # generator_log_estimate at t1, the branch check
+    start: np.ndarray          # the BCH start, clipped to a PSD GKS matrix
+    fit: GeneratorFit
+    lindblads: LindbladSet
+    predicted: list            # [i][k]: PauliExpectations of input_states()[k] at time i
+
+
+def analyze(outputs, h_super: np.ndarray, schedule: TimeSchedule) -> Analysis:
+    """Fit the generator to outputs[i], the four output densities (inputs ordered as
+    qpt.input_states()) at the schedule's i-th time (Boulant et al., PRA 67, 042322
+    (2003)).  PrincipalLogUndefined from the log estimate at t1 propagates."""
+    props = [propagator_from_outputs(out) for out in outputs]
+    log_estimate = generator_log_estimate(props[0], h_super, schedule.t1)
+    start = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
+    fit = fit_generator(props, h_super, schedule, start)
+    lindblads = lindblads_from_gks(fit.gks)
+    per_input = [predict_expectations(fit.relaxation, h_super, rho0, schedule.times())
+                 for rho0 in qpt.input_states()]
+    return Analysis(log_estimate, start, fit, lindblads, list(zip(*per_input)))

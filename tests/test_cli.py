@@ -567,15 +567,11 @@ class TestLindblad:
         record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
         assert run("simulate", "--seed", "1", "--out", str(record)) == 0
         times, grid = cli._read_record(record)
-        schedule = lindblad.TimeSchedule.from_times(times)
-        props = [lindblad.propagator_from_outputs([qstate.maxent_reconstruct(e) for e in row])
-                 for row in grid]
-        h_super = np.zeros((4, 4))
-        start = lindblad.gks_start_from_generator(
-            lindblad.generator_bch_estimate(props, h_super, schedule))
-        assert lindblad.fit_generator(props, h_super, schedule, start).converged
+        outputs = [[qstate.maxent_reconstruct(e) for e in row] for row in grid]
+        args = outputs, np.zeros((4, 4)), lindblad.TimeSchedule.from_times(times)
+        assert lindblad.analyze(*args).fit.converged
         monkeypatch.setattr(numkit, "MAX_NEWTON_STEPS", 1)
-        assert not lindblad.fit_generator(props, h_super, schedule, start).converged
+        assert not lindblad.analyze(*args).fit.converged
         capsys.readouterr()
         assert run("lindblad", str(record), "--out", str(out)) == 4
         assert json.loads(out.read_text())["converged"] is False
@@ -627,18 +623,25 @@ class TestLindblad:
         bad.write_text(json.dumps(doc))
         assert run("lindblad", str(bad)) == 3
 
-    def test_too_few_times_is_data_error(self, tmp_path):
+    def test_too_few_times_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         assert run("simulate", "--shots", "0", "--timepoints", "2",
                    "--out", str(path)) == 0
+        capsys.readouterr()
         assert run("lindblad", str(path)) == 3
+        assert capsys.readouterr().err == (
+            "error: need at least three timepoints on a doubling schedule\n")
 
-    def test_branch_ambiguity_is_numerical_error(self, tmp_path):
+    def test_branch_ambiguity_is_numerical_error(self, tmp_path, capsys):
         # T2 = 1 ns at t = 20 ns leaves coherences below the branch cut
         path = tmp_path / "dead.json"
         assert run("simulate", "--t2", "1", "--shots", "0",
                    "--out", str(path)) == 0
+        capsys.readouterr()
         assert run("lindblad", str(path)) == 4
+        assert capsys.readouterr().err == (
+            "error: principal log undefined: eigenvalue on the negative real axis (decoherence "
+            "time too long for unambiguous branch); reduce t1\n")
 
 
 class TestEllipsoid:

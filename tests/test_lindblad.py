@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nvqpt import lindblad, numkit, nvsim, qpt, qstate
+from nvqpt import lindblad, numkit, nvsim, qpt
 from nvqpt.lindblad import (
     F_BASIS,
     LindbladError,
     TimeSchedule,
+    analyze,
     contributions_from_operators,
     detuning_hamiltonian,
     devectorize,
@@ -29,7 +30,7 @@ from nvqpt.lindblad import (
 from nvqpt.numkit import NumkitError, hermitian_basis, matrix_exp
 from nvqpt.qstate import PAULIS, bloch_to_density, density_to_bloch
 
-from conftest import random_hermitian
+from conftest import random_hermitian, record_outputs
 from test_acceptance import PIPELINE_GRID
 from test_nvsim import _noisy_fits
 
@@ -493,13 +494,10 @@ class TestGeneratorEstimates:
         cases = [(props, h_super, fit, False) for _, (props, h_super, _), fit in _noisy_fits()]
         for t1_ns, t2_ns, delta in PIPELINE_GRID:
             cfg = nvsim.SimConfig(t1_ns=t1_ns, t2_ns=t2_ns, detuning=delta, shots=0)
-            record = nvsim.run_experiment(cfg, schedule)
-            props = [propagator_from_outputs([qstate.maxent_reconstruct(record.expectations[k][t])
-                                              for k in nvsim.INPUT_LABELS])
-                     for t in schedule.times()]
+            outputs = record_outputs(nvsim.run_experiment(cfg, schedule), schedule.times())
             h_super = nvsim.true_generator(cfg)[0]
-            start = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
-            cases.append((props, h_super, fit_generator(props, h_super, schedule, start), True))
+            fit = analyze(outputs, h_super, schedule).fit
+            cases.append(([propagator_from_outputs(o) for o in outputs], h_super, fit, True))
         for props, h_super, fit, noise_free in cases:
             gen = 1j * h_super + fit.relaxation
             cost = sum(np.linalg.norm(propagator_from_superop(gen, t) - p) ** 2

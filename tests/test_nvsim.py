@@ -19,6 +19,8 @@ from nvqpt.nvsim import (
 from nvqpt.numkit import hermitian_basis
 from nvqpt.qstate import PauliExpectations, bloch_to_density, density_to_bloch, validate_density
 
+from conftest import record_outputs
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -213,16 +215,6 @@ class TestRunExperiment:
             assert json.dumps(record) == json.dumps(self.per_state_record(cfg, schedule))
 
 
-def _reconstruct_chi(record, t):
-    from nvqpt.qstate import PauliExpectations, maxent_reconstruct
-
-    outputs = []
-    for label in INPUT_LABELS:
-        e = record.expectations[label][t]
-        outputs.append(maxent_reconstruct(e))
-    return qpt.chi_from_outputs(outputs)
-
-
 class TestPipelineStatistics:
     def test_unphysical_fraction_grows_with_noise(self):
         """Finite shot noise pushes the raw chi outside the CP cone; the
@@ -235,8 +227,7 @@ class TestPipelineStatistics:
             for seed in range(n):
                 cfg = SimConfig(t1_ns=4000.0, t2_ns=60.0, shots=shots, seed=seed)
                 record = run_experiment(cfg, schedule)
-                chi = _reconstruct_chi(record, 20.0)
-                chi = (chi + chi.conj().T) / 2
+                chi = qpt.chi_from_outputs(record_outputs(record, [20.0])[0])
                 if np.linalg.eigvalsh(chi).min() < -1e-9:
                     bad += 1
             fractions[shots] = bad / n
@@ -282,23 +273,9 @@ def _noisy_fits():
     out = []
     for seed in range(8):
         cfg = SimConfig(t1_ns=4000.0, t2_ns=400.0, shots=40000, seed=seed)
-        record = run_experiment(cfg, schedule)
-        props = []
-        for t in schedule.times():
-            outputs = [
-                _maxent(record.expectations[label][t]) for label in INPUT_LABELS
-            ]
-            props.append(lindblad.propagator_from_outputs(outputs))
+        outputs = record_outputs(run_experiment(cfg, schedule), schedule.times())
         h_super, _ = true_generator(cfg)
-        start = lindblad.gks_start_from_generator(
-            lindblad.generator_bch_estimate(props, h_super, schedule)
-        )
-        fit = lindblad.fit_generator(props, h_super, schedule, start)
+        props = [lindblad.propagator_from_outputs(row) for row in outputs]
+        fit = lindblad.analyze(outputs, h_super, schedule).fit
         out.append((cfg, (props, h_super, schedule), fit))
     return out
-
-
-def _maxent(e):
-    from nvqpt.qstate import maxent_reconstruct
-
-    return maxent_reconstruct(e)
