@@ -275,7 +275,8 @@ def cmd_lindblad(args) -> int:
     schedule = lindblad.TimeSchedule.from_times(times)
     outputs = [[qstate.maxent_reconstruct(e) for e in row] for row in grid]
     measured = nvsim.expectation_table(schedule.times(), [
-        [qstate.PauliExpectations(*qstate.density_to_bloch(rho)) for rho in out]
+        [qstate.PauliExpectations(*(lindblad.vectorize(rho) @ qpt.PAULI_READOUT[:, 1:]).real)
+         for rho in out]
         for out in outputs
     ])
     try:

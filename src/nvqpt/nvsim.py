@@ -34,8 +34,8 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (self.t1_ns > 0 and self.t2_ns > 0):
-            raise SimulationError("relaxation times must be positive")
+        if not (0 < self.t1_ns < math.inf and 0 < self.t2_ns < math.inf):
+            raise SimulationError("relaxation times must be positive and finite")
         if not np.isfinite(self.detuning):
             raise SimulationError("detuning must be finite")
         if self.t2_ns > 2 * self.t1_ns + 1e-12:
@@ -72,13 +72,6 @@ def true_generator(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     h_super = lindblad.hamiltonian_superop(lindblad.detuning_hamiltonian(cfg.detuning))
     r_hat = lindblad.dissipator_superop(true_gks_matrix(cfg))
     return h_super, r_hat
-
-
-def evolve(rho, cfg: SimConfig, t: float) -> np.ndarray:
-    h_super, r_hat = true_generator(cfg)
-    gen = 1j * h_super + r_hat
-    out = lindblad.devectorize(matrix_exp(-gen * t) @ lindblad.vectorize(rho))
-    return (out + out.conj().T) / 2
 
 
 def measure_expectations(bloch, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -137,8 +130,7 @@ def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> Experimen
     defect = max(qpt.tp_defect(qpt.chi_from_superop(p)) for p in props)
     if not defect <= tolerances.get("tp_defect_max"):
         raise SimulationError(f"propagator trace defect {defect:.3g} exceeds tp_defect_max")
-    # states[k, m] is input k at times[m], by evolve()'s matrix-vector product;
-    # the noise is drawn label-major
+    # states[k, m] = P(times[m]) vec(rho_k), input k at times[m]; noise drawn label-major
     vecs = np.array([lindblad.vectorize(rho) for rho in qpt.input_states()])
     states = (props @ vecs[:, None, :, None])[..., 0]
     bloch = measure_expectations((states @ qpt.PAULI_READOUT[:, 1:]).real, cfg,

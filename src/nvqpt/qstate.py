@@ -1,6 +1,5 @@
-"""Single-qubit states: Bloch conversions, a density-matrix check,
-maximum-entropy reconstruction from partial Pauli data, and distance
-metrics.
+"""Single-qubit states: the density matrix of a Bloch vector, maximum-entropy
+reconstruction from partial Pauli data, and distance metrics.
 
 Pole convention throughout the package: |0> sits at Bloch z = +1.
 """
@@ -41,24 +40,6 @@ def _clamped_density(x: float, y: float, z: float) -> np.ndarray:
     s = max(1.0, math.hypot(x, y, z))  # radially onto the unit sphere from outside it
     x, y, z = x / s, y / s, z / s
     return np.array([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
-
-
-def density_to_bloch(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([np.trace(rho @ s).real for s in PAULIS])
-
-
-def validate_density(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise StateError("state must be 2x2")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-9:
-        raise StateError("state is not Hermitian")
-    if abs(np.trace(rho) - 1) > 1e-9:
-        raise StateError("state trace is not 1")
-    if eig_hermitian(rho).eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise StateError("state has a negative eigenvalue")
-    return rho
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import pytest
 import nvqpt
 from nvqpt import cli, cpfit, lindblad, numkit, nvsim, qpt, qstate
 
+from conftest import density_to_bloch, is_physical
+
 
 def run(*argv):
     return cli.main(list(argv))
@@ -76,6 +78,8 @@ class TestSimulate:
             ("--t1ns", "-1"),
             ("--t1", "nan"),
             ("--t2", "nan"),
+            ("--t1", "inf"),                  # JSON has no Infinity for the record's config
+            ("--t2", "inf"),
             ("--detuning", "nan"),
             ("--t1ns", "nan"),
             ("--t1ns", "inf"),
@@ -114,9 +118,7 @@ class TestSimulate:
                            (("--shots", "1" + "0" * 400), 2),
                            (("--shots", "1" + "0" * 20), 0)]:
             out = tmp_path / "x.json"
-            proc = subprocess.run(
-                [sys.executable, "-m", "nvqpt.cli", "simulate", *args, "--out", str(out)],
-                env=_env_with_src(), capture_output=True, text=True)
+            proc = _python("-m", "nvqpt.cli", "simulate", *args, "--out", str(out))
             assert proc.returncode == code, args
             if code:
                 assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -236,8 +238,7 @@ def test_float_range_stderr_is_one_error_line(tmp_path, stage, edit):
     extra = {"metrics": (str(process), "--json"),
              "ellipsoid": ("--points", "8", "--out", str(out))}
     argv = (stage, str(bad), *extra.get(stage, ("--out", str(out))))
-    proc = subprocess.run([sys.executable, "-m", "nvqpt.cli", *argv],
-                          env=_env_with_src(), capture_output=True, text=True)
+    proc = _python("-m", "nvqpt.cli", *argv)
     assert proc.returncode == 4
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Infinity" not in proc.stdout
@@ -250,9 +251,7 @@ def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path / "dir"
     if where == "directory":
         out.mkdir()
-    proc = subprocess.run(
-        [sys.executable, "-m", "nvqpt.cli", "simulate", "--seed", "1", "--out", str(out)],
-        env=_env_with_src(), capture_output=True, text=True)
+    proc = _python("-m", "nvqpt.cli", "simulate", "--seed", "1", "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
     assert list(tmp_path.rglob("*")) == ([out] if where == "directory" else [])
@@ -497,6 +496,19 @@ class TestLindblad:
         text = capsys.readouterr().out
         assert "relative contribution" in text
 
+    def test_measured_table_is_the_maxent_readout(self, tmp_path):
+        """Each measured entry is tr(rho sigma) of the maxent state of the
+        record's values, float for float, zero signs included."""
+        record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
+        assert run("simulate", "--shots", "1000", "--seed", "3", "--out", str(record)) == 0
+        assert run("lindblad", str(record), "--out", str(out)) == 0
+        measured = json.loads(out.read_text())["measured_expectations"]
+        for label, per_time in json.loads(record.read_text())["expectations"].items():
+            for key, values in per_time.items():
+                rho = qstate.maxent_reconstruct(qstate.PauliExpectations(**values))
+                want = dict(zip(nvsim.AXES, density_to_bloch(rho).tolist()))
+                assert json.dumps(measured[label][key]) == json.dumps(want), (label, key)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_hamiltonian_is_usage_error(self, record_path, tmp_path, value,
                                                    capsys):
@@ -516,40 +528,24 @@ class TestLindblad:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_overflow_stderr_is_one_error_line(self, record_path, tmp_path):
-        # a subprocess, so numpy's warnings reach stderr as they would for a user
-        out = tmp_path / "lindblad.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvqpt.cli", "lindblad", str(record_path),
-             "--hamiltonian", "1e300", "--out", str(out)],
-            env=_env_with_src(), capture_output=True, text=True)
-        assert proc.returncode == 4
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert not out.exists()
-
-    def test_float_range_hamiltonian_stderr_is_one_error_line(self, record_path, tmp_path):
+    @pytest.mark.parametrize("value, cause", [
+        # the generator's exponential overflows inside numkit
+        pytest.param("1e300", "squarings", id="overflow"),
         # near float range the BCH start's exponent t H_hat / 2 itself overflows
-        out = tmp_path / "lindblad.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvqpt.cli", "lindblad", str(record_path),
-             "--hamiltonian", "1.7e308", "--out", str(out)],
-            env=_env_with_src(), capture_output=True, text=True)
-        assert proc.returncode == 4
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert not out.exists()
-
-    def test_squaring_budget_stderr_is_one_error_line(self, tmp_path):
+        pytest.param("1.7e308", "non-finite entries", id="float-range"),
         # at 1e14 rad/ns the BCH start's exponential needs 50 squarings, past
         # numkit.MAX_SQUARINGS: an error, not a "converged" fit of no accuracy
-        record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
-        assert run("simulate", "--seed", "1", "--out", str(record)) == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvqpt.cli", "lindblad", str(record),
-             "--hamiltonian", "1e14", "--out", str(out)],
-            env=_env_with_src(), capture_output=True, text=True)
+        pytest.param("1e14", "squarings", id="squaring-budget"),
+    ])
+    def test_huge_hamiltonian_stderr_is_one_error_line(self, record_path, tmp_path, value,
+                                                       cause):
+        # a subprocess, so numpy's warnings reach stderr as they would for a user
+        out = tmp_path / "lindblad.json"
+        proc = _python("-m", "nvqpt.cli", "lindblad", str(record_path), "--hamiltonian", value,
+                       "--out", str(out))
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "squarings" in proc.stderr
+        assert cause in proc.stderr
         assert not out.exists()
 
     def test_budget_stop_is_reported(self, record_path, tmp_path, monkeypatch, capsys):
@@ -686,10 +682,10 @@ def test_tolerances_variable_is_not_read(record_path, tmp_path):
     changes neither the exit code nor the output bytes."""
     outputs = []
     for unread in ({}, {"NVQPT_TOLERANCES": str(tmp_path / "missing.json")}):
-        env, out = dict(_env_with_src(), **unread), tmp_path / f"raw{len(outputs)}.json"
-        proc = subprocess.run([sys.executable, "-m", "nvqpt.cli", "reconstruct", str(record_path),
-                               "--time", "20", "--out", str(out)], env=env, capture_output=True)
-        assert proc.returncode == 0 and proc.stderr == b""
+        out = tmp_path / f"raw{len(outputs)}.json"
+        proc = _python("-m", "nvqpt.cli", "reconstruct", str(record_path), "--time", "20",
+                       "--out", str(out), **unread)
+        assert proc.returncode == 0 and proc.stderr == ""
         outputs.append((proc.stdout, out.read_bytes()))
     assert outputs[0] == outputs[1]
 
@@ -698,11 +694,10 @@ class TestToleranceOverride:
     def test_min_eig_floor_override(self):
         # the fixed floor (-1e-9) rejects a density matrix and a GKS matrix
         # just below it and accepts both just above it
-        with pytest.raises(qstate.StateError):
-            qstate.validate_density(np.diag([1 + 1e-7, -1e-7]))
+        assert not is_physical(np.diag([1 + 1e-7, -1e-7]))
         with pytest.raises(lindblad.LindbladError):
             lindblad.lindblads_from_gks(np.diag([0.01, 0.0, -1e-7]))
-        qstate.validate_density(np.diag([1 + 1e-10, -1e-10]))
+        assert is_physical(np.diag([1 + 1e-10, -1e-10]))
         assert len(lindblad.lindblads_from_gks(np.diag([0.01, 0.0, -1e-10])).operators) == 1
 
 
@@ -770,9 +765,9 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
     """Extreme values in every field of a record and of a process document,
     and in simulate's options.  Each run exits 0, 2, 3 or 4, and no exception
     but argparse's SystemExit, which carries the code, escapes main; exit 3 or
-    4 prints exactly one error: line; no run warns; and a wrong JSON type
-    where a number belongs, in times_ns or a process array the stage reads,
-    exits 3."""
+    4 prints exactly one error: line; no run warns; a wrong JSON type where
+    a number belongs, in times_ns or a process array the stage reads, exits
+    3; and every JSON document a run writes holds no NaN or Infinity."""
     rng = np.random.default_rng(22)
     record, process, bad, out = (str(tmp_path / name) for name in
                                  ("record.json", "process.json", "bad.json", "out"))
@@ -804,19 +799,24 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
         for option in options:
             argv += [str(option), str(rng.choice(_SIM_VALUES))]
         runs.append((argv, None, False))
+    for options in (["--t1", "inf"], ["--t1", "inf", "--t2", "inf", "--shots", "0"]):
+        runs.append((["simulate", "--out", out, *options], None, False))
 
     capsys.readouterr()
     for argv, doc, data_error in runs:
         if doc is not None:
             with open(bad, "w") as fh:
                 json.dump(doc, fh)
+        if os.path.exists(out):
+            os.remove(out)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         case = (argv, doc)
         assert code in (0, 2, 3, 4), case
         assert not caught and "warning" not in err, case
@@ -824,13 +824,32 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, case
         if data_error:
             assert code == 3, case
+        written = [captured.out] if argv[0] == "metrics" and code == 0 else []
+        if argv[0] != "ellipsoid" and os.path.exists(out):
+            with open(out) as fh:
+                written.append(fh.read())
+        for text in written:
+            assert _is_strict_json(text), (case, text)
 
 
-def _env_with_src() -> dict:
-    """The environment with this nvqpt's source directory first on PYTHONPATH."""
+def _is_strict_json(text):
+    """Whether text parses as JSON with no NaN or Infinity, which JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    try:
+        json.loads(text, parse_constant=reject)
+    except ValueError:
+        return False
+    return True
+
+
+def _python(*argv, **env):
+    """Run this Python on argv in its own process, with this nvqpt's source
+    directory first on PYTHONPATH and `env` added to the environment."""
     src = os.path.dirname(os.path.dirname(nvqpt.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True)
 
 
 def test_cli_import_is_numpy_only():
@@ -838,6 +857,6 @@ def test_cli_import_is_numpy_only():
     scipy, whose import costs more than the CLI itself."""
     code = ("import sys, nvqpt.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

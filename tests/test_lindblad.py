@@ -28,9 +28,9 @@ from nvqpt.lindblad import (
     vectorize,
 )
 from nvqpt.numkit import NumkitError, hermitian_basis, matrix_exp
-from nvqpt.qstate import PAULIS, bloch_to_density, density_to_bloch
+from nvqpt.qstate import PAULIS, bloch_to_density
 
-from conftest import random_hermitian, record_outputs
+from conftest import density_to_bloch, random_hermitian, record_outputs
 from test_acceptance import PIPELINE_GRID
 from test_nvsim import _noisy_fits
 
@@ -219,11 +219,6 @@ class TestDissipator:
         return 0.01 * x @ x.conj().T
 
 
-def _gks_components(a):
-    """Components of a GKS matrix in the fit's basis, hermitian_basis(3)."""
-    return np.einsum("kij,ij->k", hermitian_basis(3).conj(), a).real
-
-
 class TestGKSParameterization:
     def test_matrix_always_psd(self, rng):
         for _ in range(50):
@@ -232,7 +227,7 @@ class TestGKSParameterization:
 
     def test_params_round_trip(self, rng):
         a = TestDissipator._random_gks(rng)
-        c = _gks_components(a)
+        c = numkit._to_components(a)
         assert np.linalg.norm(np.tensordot(c, hermitian_basis(3), 1) - a) <= 1e-15
         assert np.isclose(np.linalg.norm(c), np.linalg.norm(a), rtol=1e-14)
 
@@ -246,14 +241,15 @@ class TestGKSParameterization:
         assert np.linalg.matrix_rank(start, tol=1e-12) == rank
 
     def test_identity_closed_form(self):
-        assert np.allclose(_gks_components(np.eye(3)), [1, 1, 1, 0, 0, 0, 0, 0, 0], atol=1e-15)
+        assert np.allclose(numkit._to_components(np.eye(3)), [1, 1, 1, 0, 0, 0, 0, 0, 0],
+                           atol=1e-15)
 
     def test_diagonal_closed_form(self):
         # diagonal entries directly; off-diagonal Re/Im scaled by sqrt(2)
         a = np.diag([4.0, 9.0, 1.0]).astype(complex)
         a[1, 0], a[0, 1] = 1 + 2j, 1 - 2j
         expected = [4, 9, 1, math.sqrt(2), 2 * math.sqrt(2), 0, 0, 0, 0]
-        assert np.allclose(_gks_components(a), expected, atol=1e-14)
+        assert np.allclose(numkit._to_components(a), expected, atol=1e-14)
 
     def test_indefinite_start_is_clipped(self):
         start = gks_start_from_generator(dissipator_superop(np.diag([1.0, 0.5, -1e-6])))
@@ -401,7 +397,7 @@ class TestGeneratorEstimates:
         diff = np.array([qpt.ptm(propagator_from_superop(fit_gen, t) - p).real
                          for p, t in zip(props, schedule.times())])
         expected = diff[:, 1:].ravel()  # rows 1-3: 12 residuals per time
-        out = fit_objective(_gks_components(a), *_ptm_data(props, h_super), schedule)[0]
+        out = fit_objective(numkit._to_components(a), *_ptm_data(props, h_super), schedule)[0]
         assert out.shape == expected.shape == (12 * count,)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -423,7 +419,7 @@ class TestGeneratorEstimates:
                           nvsim.true_generator(cfg)[0], TimeSchedule(t1=20.0)))
         for a, props, h_super, schedule in cases:
             data = _ptm_data(props, h_super)
-            r, jac = fit_objective(_gks_components(a), *data, schedule)
+            r, jac = fit_objective(numkit._to_components(a), *data, schedule)
             r_old, jac_old = _matrix_route_objective(a, *data, schedule)
             assert np.max(np.abs(r - r_old)) <= 1e-15
             assert np.linalg.norm(jac - jac_old) <= 1e-15 * np.linalg.norm(jac_old)
@@ -434,7 +430,7 @@ class TestGeneratorEstimates:
         for _ in range(3):
             a, h_super, _, gen = self.make_problem(rng)
             props = [propagator_from_superop(gen, t) for t in schedule.times()]
-            c = _gks_components(a + 1e-5 * random_hermitian(rng, 3))
+            c = numkit._to_components(a + 1e-5 * random_hermitian(rng, 3))
             data = _ptm_data(props, h_super)
             jac = fit_objective(c, *data, schedule)[1]
             central = np.empty_like(jac)
@@ -450,7 +446,7 @@ class TestGeneratorEstimates:
         props = np.zeros((count, 4, 4))  # the Jacobian does not depend on the data
         for _ in range(5):
             a, h_super, _, _ = self.make_problem(rng, rng.uniform(-0.02, 0.02))
-            c = _gks_components(a + 1e-5 * random_hermitian(rng, 3))
+            c = numkit._to_components(a + 1e-5 * random_hermitian(rng, 3))
             assert np.array_equal(fit_objective(c, props, _h_ptm(h_super), schedule)[1],
                                   _jacobian_block_assembly(c, h_super, schedule))
 
@@ -464,7 +460,7 @@ class TestGeneratorEstimates:
         cases.append((np.zeros((3, 3)), np.zeros((4, 4))))
         props = np.zeros((3, 4, 4))
         for a, h_super in cases:
-            c = _gks_components(a)
+            c = numkit._to_components(a)
             jac = fit_objective(c, props, _h_ptm(h_super), schedule)[1]
             expected = _jacobian_block_assembly(c, h_super, schedule, scaled=False)
             assert np.isfinite(jac).all()
@@ -478,7 +474,7 @@ class TestGeneratorEstimates:
             a = rng.uniform(0.01, 100) * TestDissipator._random_gks(rng)
             h_super = hamiltonian_superop(detuning_hamiltonian(rng.uniform(-1, 1)))
             basis_ptms = lindblad._BASIS_PTMS.reshape(9, 16)
-            gen = qpt.ptm(1j * h_super) + (_gks_components(a) @ basis_ptms).reshape(4, 4)
+            gen = qpt.ptm(1j * h_super) + (numkit._to_components(a) @ basis_ptms).reshape(4, 4)
             oracle = qpt.ptm(1j * h_super + dissipator_superop(a))
             assert np.array_equal(gen[0], np.zeros(4))
             assert np.abs(gen.imag).max() <= 1e-15 * max(1.0, np.abs(gen).max())

@@ -376,12 +376,6 @@ class TestMatrixLog:
         assert worst <= 5e-11
 
 
-def _components(a):
-    """Components of a Hermitian matrix in numkit.hermitian_basis."""
-    basis = numkit.hermitian_basis(len(a)).reshape(a.size, a.size)
-    return (basis.conj() @ np.asarray(a, dtype=complex).ravel()).real
-
-
 def _rosenbrock(c):
     # 100 (a11 - a00^2)^2 + (1 - a00)^2 as a sum of squares of the components
     # c of a, with its Jacobian; the off-diagonal components are pinned to
@@ -421,7 +415,7 @@ class TestHermitianBasis:
     def test_components_round_trip(self, rng):
         for n in range(1, 5):
             a = random_hermitian(rng, n)
-            c = _components(a)
+            c = numkit._to_components(a)
             assert np.linalg.norm(np.tensordot(c, numkit.hermitian_basis(n), 1) - a) <= 1e-14
             assert abs(np.linalg.norm(c) - np.linalg.norm(a)) <= 1e-14
 
@@ -511,8 +505,8 @@ class TestPsdModelStep:
         # (y - c)^2 / 2 + g (y - c) is |y - (c - g)|^2 / 2 up to a constant
         for n in (2, 3):
             for _ in range(20):
-                c, g = _components(random_hermitian(rng, n)), rng.normal(size=n * n)
-                oracle = _components(numkit.clip_negative_eigs(
+                c, g = numkit._to_components(random_hermitian(rng, n)), rng.normal(size=n * n)
+                oracle = numkit._to_components(numkit.clip_negative_eigs(
                     np.tensordot(c - g, numkit.hermitian_basis(n), 1)))
                 y, converged = numkit.psd_model_step(np.eye(n * n), g, c)
                 assert converged and np.linalg.norm(y - oracle) <= 1e-12
@@ -534,11 +528,11 @@ class TestPsdModelStep:
         metric = (q * np.logspace(0, 6, 4)) @ q.T
         c, g = rng.normal(size=4), rng.normal(size=4)
         m, h = metric / np.linalg.norm(metric), g / np.linalg.norm(metric)
-        y = _components(numkit.clip_negative_eigs(
+        y = numkit._to_components(numkit.clip_negative_eigs(
             np.tensordot(c - np.linalg.solve(metric, g), numkit.hermitian_basis(2), 1)))
         for _ in range(numkit.MAX_NEWTON_STEPS):  # full steps from the same start
             w, v = np.linalg.eigh(np.tensordot(y - m @ (y - c) - h, numkit.hermitian_basis(2), 1))
-            f = y - _components(numkit._clip_eigs(w, v))
+            f = y - numkit._to_components(numkit._clip_eigs(w, v))
             jac = numkit.psd_projection_jacobian(w, v)
             y = y - np.linalg.solve(np.eye(4) - jac @ (np.eye(4) - m), f)
         assert f @ f > 1e-6
@@ -547,7 +541,7 @@ class TestPsdModelStep:
         assert_model_step_kkt(metric, g, c, y)
 
     def test_psd_unconstrained_step_is_taken(self, rng):
-        metric, c = np.diag(rng.uniform(1.0, 2.0, 9)), _components(np.eye(3))
+        metric, c = np.diag(rng.uniform(1.0, 2.0, 9)), numkit._to_components(np.eye(3))
         g = 0.01 * rng.normal(size=9)
         y, converged = numkit.psd_model_step(metric, g, c)
         assert converged and np.allclose(y, c - g / np.diag(metric), rtol=0, atol=1e-15)
@@ -616,7 +610,7 @@ class TestLevenbergMarquardt:
         for scale in np.repeat([1, 10, 100], 10):
             target = scale * random_hermitian(rng, 3)
             a, f, _, converged = numkit.levenberg_marquardt(
-                _identity_model(lambda c: c - _components(target)), np.eye(3))
+                _identity_model(lambda c: c - numkit._to_components(target)), np.eye(3))
             w = np.linalg.eigvalsh(target)
             assert f <= float(w[w < 0] @ w[w < 0]) * (1 + 1e-14)
             assert np.linalg.norm(a - numkit.clip_negative_eigs(target)) <= 1e-7 * max(
@@ -640,7 +634,7 @@ class TestLevenbergMarquardt:
         for _ in range(5):
             a0 = numkit.clip_negative_eigs(random_hermitian(rng, 2))
             _, f, _, _ = numkit.levenberg_marquardt(bumpy, a0)
-            assert f <= float(np.sum(bumpy(_components(a0))[0] ** 2))
+            assert f <= float(np.sum(bumpy(numkit._to_components(a0))[0] ** 2))
 
     def test_zero_parameter_moves_on_exact_jacobian(self):
         # the start a = 0 sits on the boundary of the cone
@@ -701,7 +695,7 @@ class TestLevenbergMarquardt:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_model_takes_a_real_component_vector(self, rng, n):
         # the model sees the coordinates of its Jacobian: n^2 real components
-        seen, target = [], _components(random_hermitian(rng, n))
+        seen, target = [], numkit._to_components(random_hermitian(rng, n))
 
         def recorded(c):
             seen.append(c)

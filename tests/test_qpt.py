@@ -27,9 +27,9 @@ from nvqpt.qpt import (
     tp_sum,
     unphysicality_norms,
 )
-from nvqpt.qstate import IDENTITY_2, PAULIS, SIGMA_X, SIGMA_Z, bloch_to_density, density_to_bloch
+from nvqpt.qstate import IDENTITY_2, PAULIS, SIGMA_X, SIGMA_Z, bloch_to_density
 
-from conftest import random_hermitian
+from conftest import density_to_bloch, random_hermitian
 
 CHI_IDENTITY = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 

@@ -6,18 +6,17 @@ from hypothesis import strategies as st
 from nvqpt import qstate
 from nvqpt.qstate import (
     IDENTITY_2,
-    PAULIS,
     PauliExpectations,
     StateError,
     bloch_to_density,
     bures,
     c_metric,
-    density_to_bloch,
     fidelity,
     maxent_reconstruct,
     trace_distance,
-    validate_density,
 )
+
+from conftest import density_to_bloch, is_physical
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -59,26 +58,7 @@ class TestBlochConversions:
     def test_slightly_outside_clamped(self):
         rho = bloch_to_density([0, 0, 1 + 1e-12])
         assert np.allclose(rho, KET0)
-        validate_density(rho)
-
-
-class TestValidateDensity:
-    def test_accepts_valid(self):
-        validate_density(MIXED)
-
-    def test_rejects_traceless(self):
-        with pytest.raises(StateError):
-            validate_density(PAULIS[2])
-
-    def test_rejects_negative(self):
-        # -1e-7 is below the min_eig_floor of -1e-9
-        for rho in (np.diag([1.2, -0.2]), np.diag([1 + 1e-7, -1e-7])):
-            with pytest.raises(StateError):
-                validate_density(rho)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(StateError):
-            validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        assert is_physical(rho)
 
 
 class TestPauliExpectations:
@@ -108,13 +88,13 @@ class TestMaxEnt:
         r = density_to_bloch(rho)
         assert np.isclose(np.linalg.norm(r), 1.0)
         assert np.isclose(r[0], r[2])
-        validate_density(rho)
+        assert is_physical(rho)
 
     def test_always_physical(self, rng):
         for _ in range(20):
             vals = rng.uniform(-1, 1, size=3)
             rho = maxent_reconstruct(PauliExpectations(*vals))
-            validate_density(rho)
+            assert is_physical(rho)
 
 
 class TestMetrics:
