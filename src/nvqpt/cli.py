@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -169,7 +168,7 @@ def _read_record(path: str) -> tuple[list[float], list[list[qstate.PauliExpectat
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = nvsim.SimConfig(**{f.name: getattr(args, f.name) for f in fields(nvsim.SimConfig)})
+        cfg = nvsim.SimConfig(**{name: getattr(args, name) for name in nvsim.SimConfig._fields})
         schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
         record = nvsim.run_experiment(cfg, schedule)
     except (nvsim.SimulationError, lindblad.LindbladError) as exc:
@@ -325,10 +324,8 @@ def cmd_ellipsoid(args) -> int:
     except ValueError as exc:  # numpy refuses a sample count past its array size
         raise UsageError(f"--points: {exc}") from exc
     lines = ["in_x,in_y,in_z,out_x,out_y,out_z,violation"]
-    for p, o, v in zip(pts, outs, violation):
-        lines.append(
-            ",".join([repr(float(x)) for x in (*p, *o)] + [str(int(v))])
-        )
+    for row, v in zip(np.column_stack([pts, outs]).tolist(), violation.tolist()):
+        lines.append(f"{','.join(map(repr, row))},{int(v)}")
     _write("\n".join(lines) + "\n", args.out)
     print(f"{args.points} points, {int(violation.sum())} Bloch-ball violations",
           file=sys.stderr)
@@ -347,17 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[out], help="generate a synthetic experiment record")
     # each dest is the SimConfig field the option sets
-    p.add_argument("--t1", dest="t1_ns", type=float, default=nvsim.SimConfig.t1_ns, help="T1 in ns")
-    p.add_argument("--t2", dest="t2_ns", type=float, default=nvsim.SimConfig.t2_ns, help="T2 in ns")
-    p.add_argument("--detuning", type=float, default=nvsim.SimConfig.detuning, help="rad/ns")
-    p.add_argument("--alpha", dest="polarization", type=float,
-                   default=nvsim.SimConfig.polarization,
+    sim = nvsim.SimConfig._field_defaults
+    p.add_argument("--t1", dest="t1_ns", type=float, default=sim["t1_ns"], help="T1 in ns")
+    p.add_argument("--t2", dest="t2_ns", type=float, default=sim["t2_ns"], help="T2 in ns")
+    p.add_argument("--detuning", type=float, default=sim["detuning"], help="rad/ns")
+    p.add_argument("--alpha", dest="polarization", type=float, default=sim["polarization"],
                    help="pseudopure polarization, recorded in the record's config only; "
                    "inputs are prepared pure")
-    p.add_argument("--shots", type=int, default=nvsim.SimConfig.shots, help="0 = noise-free")
-    p.add_argument("--seed", type=int, default=nvsim.SimConfig.seed)
+    p.add_argument("--shots", type=int, default=sim["shots"], help="0 = noise-free")
+    p.add_argument("--seed", type=int, default=sim["seed"])
     p.add_argument("--t1ns", type=float, default=20.0, help="first schedule time (ns)")
-    p.add_argument("--timepoints", type=int, default=lindblad.TimeSchedule.count)
+    p.add_argument("--timepoints", type=int,
+                   default=lindblad.TimeSchedule._field_defaults["count"])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", parents=[out], help="raw chi + affine from a record")

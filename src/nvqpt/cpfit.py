@@ -11,7 +11,7 @@ the affine iterate, exactly trace-preserving and PSD once converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ _HALF_BLOCK_SUM = np.stack([(e - tp_project(e)).ravel() + _HALF_IDENTITY
                             for e in np.eye(16).reshape(16, 4, 4)], axis=1)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     chi_tilde: np.ndarray
     iterations: int
     converged: bool

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,14 +84,18 @@ def same_time(t: float, ref: float) -> bool:
     return abs(t - ref) <= 1e-9 * abs(ref)
 
 
-@dataclass(frozen=True)
-class TimeSchedule:
-    """Doubling schedule t_m = 2^m t1, m = 0..count-1 (ns)."""
-
+class _ScheduleFields(NamedTuple):
     t1: float
     count: int = 3
 
-    def __post_init__(self):
+
+class TimeSchedule(_ScheduleFields):
+    """Doubling schedule t_m = 2^m t1, m = 0..count-1 (ns)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.t1 < np.inf:
             raise LindbladError("t1 must be positive and finite")
         if self.count < 1:
@@ -101,6 +105,7 @@ class TimeSchedule:
         except OverflowError:
             raise LindbladError(
                 f"last time t1*2^{self.count - 1} ns is beyond float range") from None
+        return self
 
     def times(self) -> list[float]:
         # ldexp scales exactly, as t1 * 2**m does, but never converts 2**m
@@ -193,8 +198,7 @@ def gks_start_from_generator(r_estimate: np.ndarray) -> np.ndarray:
     return clip_negative_eigs(_from_components(_GKS_START @ qpt.ptm(r_estimate)[1:].real.ravel()))
 
 
-@dataclass(frozen=True)
-class GeneratorFit:
+class GeneratorFit(NamedTuple):
     gks: np.ndarray            # fitted PSD GKS matrix
     relaxation: np.ndarray     # fitted R_hat superoperator
     residual: float            # sum over the schedule of |exp(-G t) - P_t|_F^2
@@ -243,8 +247,7 @@ def fit_generator(props: list[np.ndarray], h_super: np.ndarray, schedule: TimeSc
                         evaluations=evals, converged=converged)
 
 
-@dataclass(frozen=True)
-class LindbladSet:
+class LindbladSet(NamedTuple):
     """Lindblad operators with relative Frobenius-weight contributions."""
 
     operators: list[np.ndarray]
@@ -294,8 +297,7 @@ def _propagators(shape: tuple, data: bytes) -> np.ndarray:
     return props
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     log_estimate: np.ndarray   # generator_log_estimate at t1, the branch check
     start: np.ndarray          # the BCH start, clipped to a PSD GKS matrix
     fit: GeneratorFit

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +40,9 @@ def _as_square(m, stack: bool = False, dtype=complex) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Hermitian eigendecomposition, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # unitary, columns
-
-
-def eig_hermitian(m) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(m):
+    """Eigendecomposition of a Hermitian matrix: numpy's EighResult, `eigenvalues` real and
+    ascending, `eigenvectors` unitary, in columns.
 
     The input is symmetrized as M/2 + M^dag/2 (halved first, so nothing overflows); inputs
     whose anti-Hermitian part exceeds `hermitian_input` times max(1, |M|_F) are rejected."""
@@ -64,7 +56,7 @@ def eig_hermitian(m) -> EigResult:
     defect = 2 * math.sqrt(np.vdot(skew, skew).real)  # a Python float: inf, not a warning
     if defect > tolerances.get("hermitian_input") * max(1.0, size):
         raise NumkitError(f"matrix is not Hermitian (defect {defect:.3g})")
-    return EigResult(*np.linalg.eigh(half + h))
+    return np.linalg.eigh(half + h)
 
 
 def clip_negative_eigs(m) -> np.ndarray:

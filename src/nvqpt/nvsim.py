@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimFields(NamedTuple):
     t1_ns: float = 1e6            # longitudinal relaxation time
     t2_ns: float = 2000.0         # transverse relaxation time
     detuning: float = 0.0         # rad/ns
@@ -33,7 +32,12 @@ class SimConfig:
     shots: int = 10000            # 0 disables readout noise
     seed: int | None = None
 
-    def __post_init__(self):
+
+class SimConfig(_SimFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.t1_ns < math.inf and 0 < self.t2_ns < math.inf):
             raise SimulationError("relaxation times must be positive and finite")
         if not np.isfinite(self.detuning):
@@ -48,6 +52,7 @@ class SimConfig:
             raise SimulationError("shots is beyond float range")
         if self.seed is not None and self.seed < 0:
             raise SimulationError("seed must be non-negative")
+        return self
 
 
 RECORD_SCHEMA = "qpt-record/1"
@@ -96,8 +101,7 @@ def expectation_table(times, rows) -> dict:
     return table
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
     schedule: lindblad.TimeSchedule
     expectations: dict[str, dict[float, PauliExpectations]]
     config: SimConfig
@@ -111,7 +115,7 @@ class ExperimentRecord:
             "times_ns": times,
             "inputs": list(INPUT_LABELS),
             "expectations": expectation_table(times, rows),
-            "config": {k: v for k, v in asdict(self.config).items() if k != "seed"},
+            "config": {k: v for k, v in self.config._asdict().items() if k != "seed"},
             "seed": self.config.seed,
         }
 

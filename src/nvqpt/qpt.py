@@ -13,7 +13,7 @@ repaired counterpart also live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,11 +98,10 @@ def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(NamedTuple):
     """Kraus operators with the chi eigenvalue weights absorbed."""
 
-    operators: list[np.ndarray] = field(default_factory=list)
+    operators: list[np.ndarray]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros((2, 2), dtype=complex)
@@ -129,22 +128,25 @@ def kraus_from_chi(chi: np.ndarray) -> KrausSet:
     return KrausSet(operators=ops)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class _AffineFields(NamedTuple):
+    matrix: np.ndarray
+
+
+class AffineMap(_AffineFields):
     """Bloch-space form of a trace-preserving qubit map: r -> E r + t,
     stored as the 4x4 real matrix acting on (1, rx, ry, rz)^T."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __new__(cls, matrix):
+        m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ProcessError("affine matrix must be 4x4")
         if not np.all(np.isfinite(m)):
             raise ProcessError("affine matrix has non-finite entries")
         if not np.array_equal(m[0], [1.0, 0.0, 0.0, 0.0]):
             raise ProcessError("affine first row must be exactly (1, 0, 0, 0)")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     @property
     def linear(self) -> np.ndarray:

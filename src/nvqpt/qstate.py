@@ -7,7 +7,7 @@ Pole convention throughout the package: |0> sits at Bloch z = +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,18 +42,23 @@ def _clamped_density(x: float, y: float, z: float) -> np.ndarray:
     return np.array([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
 
 
-@dataclass(frozen=True)
-class PauliExpectations:
-    """Measured Pauli expectation values; None marks an unmeasured axis."""
-
+class _PauliFields(NamedTuple):
     sx: float | None = None
     sy: float | None = None
     sz: float | None = None
 
-    def __post_init__(self):
-        for name, v in (("sx", self.sx), ("sy", self.sy), ("sz", self.sz)):
+
+class PauliExpectations(_PauliFields):
+    """Measured Pauli expectation values; None marks an unmeasured axis."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             if v is not None and not -1 <= v <= 1:
                 raise StateError(f"{name} = {v} outside [-1, 1]")
+        return self
 
     def as_tuple(self) -> tuple[float | None, float | None, float | None]:
         return (self.sx, self.sy, self.sz)

@@ -854,9 +854,10 @@ def _python(*argv, **env):
 
 def test_cli_import_is_numpy_only():
     """Each CLI stage is its own process; importing the CLI must not pull in
-    scipy, whose import costs more than the CLI itself."""
+    scipy, whose import costs more than the CLI itself, nor dataclasses, whose
+    frozen classes generate and compile their methods at import."""
     code = ("import sys, nvqpt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'dataclasses')))")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
