@@ -187,7 +187,7 @@ def cmd_reconstruct(args) -> int:
     time, row = times[matches[-1]], grid[matches[-1]]
     missing = {}
     for label, e in zip(nvsim.INPUT_LABELS, row):
-        gaps = [ax for ax, v in zip(nvsim.AXES, e.as_tuple()) if v is None]
+        gaps = [ax for ax, v in zip(nvsim.AXES, e) if v is None]
         if gaps:
             missing[label] = gaps
     chi = qpt.chi_from_outputs([qstate.maxent_reconstruct(e) for e in row])

@@ -28,7 +28,7 @@ import numpy as np
 from . import qpt, tolerances
 from .numkit import (_from_components, clip_negative_eigs, eig_hermitian, hermitian_basis,
                      levenberg_marquardt, matrix_exp, matrix_log_principal, triangular_from_params)
-from .qstate import IDENTITY_2, PAULIS, PauliExpectations
+from .qstate import IDENTITY_2, PAULIS, PauliExpectations, checked
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
 F_BASIS = np.array(PAULIS) / np.sqrt(2)
@@ -84,18 +84,14 @@ def same_time(t: float, ref: float) -> bool:
     return abs(t - ref) <= 1e-9 * abs(ref)
 
 
-class _ScheduleFields(NamedTuple):
+@checked
+class TimeSchedule(NamedTuple):
+    """Doubling schedule t_m = 2^m t1, m = 0..count-1 (ns)."""
+
     t1: float
     count: int = 3
 
-
-class TimeSchedule(_ScheduleFields):
-    """Doubling schedule t_m = 2^m t1, m = 0..count-1 (ns)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not 0 < self.t1 < np.inf:
             raise LindbladError("t1 must be positive and finite")
         if self.count < 1:
@@ -105,7 +101,6 @@ class TimeSchedule(_ScheduleFields):
         except OverflowError:
             raise LindbladError(
                 f"last time t1*2^{self.count - 1} ns is beyond float range") from None
-        return self
 
     def times(self) -> list[float]:
         # ldexp scales exactly, as t1 * 2**m does, but never converts 2**m

@@ -16,14 +16,15 @@ import numpy as np
 
 from . import lindblad, qpt, tolerances
 from .numkit import NumkitError, matrix_exp
-from .qstate import PauliExpectations
+from .qstate import PauliExpectations, checked
 
 
 class SimulationError(ValueError):
     pass
 
 
-class _SimFields(NamedTuple):
+@checked
+class SimConfig(NamedTuple):
     t1_ns: float = 1e6            # longitudinal relaxation time
     t2_ns: float = 2000.0         # transverse relaxation time
     detuning: float = 0.0         # rad/ns
@@ -32,12 +33,7 @@ class _SimFields(NamedTuple):
     shots: int = 10000            # 0 disables readout noise
     seed: int | None = None
 
-
-class SimConfig(_SimFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (0 < self.t1_ns < math.inf and 0 < self.t2_ns < math.inf):
             raise SimulationError("relaxation times must be positive and finite")
         if not np.isfinite(self.detuning):
@@ -52,12 +48,11 @@ class SimConfig(_SimFields):
             raise SimulationError("shots is beyond float range")
         if self.seed is not None and self.seed < 0:
             raise SimulationError("seed must be non-negative")
-        return self
 
 
 RECORD_SCHEMA = "qpt-record/1"
 INPUT_LABELS = ("z+", "z-", "x+", "y+")
-AXES = ("sx", "sy", "sz")
+AXES = PauliExpectations._fields
 
 
 def true_gks_matrix(cfg: SimConfig) -> np.ndarray:
@@ -97,7 +92,7 @@ def expectation_table(times, rows) -> dict:
     table: dict[str, dict] = {label: {} for label in INPUT_LABELS}
     for t, row in zip(times, rows):
         for label, e in zip(INPUT_LABELS, row):
-            table[label][repr(float(t))] = dict(zip(AXES, e.as_tuple()))
+            table[label][repr(float(t))] = e._asdict()
     return table
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tolerances
 from .numkit import eig_hermitian
-from .qstate import IDENTITY_2, PAULIS
+from .qstate import IDENTITY_2, PAULIS, checked
 
 
 class ProcessError(ValueError):
@@ -132,6 +132,7 @@ class _AffineFields(NamedTuple):
     matrix: np.ndarray
 
 
+@checked
 class AffineMap(_AffineFields):
     """Bloch-space form of a trace-preserving qubit map: r -> E r + t,
     stored as the 4x4 real matrix acting on (1, rx, ry, rz)^T."""
@@ -139,14 +140,15 @@ class AffineMap(_AffineFields):
     __slots__ = ()
 
     def __new__(cls, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
+        return super().__new__(cls, np.asarray(matrix, dtype=float))
+
+    def _check(self):
+        if self.matrix.shape != (4, 4):
             raise ProcessError("affine matrix must be 4x4")
-        if not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(self.matrix)):
             raise ProcessError("affine matrix has non-finite entries")
-        if not np.array_equal(m[0], [1.0, 0.0, 0.0, 0.0]):
+        if not np.array_equal(self.matrix[0], [1.0, 0.0, 0.0, 0.0]):
             raise ProcessError("affine first row must be exactly (1, 0, 0, 0)")
-        return super().__new__(cls, m)
 
     @property
     def linear(self) -> np.ndarray:

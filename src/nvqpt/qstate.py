@@ -6,6 +6,7 @@ Pole convention throughout the package: |0> sits at Bloch z = +1.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -25,6 +26,21 @@ class StateError(ValueError):
     pass
 
 
+def checked(cls):
+    """Class decorator for a NamedTuple record: every construction (a call, _make, _replace,
+    unpickling, copy.replace) runs the record's _check, which raises on invalid fields."""
+    new, make = cls.__new__, cls._make.__func__
+
+    def checked_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(functools.wraps(new)(checked_new))  # keeps the field signature
+    cls._make = classmethod(lambda cls, iterable: cls(*make(cls, iterable)))  # make checks arity
+    return cls
+
+
 def bloch_to_density(r) -> np.ndarray:
     """rho = (I + r.sigma)/2.  Vectors within tolerance of the unit sphere
     are radially clamped onto it."""
@@ -42,26 +58,18 @@ def _clamped_density(x: float, y: float, z: float) -> np.ndarray:
     return np.array([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
 
 
-class _PauliFields(NamedTuple):
+@checked
+class PauliExpectations(NamedTuple):
+    """Measured Pauli expectation values; None marks an unmeasured axis."""
+
     sx: float | None = None
     sy: float | None = None
     sz: float | None = None
 
-
-class PauliExpectations(_PauliFields):
-    """Measured Pauli expectation values; None marks an unmeasured axis."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name, v in zip(self._fields, self):
             if v is not None and not -1 <= v <= 1:
                 raise StateError(f"{name} = {v} outside [-1, 1]")
-        return self
-
-    def as_tuple(self) -> tuple[float | None, float | None, float | None]:
-        return (self.sx, self.sy, self.sz)
 
 
 def maxent_reconstruct(e: PauliExpectations) -> np.ndarray:
@@ -72,7 +80,7 @@ def maxent_reconstruct(e: PauliExpectations) -> np.ndarray:
     maximization drops them); if the measured components alone leave the
     Bloch ball, they are scaled radially onto the unit sphere.
     """
-    return _clamped_density(*(0.0 if v is None else v for v in e.as_tuple()))
+    return _clamped_density(*(0.0 if v is None else v for v in e))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

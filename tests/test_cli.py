@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nvqpt
-from nvqpt import cli, cpfit, lindblad, numkit, nvsim, qpt, qstate
+from nvqpt import cli, cpfit, lindblad, numkit, nvsim, qpt, qstate, tolerances
 
 from conftest import density_to_bloch, is_physical
 
@@ -691,6 +691,9 @@ def test_tolerances_variable_is_not_read(record_path, tmp_path):
 
 
 class TestToleranceOverride:
+    def test_table_is_the_defaults(self):
+        assert tolerances.table() is tolerances.DEFAULTS
+
     def test_min_eig_floor_override(self):
         # the fixed floor (-1e-9) rejects a density matrix and a GKS matrix
         # just below it and accepts both just above it

@@ -52,6 +52,16 @@ class TestVectorization:
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert np.allclose(devectorize(vectorize(m)), m)
 
+    @pytest.mark.parametrize("bad", [np.eye(4), np.zeros(4), np.zeros((2, 3))])
+    def test_vectorize_rejects_wrong_shape(self, bad):
+        with pytest.raises(LindbladError, match="2x2"):
+            vectorize(bad)
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.eye(2), np.zeros(16)])
+    def test_devectorize_rejects_wrong_shape(self, bad):
+        with pytest.raises(LindbladError, match="4-vector"):
+            devectorize(bad)
+
     def test_superop_of_identity_action(self):
         assert np.allclose(superop_from_action(lambda m: m), np.eye(4))
 
@@ -107,8 +117,8 @@ class TestSchedule:
         assert s.t1 == 20.0 and s.count == 3
 
     def test_from_times_rejects_non_doubling(self):
-        # the tolerance is relative, also below 1 ns
-        for times in ([20.0, 40.0, 60.0], [1e-10, 5e-10, 3e-10]):
+        # the tolerance is relative, also below 1 ns; no time at all, or a zero one, is refused
+        for times in ([20.0, 40.0, 60.0], [1e-10, 5e-10, 3e-10], [], [0.0, 0.0, 0.0]):
             with pytest.raises(LindbladError):
                 TimeSchedule.from_times(times)
 
@@ -597,7 +607,7 @@ class TestPrediction:
         for e, t in zip(out, times):
             rho = devectorize(matrix_exp(-gen * t) @ vectorize(rho0))
             expected = density_to_bloch((rho + rho.conj().T) / 2)
-            assert np.max(np.abs(np.array(e.as_tuple()) - expected)) <= 1e-14
+            assert np.max(np.abs(np.array(tuple(e)) - expected)) <= 1e-14
 
     def test_readout_equals_density_loop(self, rng):
         times = [20.0, 40.0, 80.0, 250.0]
@@ -616,7 +626,7 @@ class TestPrediction:
                         clipped += np.any(np.abs(bloch) > 1)
                         expected.append(np.clip(bloch, -1, 1))
                     out = predict_expectations(r, h_super, rho0, times)
-                    diff = np.array([e.as_tuple() for e in out]) - expected
+                    diff = np.array([tuple(e) for e in out]) - expected
                     assert np.max(np.abs(diff)) <= 1e-14
         assert clipped
 
@@ -637,7 +647,7 @@ class TestPrediction:
             assert props.dtype == np.float64
             expected = np.clip((props @ pauli)[:, 1:], -1, 1)
             out = predict_expectations(r_hat, h_super, rho0, times)
-            assert np.array_equal([e.as_tuple() for e in out], expected)
+            assert np.array_equal([tuple(e) for e in out], expected)
         info = lindblad._propagators.cache_info()
         assert (info.hits, info.misses) == (1, 3)
         cached = lindblad._propagators(exponent.shape, exponent.tobytes())

@@ -193,7 +193,7 @@ class TestRunExperiment:
                     "x+": (decay * np.cos(phase), decay * np.sin(phase), 1 - relax),
                     "y+": (-decay * np.sin(phase), decay * np.cos(phase), 1 - relax)}
             for label, e in want.items():
-                assert record.expectations[label][t].as_tuple() == pytest.approx(e, abs=1e-12)
+                assert tuple(record.expectations[label][t]) == pytest.approx(e, abs=1e-12)
 
     def test_equals_per_state_loop_on_random_configs(self, rng):
         for _ in range(100):

@@ -50,6 +50,11 @@ class TestBlochConversions:
         with pytest.raises(StateError):
             bloch_to_density([1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("r", [[0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 1.0]]])
+    def test_wrong_length_rejected(self, r):
+        with pytest.raises(StateError, match="three components"):
+            bloch_to_density(r)
+
     def test_nan_rejected(self):
         # NaN compares False with every bound, so a "norm > bound" guard passes it
         with pytest.raises(StateError):
@@ -68,7 +73,7 @@ class TestPauliExpectations:
 
     def test_none_allowed(self):
         e = PauliExpectations(sz=0.3)
-        assert e.as_tuple() == (None, None, 0.3)
+        assert tuple(e) == (None, None, 0.3)
 
 
 class TestMaxEnt:
@@ -115,6 +120,11 @@ class TestMetrics:
 
     def test_fidelity_self(self):
         assert np.isclose(fidelity(MIXED, MIXED), 1.0, atol=1e-9)
+
+    def test_fidelity_rejects_zero_trace(self):
+        for a, b in [(np.zeros((2, 2)), MIXED), (MIXED, np.zeros((2, 2)))]:
+            with pytest.raises(StateError, match="nonzero trace"):
+                fidelity(a, b)
 
     def test_fidelity_symmetric(self, rng):
         a = bloch_to_density(rng.uniform(-0.5, 0.5, 3))

@@ -1,6 +1,11 @@
 """The package's result and configuration records: immutable, built by keyword, and the four
 validating types check their fields however they are built."""
 
+import copy
+import inspect
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,7 @@ def _fit():
                                  residual=0.0, evaluations=1, converged=True)
 
 
-# (record type, a keyword factory of valid fields, (bad positional args, error) or None)
+# (record type, a keyword factory of valid fields, (field, bad value, error) or None)
 RECORDS = [
     (cpfit.ProjectionResult, lambda: dict(
         chi_tilde=np.eye(4) / 2, iterations=1, converged=True, min_eigenvalue=0.5,
@@ -26,11 +31,11 @@ RECORDS = [
     (nvsim.ExperimentRecord, lambda: dict(
         schedule=lindblad.TimeSchedule(20.0), expectations={}, config=nvsim.SimConfig()), None),
     (qstate.PauliExpectations, lambda: dict(sx=0.1, sy=None, sz=-1.0),
-     ((None, None, 2.0), qstate.StateError)),
-    (qpt.AffineMap, lambda: dict(matrix=np.eye(4)), ((np.eye(3),), qpt.ProcessError)),
-    (lindblad.TimeSchedule, lambda: dict(t1=20.0, count=4), ((0.0,), lindblad.LindbladError)),
+     ("sz", 5.0, qstate.StateError)),
+    (qpt.AffineMap, lambda: dict(matrix=np.eye(4)), ("matrix", np.eye(3), qpt.ProcessError)),
+    (lindblad.TimeSchedule, lambda: dict(t1=20.0, count=4), ("t1", 0.0, lindblad.LindbladError)),
     (nvsim.SimConfig, lambda: dict(t1_ns=100.0, t2_ns=50.0, detuning=0.01, polarization=0.5,
-                                   shots=0, seed=3), ((-1.0,), nvsim.SimulationError)),
+                                   shots=0, seed=3), ("t1_ns", -1.0, nvsim.SimulationError)),
 ]
 
 
@@ -39,6 +44,7 @@ def test_record_contract(cls, fields, bad):
     values = fields()
     rec = cls(**values)
     assert type(rec) is cls and rec._fields == tuple(values)
+    assert tuple(inspect.signature(cls).parameters) == rec._fields
     for name, value in values.items():
         assert getattr(rec, name) is value  # kept as given, not copied
     assert cls(**rec._asdict()) == rec
@@ -46,11 +52,18 @@ def test_record_contract(cls, fields, bad):
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
     if bad is not None:
-        args, error = bad
-        with pytest.raises(error):
-            cls(*args)
-        with pytest.raises(error):
-            cls(**dict(zip(rec._fields, args)))
+        name, value, error = bad
+        args = [value if field == name else v for field, v in values.items()]
+        builds = [lambda: cls(*args), lambda: cls(**{**values, name: value}),
+                  lambda: cls._make(args), lambda: rec._replace(**{name: value})]
+        if sys.version_info >= (3, 13):
+            builds.append(lambda: copy.replace(rec, **{name: value}))
+        for build in builds:
+            with pytest.raises(error):
+                build()
+        unpickled = pickle.loads(pickle.dumps(rec))
+        assert type(unpickled) is cls
+        assert all(np.array_equal(a, b) for a, b in zip(unpickled, rec, strict=True))
 
 
 def test_kraus_sets_share_no_operator_list():

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -48,3 +50,26 @@ def test_loc_counts_code_apart_from_blanks_comments_and_docstrings(monkeypatch, 
     assert [row[:2] for row in rows[:-1]] == [[p.name, str(p.read_text().count("\n"))]
                                              for p in modules]
     assert rows[-1] == ["total", *(str(sum(int(row[k]) for row in rows[:-1])) for k in (1, 2))]
+
+
+_PARENT = [100.0 + k for k in range(10)]  # quartiles 102.25 and 106.75: IQR 4.5
+_SPREAD = [60.0, 70.0, 80.0, 90.0, 100.0, 100.0, 110.0, 120.0, 130.0, 140.0]  # IQR 35
+
+
+@pytest.mark.parametrize("better, bound, parent, change, verdict", [
+    ("higher", 0.25, _PARENT, [x + 10 for x in _PARENT[:9]] + [_PARENT[9] - 1],
+     "claim: better in 9 of 10 pairs, median gain 9 against the parent's IQR 4.5: holds"),
+    ("higher", 0.25, _PARENT, [x + 10 for x in _PARENT[:8]] + [x - 1 for x in _PARENT[8:]],
+     "claim: better in 8 of 10 pairs, median gain 8 against the parent's IQR 4.5: "
+     "does not hold"),
+    ("lower", 0.25, [100.0] * 10, [130.0] * 10,
+     "bound: worse by +30.0% (bound 25%): BEYOND BOUND"),
+    ("lower", 0.25, _SPREAD, [x + 5 for x in _SPREAD],
+     "bound: worse by +5.0% (bound 25%): unresolved: the parent's IQR is wider than the bound"),
+])
+def test_bench_compare_verdicts(better, bound, parent, change, verdict):
+    """bench.py's pair verdicts on synthetic 10-pair series: the 9-of-10 claim rule with its
+    IQR margin, a median beyond the bound, and a parent spread too wide to tell."""
+    compare = runpy.run_path(str(SCRIPTS / "bench.py"))["compare"]
+    lines = [line.strip() for line in compare("m", better, bound, parent, change).splitlines()]
+    assert verdict in lines
