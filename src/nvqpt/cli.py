@@ -315,13 +315,11 @@ def cmd_lindblad(args) -> int:
 
 
 def cmd_ellipsoid(args) -> int:
-    if args.points < 1:
-        raise UsageError("--points must be at least 1")
     doc = _load_json(args.process, PROCESS_SCHEMA)
     affine = qpt.AffineMap(_real_array(doc, args.process, "affine"))
     try:
         pts, outs, violation = qpt.ellipsoid_samples(affine, args.points)
-    except ValueError as exc:  # numpy refuses a sample count past its array size
+    except ValueError as exc:  # fewer than one sample, or more than numpy can allocate
         raise UsageError(f"--points: {exc}") from exc
     lines = ["in_x,in_y,in_z,out_x,out_y,out_z,violation"]
     for row, v in zip(np.column_stack([pts, outs]).tolist(), violation.tolist()):

@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import (_from_components, clip_negative_eigs, eig_hermitian, hermitian_basis,
-                     levenberg_marquardt, matrix_exp, matrix_log_principal, triangular_from_params)
+from .numkit import (_from_components, clip_negative_eigs, hermitian_basis, levenberg_marquardt,
+                     matrix_exp, matrix_log_principal, psd_factors, triangular_from_params)
 from .qstate import IDENTITY_2, PAULIS, PauliExpectations, checked
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
@@ -250,16 +250,11 @@ class LindbladSet(NamedTuple):
 
 
 def lindblads_from_gks(a: np.ndarray) -> LindbladSet:
-    """Diagonalize the GKS matrix: L_i = sqrt(d_i) sum_j U_ji F_j, dropping
-    negligible eigenvalues; contributions are |L_i|_Fro^2 normalized."""
-    res = eig_hermitian(a)
-    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise LindbladError(
-            f"GKS matrix has negative eigenvalue {res.eigenvalues[0]:.3g}"
-        )
-    d = np.clip(res.eigenvalues, 0.0, None)
-    ops = ((np.sqrt(d) * res.eigenvectors).T @ F_BASIS.reshape(3, 4)).reshape(3, 2, 2)
-    ops = [ops[i] for i in (2, 1, 0) if d[i] > 0 and d[i] >= 1e-12 * d[2]]  # descending
+    """Diagonalize the GKS matrix: L_i = sqrt(d_i) sum_j U_ji F_j, largest first, dropping
+    negligible eigenvalues (numkit.psd_factors); contributions are |L_i|_Fro^2 normalized."""
+    ops, low = psd_factors(a, F_BASIS)
+    if low < tolerances.get("min_eig_floor"):
+        raise LindbladError(f"GKS matrix has negative eigenvalue {low:.3g}")
     contributions = contributions_from_operators(ops)
     return LindbladSet(operators=ops if contributions else [], contributions=contributions)
 

@@ -73,6 +73,17 @@ def _clip_eigs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
+def psd_factors(m, basis) -> tuple[list[np.ndarray], float]:
+    """(factors, smallest eigenvalue) of Hermitian m over operators basis_k: factors[i] =
+    sqrt(d_i) sum_k V_ki basis_k for m's eigenpairs (d_i, V_i), largest first, dropping each
+    d_i <= 0 or below 1e-12 d_max.  The caller judges the smallest eigenvalue."""
+    res, basis = eig_hermitian(m), np.asarray(basis)
+    d = np.clip(res.eigenvalues, 0.0, None)
+    ops = ((np.sqrt(d) * res.eigenvectors).T @ basis.reshape(len(d), -1)).reshape(basis.shape)
+    keep = [i for i in reversed(range(len(d))) if d[i] > 0 and d[i] >= 1e-12 * d[-1]]
+    return [ops[i] for i in keep], float(res.eigenvalues[0])
+
+
 def triangular_from_params(x, n: int) -> np.ndarray:
     """Lower-triangular n x n matrix from n^2 reals: the real diagonal, then
     (Re, Im) pairs of the strictly lower entries in np.tril_indices order."""

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances
-from .numkit import eig_hermitian
+from .numkit import eig_hermitian, psd_factors
 from .qstate import IDENTITY_2, PAULIS, checked
 
 
@@ -35,7 +35,7 @@ def matrix_units() -> list[np.ndarray]:
     return list(np.eye(4, dtype=complex).reshape(4, 2, 2))
 
 
-_NORMAL_BASIS = tuple(matrix_units())
+_NORMAL_BASIS = np.array(matrix_units())
 
 # Column n is vec(sigma_n^T) = sigma_n.ravel() (sigma_0 = I), so vec(rho) @ it is tr(rho sigma_n).
 PAULI_READOUT = np.reshape((IDENTITY_2, *PAULIS), (4, 4)).T
@@ -99,7 +99,7 @@ def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 class KrausSet(NamedTuple):
-    """Kraus operators with the chi eigenvalue weights absorbed."""
+    """Kraus operators with the chi eigenvalue weights absorbed, largest first."""
 
     operators: list[np.ndarray]
 
@@ -115,16 +115,10 @@ class KrausSet(NamedTuple):
 
 
 def kraus_from_chi(chi: np.ndarray) -> KrausSet:
-    res = eig_hermitian(chi)
-    if res.eigenvalues[0] < tolerances.get("min_eig_floor"):
-        raise NotCompletelyPositive(f"chi has eigenvalue {res.eigenvalues[0]:.3g}: not completely "
+    ops, low = psd_factors(chi, _NORMAL_BASIS)
+    if low < tolerances.get("min_eig_floor"):
+        raise NotCompletelyPositive(f"chi has eigenvalue {low:.3g}: not completely "
                                     "positive -- repair it first (cpfit.project_to_cp)")
-    ops = []
-    dmax = max(res.eigenvalues[-1], 1.0)
-    for i, d in enumerate(res.eigenvalues):
-        if d < 1e-12 * dmax:
-            continue
-        ops.append(np.sqrt(d) * res.eigenvectors[:, i].reshape(2, 2))
     return KrausSet(operators=ops)
 
 

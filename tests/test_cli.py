@@ -662,10 +662,11 @@ class TestEllipsoid:
         assert run("ellipsoid", str(bad), "--points", "8", "--out", str(out)) == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_zero_points_is_usage_error(self, process_path, capsys):
-        assert run("ellipsoid", str(process_path), "--points", "0") == 2
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_zero_points_is_usage_error(self, process_path, capsys, points):
+        assert run("ellipsoid", str(process_path), "--points", points) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --points") and err.count("\n") == 1
+        assert err == "error: --points: need at least one sample point\n"
 
     def test_points_past_array_size_is_usage_error(self, process_path, tmp_path, capsys):
         # numpy refuses 1e20 samples before it allocates any

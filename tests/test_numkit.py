@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvqpt import lindblad, numkit, nvsim, tolerances
+from nvqpt import lindblad, numkit, nvsim, qpt, tolerances
 from nvqpt.numkit import NumkitError, ObjectiveDiverged, PrincipalLogUndefined
 
 from conftest import THETAS, random_hermitian, record_outputs
@@ -424,6 +424,22 @@ class TestHermitianBasis:
         with pytest.raises(ValueError):
             basis[0, 0, 0] = 2.0
         assert numkit.hermitian_basis(3) is basis
+
+
+class TestPsdFactors:
+    @pytest.mark.parametrize("basis", [np.array(qpt.matrix_units()), lindblad.F_BASIS],
+                             ids=["matrix-units", "F"])
+    def test_coefficients_rebuild_psd_matrix(self, rng, basis):
+        # both bases are trace-orthonormal, so tr(B_k^dag F_i) = sqrt(d_i) V_ki
+        n = len(basis)
+        for rank in np.repeat(range(1, n + 1), 5):
+            g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            m = rng.choice([1e-3, 1.0, 1e3]) * g @ g.conj().T
+            factors, low = numkit.psd_factors(m, basis)
+            coeffs = np.einsum("kab,iab->ik", basis.conj(), np.array(factors))
+            assert len(factors) == rank
+            assert np.linalg.norm(coeffs.T @ coeffs.conj() - m) <= 1e-12 * np.linalg.norm(m)
+            assert low == numkit.eig_hermitian(m).eigenvalues[0]
 
 
 def assert_model_step_kkt(metric, g, c, y):

@@ -208,6 +208,18 @@ class TestKraus:
             with pytest.raises(NotCompletelyPositive):
                 kraus_from_chi(chi)
 
+    def test_cut_off_is_the_lindblad_operators(self):
+        # 7e-13 sits above 1e-12 of the largest eigenvalue, 0.5, and both keep it
+        kraus = kraus_from_chi(np.diag([0.5, 7e-13, 0.0, 0.0])).operators
+        assert len(kraus) == len(lindblad.lindblads_from_gks(np.diag([0.5, 7e-13, 0.0])).operators)
+        assert len(kraus) == 2
+
+    def test_largest_first(self, rng):
+        for _ in range(10):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            norms = [np.linalg.norm(e) for e in kraus_from_chi(g @ g.conj().T).operators]
+            assert len(norms) == 4 and norms == sorted(norms, reverse=True)
+
 
 class TestAffine:
     def test_first_row_enforced(self):
