@@ -2,10 +2,11 @@
 
 Subcommands: simulate, reconstruct, project, metrics, lindblad,
 ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
-argument value or an unwritable --out), 3 data error (including a
-malformed input document), 4 numerical failure (including a kernel error
-no stage maps itself, and a float overflow, division by zero or invalid
-operation, which main makes numpy raise); stages raise, main prints.
+argument value, an unwritable --out or a closed stdout), 3 data error
+(including a malformed input document), 4 numerical failure (including a
+kernel error no stage maps itself, and a float overflow, division by zero
+or invalid operation, which main makes numpy raise); stages raise, main
+prints.  main(argv) is the in-process API; run is the process entry point.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -13,7 +14,9 @@ JSON files stay portable.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 import numpy as np
@@ -59,6 +62,8 @@ def _fmt(x: float) -> str:
 def _write(text: str, path: str) -> None:
     """Write text to the file at path, or to stdout when path is "-"."""
     if path == "-":
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            raise UsageError("cannot write stdout: it is closed")
         sys.stdout.write(text)
     else:
         try:
@@ -396,5 +401,28 @@ def main(argv=None) -> int:
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
+def run() -> None:
+    """Process entry point of `nvqpt` and `python -m nvqpt.cli`: run main,
+    flush stdout and exit with main's code.  A stdout that cannot be written,
+    such as a pipe whose reader has gone, exits 2 with one error line."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:  # stages map their file errors, so this is stdout
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # shutdown flushes stdout again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    # Shutdown's full collection walks every object still alive, most of them
+    # numpy's import-time objects.  Freezing moves them all to the permanent
+    # generation, which no collection visits; the OS reclaims the memory at exit.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -245,13 +245,29 @@ def test_float_range_stderr_is_one_error_line(tmp_path, stage, edit):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "closed-stdout",
+                                   "closed-unbuffered-stdout", "closed-stdout-help", "no-stdout"])
 def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
-    """An --out that cannot be opened exits 2 with one error line, not a traceback."""
-    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path / "dir"
-    if where == "directory":
-        out.mkdir()
-    proc = _python("-m", "nvqpt.cli", "simulate", "--seed", "1", "--out", str(out))
+    """An --out that cannot be opened, a stdout pipe with no reader or a stdout
+    closed at start-up exits 2 with one error line, not a traceback."""
+    if "stdout" in where:
+        out = "-"
+        argv = ("--help",) if where.endswith("help") else ("--seed", "1", "--out", out)
+        # A pipe whose read end is closed before the child starts: run's flush
+        # (block-buffered) or the stage's own write (unbuffered) fails with EPIPE.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _python("-m", "nvqpt.cli", "simulate", *argv, stdout=write,
+                           PYTHONUNBUFFERED="1" if "unbuffered" in where else "",
+                           preexec_fn=(lambda: os.close(1)) if where == "no-stdout" else None)
+        finally:
+            os.close(write)
+    else:
+        out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path / "dir"
+        if where == "directory":
+            out.mkdir()
+        proc = _python("-m", "nvqpt.cli", "simulate", "--seed", "1", "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
     assert list(tmp_path.rglob("*")) == ([out] if where == "directory" else [])
@@ -847,13 +863,14 @@ def _is_strict_json(text):
     return True
 
 
-def _python(*argv, **env):
+def _python(*argv, stdout=subprocess.PIPE, preexec_fn=None, **env):
     """Run this Python on argv in its own process, with this nvqpt's source
-    directory first on PYTHONPATH and `env` added to the environment."""
+    directory first on PYTHONPATH and `env` added to the environment; stdout
+    and stderr are captured unless stdout names another target."""
     src = os.path.dirname(os.path.dirname(nvqpt.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path, **env),
-                          capture_output=True, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, preexec_fn=preexec_fn, text=True)
 
 
 def test_cli_import_is_numpy_only():
@@ -865,3 +882,31 @@ def test_cli_import_is_numpy_only():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_console_script_is_run():
+    """The `nvqpt` script enters through run, as `python -m nvqpt.cli` does.
+    pyproject.toml is read as text: Python 3.10 has no tomllib."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        section = fh.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert [line.split("#")[0].strip() for line in section.splitlines()
+            if line.split("#")[0].strip()] == ['nvqpt = "nvqpt.cli:run"']
+    assert callable(cli.run)
+
+
+@pytest.mark.parametrize("stage", ["reconstruct", "metrics"])
+def test_process_stdout_matches_main(record_path, process_path, tmp_path, stage, capsys):
+    """A stage run as its own process, with stdout a file and so
+    block-buffered, prints the same bytes as main in-process: nothing that
+    run holds in the buffer at exit is lost."""
+    argv = {"reconstruct": ("reconstruct", str(record_path), "--time", "20",
+                            "--out", str(tmp_path / "again.json")),
+            "metrics": ("metrics", str(process_path), str(process_path), "--json")}[stage]
+    capsys.readouterr()
+    assert run(*argv) == 0
+    expected = capsys.readouterr().out
+    with open(tmp_path / "stdout.txt", "w") as fh:
+        proc = _python("-m", "nvqpt.cli", *argv, stdout=fh, PYTHONUNBUFFERED="")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert expected and (tmp_path / "stdout.txt").read_text() == expected
