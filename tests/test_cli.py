@@ -890,8 +890,7 @@ def test_console_script_is_run():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml")) as fh:
         section = fh.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-    assert [line.split("#")[0].strip() for line in section.splitlines()
-            if line.split("#")[0].strip()] == ['nvqpt = "nvqpt.cli:run"']
+    assert section.strip() == 'nvqpt = "nvqpt.cli:run"'
     assert callable(cli.run)
 
 
