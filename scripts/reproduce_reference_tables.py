@@ -20,7 +20,7 @@ def main() -> None:
     data = reference.load()
     exp_affine = reference.affine_experimental(data)
     rec_affine = reference.affine_reconstructed(data)
-    reported = reference.discrepancy_norms(data)
+    reported = data["discrepancy_norms"]
 
     print("discrepancy norms between experimental and repaired processes")
     print(f"{'t (ns)':>7} {'p1':>8} {'p2':>8} {'fro':>8} {'d_pro':>8}   reported fro")
@@ -47,7 +47,7 @@ def main() -> None:
 
     print("\nrelative contributions of the published Lindblad operators")
     ops = reference.lindblad_operators(data)
-    reported_pct = reference.reported_contributions_pct(data)
+    reported_pct = [entry["reported_contribution_pct"] for entry in data["lindblad_operators"]]
     for i, (pct, rep) in enumerate(
         zip(lindblad.contributions_from_operators(ops), reported_pct), start=1
     ):

@@ -6,7 +6,9 @@ argument value, an unwritable --out or a closed stdout), 3 data error
 (including a malformed input document), 4 numerical failure (including a
 kernel error no stage maps itself, and a float overflow, division by zero
 or invalid operation, which main makes numpy raise); stages raise, main
-prints.  main(argv) is the in-process API; run is the process entry point.
+prints.  A stage writes its document to --out (stdout by default) and its
+report to stderr.  main(argv) is the in-process API; run is the process
+entry point.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -42,15 +44,11 @@ class DataError(Exception):
     pass
 
 
-class NumericalError(Exception):
-    pass
-
-
 # An error a stage raises exits with the code of the first class here that it is an instance of.
 EXIT_CODES = {
     UsageError: EXIT_USAGE, DataError: EXIT_DATA, qpt.ProcessError: EXIT_DATA,
     lindblad.LindbladError: EXIT_DATA, qstate.StateError: EXIT_DATA,
-    NumericalError: EXIT_NUMERICAL, NumkitError: EXIT_NUMERICAL,
+    NumkitError: EXIT_NUMERICAL,
     FloatingPointError: EXIT_NUMERICAL, np.linalg.LinAlgError: EXIT_NUMERICAL,
 }
 
@@ -207,7 +205,7 @@ def cmd_reconstruct(args) -> int:
     print(
         f"reconstructed process at {_fmt(time)} ns: "
         f"min eigenvalue {_fmt(diagnostics['min_eigenvalue'])}, "
-        f"tp defect {_fmt(diagnostics['tp_defect'])}"
+        f"tp defect {_fmt(diagnostics['tp_defect'])}", file=sys.stderr
     )
     return 0
 
@@ -224,13 +222,13 @@ def cmd_project(args) -> int:
         "success": result.success,
     }
     _dump_json(_process_doc(result.chi_tilde, diagnostics), args.out)
-    print("physicality report:")
-    print(f"  min eigenvalue  {_fmt(result.min_eigenvalue)}")
-    print(f"  tp defect       {_fmt(result.tp_defect)}")
+    print("physicality report:", file=sys.stderr)
+    print(f"  min eigenvalue  {_fmt(result.min_eigenvalue)}", file=sys.stderr)
+    print(f"  tp defect       {_fmt(result.tp_defect)}", file=sys.stderr)
     for name in ("p1", "p2", "fro", "d_pro"):
-        print(f"  {name:<15} {_fmt(norms[name])}")
+        print(f"  {name:<15} {_fmt(norms[name])}", file=sys.stderr)
     if not result.success:
-        raise NumericalError(
+        raise NumkitError(
             f"projection failed after {result.iterations} iterations "
             f"(converged {result.converged}, min eig {result.min_eigenvalue:.3g}, "
             f"tp defect {result.tp_defect:.3g})"
@@ -274,8 +272,6 @@ def cmd_lindblad(args) -> int:
     except lindblad.LindbladError as exc:
         raise UsageError(f"--hamiltonian: {exc}") from exc
     times, grid = _read_record(args.record)
-    if len(times) < 3:
-        raise DataError("need at least three timepoints on a doubling schedule")
     schedule = lindblad.TimeSchedule.from_times(times)
     outputs = [[qstate.maxent_reconstruct(e) for e in row] for row in grid]
     measured = nvsim.expectation_table(schedule.times(), [
@@ -286,7 +282,7 @@ def cmd_lindblad(args) -> int:
     try:
         result = lindblad.analyze(outputs, h_super, schedule)
     except PrincipalLogUndefined as exc:
-        raise NumericalError(f"{exc}; reduce t1") from exc
+        raise PrincipalLogUndefined(f"{exc}; reduce t1") from exc
     fit, lset = result.fit, result.lindblads
 
     report = {
@@ -307,9 +303,9 @@ def cmd_lindblad(args) -> int:
         "measured_expectations": measured,
     }
     _dump_json(report, args.out)
-    print("lindblad fit: residual", _fmt(fit.residual))
+    print("lindblad fit: residual", _fmt(fit.residual), file=sys.stderr)
     for i, c in enumerate(lset.contributions, start=1):
-        print(f"  L{i} relative contribution {_fmt(100 * c)}%")
+        print(f"  L{i} relative contribution {_fmt(100 * c)}%", file=sys.stderr)
     if not fit.converged:  # a model step runs only below the evaluation budget
         spent = fit.evaluations >= numkit.MAX_EVALUATIONS
         cause = "its budget" if spent else "a model step's Newton cap"
@@ -335,8 +331,16 @@ def cmd_ellipsoid(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; one to stdout (--help) reaches run, which exits 2
+        if message and file is not None and file is sys.stdout:
+            return file.write(message)
+        super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nvqpt",
         description="Single-qubit process tomography and Markovian "
         "generator estimation",

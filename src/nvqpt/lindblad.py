@@ -143,7 +143,8 @@ def generator_bch_estimate(
     / (12 t1) is -F'(0) extrapolated from the first three schedule times:
     exact when F is a cubic in t, with error O(t1^3) for analytic F."""
     if schedule.count < 3 or len(props) != schedule.count:
-        raise LindbladError("need one propagator per time, at three or more doubling times")
+        raise LindbladError("need at least three timepoints on a doubling schedule, "
+                            "one propagator each")
     times = np.array(schedule.times()[:3])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects inf and nan
         half = matrix_exp(1j * times / 2 * np.asarray(h_super, dtype=complex))
@@ -298,10 +299,11 @@ class Analysis(NamedTuple):
 def analyze(outputs, h_super: np.ndarray, schedule: TimeSchedule) -> Analysis:
     """Fit the generator to outputs[i], the four output densities (inputs ordered as
     qpt.input_states()) at the schedule's i-th time (Boulant et al., PRA 67, 042322
-    (2003)).  PrincipalLogUndefined from the log estimate at t1 propagates."""
+    (2003)).  The BCH start comes first, so that fewer than three times raise its
+    LindbladError; PrincipalLogUndefined from the log estimate at t1 then propagates."""
     props = [propagator_from_outputs(out) for out in outputs]
-    log_estimate = generator_log_estimate(props[0], h_super, schedule.t1)
     start = gks_start_from_generator(generator_bch_estimate(props, h_super, schedule))
+    log_estimate = generator_log_estimate(props[0], h_super, schedule.t1)
     fit = fit_generator(props, h_super, schedule, start)
     lindblads = lindblads_from_gks(fit.gks)
     per_input = [predict_expectations(fit.relaxation, h_super, rho0, schedule.times())

@@ -27,10 +27,6 @@ class PrincipalLogUndefined(NumkitError):
     pass
 
 
-class ObjectiveDiverged(NumkitError):
-    pass
-
-
 def _as_square(m, stack: bool = False, dtype=complex) -> np.ndarray:
     a = np.asarray(m, dtype=dtype)
     if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
@@ -288,7 +284,7 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
         evals += 1
         r, jac = (np.asarray(x, dtype=float) for x in model(c))
         if not np.all(np.isfinite(r)):
-            raise ObjectiveDiverged(f"objective diverged at components {c}")
+            raise NumkitError(f"objective diverged at components {c}")
         return r, float(r @ r), jac
 
     r, cost, jac = f(c)

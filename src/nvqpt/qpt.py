@@ -26,10 +26,6 @@ class ProcessError(ValueError):
     pass
 
 
-class NotCompletelyPositive(ProcessError):
-    pass
-
-
 def matrix_units() -> list[np.ndarray]:
     """|i><j| in row-major order: E00, E01, E10, E11."""
     return list(np.eye(4, dtype=complex).reshape(4, 2, 2))
@@ -117,8 +113,8 @@ class KrausSet(NamedTuple):
 def kraus_from_chi(chi: np.ndarray) -> KrausSet:
     ops, low = psd_factors(chi, _NORMAL_BASIS)
     if low < tolerances.get("min_eig_floor"):
-        raise NotCompletelyPositive(f"chi has eigenvalue {low:.3g}: not completely "
-                                    "positive -- repair it first (cpfit.project_to_cp)")
+        raise ProcessError(f"chi has eigenvalue {low:.3g}: not completely "
+                           "positive -- repair it first (cpfit.project_to_cp)")
     return KrausSet(operators=ops)
 
 

@@ -28,19 +28,9 @@ def affine_reconstructed(data: dict | None = None) -> dict[str, AffineMap]:
     return {k: AffineMap(np.array(data["affine_reconstructed"][k])) for k in TIME_KEYS}
 
 
-def discrepancy_norms(data: dict | None = None) -> dict[str, dict[str, float]]:
-    data = data or load()
-    return data["discrepancy_norms"]
-
-
 def lindblad_operators(data: dict | None = None) -> list[np.ndarray]:
     data = data or load()
     return [
         np.array(entry["re"]) + 1j * np.array(entry["im"])
         for entry in data["lindblad_operators"]
     ]
-
-
-def reported_contributions_pct(data: dict | None = None) -> list[float]:
-    data = data or load()
-    return [entry["reported_contribution_pct"] for entry in data["lindblad_operators"]]

@@ -1,7 +1,11 @@
-"""Central table of numerical tolerances.
+"""Table of the package's named numerical tolerances.
 
-Every tolerance used across the package lives in DEFAULTS, so each check
-reads its threshold from one place.  The values are fixed.
+DEFAULTS holds the thresholds of the linear algebra kernel's input checks
+(Hermitian input, log branch, log round trip) and the physical thresholds
+for processes, states and GKS matrices; each check of those reads its
+threshold here.  The values are fixed.  Other checks keep a literal where
+they make it: lindblad's two Hermitian checks use 1e-9, the CLI's process
+reader 1e-6, and the optimizers their own stopping rules.
 """
 
 from __future__ import annotations

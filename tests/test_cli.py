@@ -246,7 +246,8 @@ def test_float_range_stderr_is_one_error_line(tmp_path, stage, edit):
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory", "closed-stdout",
-                                   "closed-unbuffered-stdout", "closed-stdout-help", "no-stdout"])
+                                   "closed-unbuffered-stdout", "closed-stdout-help",
+                                   "closed-unbuffered-stdout-help", "no-stdout"])
 def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
     """An --out that cannot be opened, a stdout pipe with no reader or a stdout
     closed at start-up exits 2 with one error line, not a traceback."""
@@ -330,7 +331,7 @@ class TestReconstruct:
         assert run("simulate", "--t1ns", "1e-10", "--shots", "0", "--out", str(record)) == 0
         capsys.readouterr()
         assert run("reconstruct", str(record), "--time", "1e-10", "--out", str(out)) == 0
-        assert capsys.readouterr().out.startswith("reconstructed process at 1e-10 ns:")
+        assert capsys.readouterr().err.startswith("reconstructed process at 1e-10 ns:")
         assert json.loads(out.read_text())["diagnostics"]["time_ns"] == 1e-10
 
     @pytest.mark.parametrize("time", ["nan", "inf"])
@@ -387,7 +388,7 @@ class TestProject:
     def test_clean_process_passes(self, process_path, tmp_path, capsys):
         out = tmp_path / "projected.json"
         assert run("project", str(process_path), "--out", str(out)) == 0
-        text = capsys.readouterr().out
+        text = capsys.readouterr().err
         assert "physicality report" in text
         doc = json.loads(out.read_text())
         assert doc["schema"] == "qpt-process/1"
@@ -404,8 +405,9 @@ class TestProject:
         monkeypatch.setattr(cpfit, "MAX_ITERATIONS", 1)
         assert run("project", str(raw), "--out", str(fixed)) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: projection failed after 1 iterations")
-        assert err.count("\n") == 1
+        assert err.startswith("physicality report:\n")
+        assert err.splitlines()[-1].startswith("error: projection failed after 1 iterations")
+        assert err.count("\n") == 8 and err.count("error: ") == 1
         # the output file is still written, and says the projection failed
         assert json.loads(fixed.read_text())["diagnostics"]["success"] is False
 
@@ -509,7 +511,7 @@ class TestLindblad:
                 meas = doc["measured_expectations"][label][key]
                 for ax in ("sx", "sy", "sz"):
                     assert pred[ax] == pytest.approx(meas[ax], abs=1e-6)
-        text = capsys.readouterr().out
+        text = capsys.readouterr().err
         assert "relative contribution" in text
 
     def test_measured_table_is_the_maxent_readout(self, tmp_path):
@@ -588,9 +590,10 @@ class TestLindblad:
         assert run("lindblad", str(record), "--out", str(out)) == 4
         assert json.loads(out.read_text())["converged"] is False
         err = capsys.readouterr().err
-        assert err.startswith("warning: generator fit stopped on a model step's Newton cap "
-                              "after 1 evaluations")
-        assert err.count("\n") == 1
+        assert err.startswith("lindblad fit: residual ")
+        assert err.splitlines()[-1].startswith(
+            "warning: generator fit stopped on a model step's Newton cap after 1 evaluations")
+        assert err.count("warning: ") == 1
 
     @pytest.mark.parametrize("detuning", ["0", "0.03"])
     def test_fast_decay_scales_and_squares(self, tmp_path, detuning):
@@ -636,13 +639,17 @@ class TestLindblad:
         assert run("lindblad", str(bad)) == 3
 
     def test_too_few_times_is_data_error(self, tmp_path, capsys):
+        # at T2 = 1 ns the 20 ns coherences sit below the branch cut: the
+        # three-time rule must stop the stage before the principal log does
         path = tmp_path / "short.json"
-        assert run("simulate", "--shots", "0", "--timepoints", "2",
-                   "--out", str(path)) == 0
-        capsys.readouterr()
-        assert run("lindblad", str(path)) == 3
-        assert capsys.readouterr().err == (
-            "error: need at least three timepoints on a doubling schedule\n")
+        for argv in [("--timepoints", "2"), ("--timepoints", "2", "--t1", "2", "--t2", "1"),
+                     ("--timepoints", "1")]:
+            assert run("simulate", "--shots", "0", *argv, "--out", str(path)) == 0
+            capsys.readouterr()
+            assert run("lindblad", str(path)) == 3
+            assert capsys.readouterr().err == (
+                "error: need at least three timepoints on a doubling schedule, "
+                "one propagator each\n")
 
     def test_branch_ambiguity_is_numerical_error(self, tmp_path, capsys):
         # T2 = 1 ns at t = 20 ns leaves coherences below the branch cut
@@ -702,8 +709,9 @@ def test_tolerances_variable_is_not_read(record_path, tmp_path):
         out = tmp_path / f"raw{len(outputs)}.json"
         proc = _python("-m", "nvqpt.cli", "reconstruct", str(record_path), "--time", "20",
                        "--out", str(out), **unread)
-        assert proc.returncode == 0 and proc.stderr == ""
-        outputs.append((proc.stdout, out.read_bytes()))
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert proc.stderr.startswith("reconstructed process at 20 ns:")
+        outputs.append((proc.stderr, out.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
@@ -894,18 +902,37 @@ def test_console_script_is_run():
     assert callable(cli.run)
 
 
+@pytest.mark.parametrize("stage", ["simulate", "reconstruct", "project", "lindblad", "ellipsoid"])
+def test_stdout_document_is_the_out_file(record_path, process_path, tmp_path, stage, capsys):
+    """--out - (the default) writes to stdout the bytes that --out FILE writes,
+    and nothing else: the stage's report goes to stderr in both runs."""
+    argv = {"simulate": ("simulate", "--seed", "1"),
+            "reconstruct": ("reconstruct", str(record_path), "--time", "20"),
+            "project": ("project", str(process_path)),
+            "lindblad": ("lindblad", str(record_path)),
+            "ellipsoid": ("ellipsoid", str(process_path), "--points", "8")}[stage]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 0
+    first = capsys.readouterr()
+    assert first.out == ""
+    assert run(*argv) == 0
+    assert capsys.readouterr() == (out.read_text(), first.err)
+    if stage != "ellipsoid":
+        json.loads(out.read_text())
+
+
 @pytest.mark.parametrize("stage", ["reconstruct", "metrics"])
 def test_process_stdout_matches_main(record_path, process_path, tmp_path, stage, capsys):
     """A stage run as its own process, with stdout a file and so
     block-buffered, prints the same bytes as main in-process: nothing that
     run holds in the buffer at exit is lost."""
-    argv = {"reconstruct": ("reconstruct", str(record_path), "--time", "20",
-                            "--out", str(tmp_path / "again.json")),
+    argv = {"reconstruct": ("reconstruct", str(record_path), "--time", "20"),
             "metrics": ("metrics", str(process_path), str(process_path), "--json")}[stage]
     capsys.readouterr()
     assert run(*argv) == 0
-    expected = capsys.readouterr().out
+    expected = capsys.readouterr()
     with open(tmp_path / "stdout.txt", "w") as fh:
         proc = _python("-m", "nvqpt.cli", *argv, stdout=fh, PYTHONUNBUFFERED="")
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert expected and (tmp_path / "stdout.txt").read_text() == expected
+    assert proc.returncode == 0 and proc.stderr == expected.err
+    assert expected.out and (tmp_path / "stdout.txt").read_text() == expected.out

@@ -238,5 +238,5 @@ class TestProjection:
         chi = qpt.affine_to_chi(affine)
         result = project_to_cp(chi)
         assert result.success
-        reported = reference.discrepancy_norms(data)["20"]["fro"]
+        reported = data["discrepancy_norms"]["20"]["fro"]
         assert result.frobenius_distance <= reported + 0.01

@@ -5,7 +5,6 @@ from nvqpt import lindblad, tolerances
 from nvqpt.numkit import eig_hermitian
 from nvqpt.qpt import (
     AffineMap,
-    NotCompletelyPositive,
     ProcessError,
     affine_to_chi,
     apply_chi,
@@ -193,7 +192,7 @@ class TestKraus:
     def test_unphysical_rejected(self):
         chi = CHI_IDENTITY.copy()
         chi[1, 1] = -0.2
-        with pytest.raises(NotCompletelyPositive):
+        with pytest.raises(ProcessError, match="not completely positive"):
             kraus_from_chi(chi)
 
     @pytest.mark.parametrize("e, cp", [(-5e-9, False), (-5e-10, True)])
@@ -205,7 +204,7 @@ class TestKraus:
         if cp:
             assert len(kraus_from_chi(chi).operators) == 1
         else:
-            with pytest.raises(NotCompletelyPositive):
+            with pytest.raises(ProcessError, match="not completely positive"):
                 kraus_from_chi(chi)
 
     def test_cut_off_is_the_lindblad_operators(self):
