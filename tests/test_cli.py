@@ -639,8 +639,8 @@ class TestLindblad:
         assert run("lindblad", str(bad)) == 3
 
     def test_too_few_times_is_data_error(self, tmp_path, capsys):
-        # at T2 = 1 ns the 20 ns coherences sit below the branch cut: the
-        # three-time rule must stop the stage before the principal log does
+        # the second record's T2 = 1 ns puts the 20 ns coherences below the branch
+        # cut: the three-time rule must stop the stage before the principal log does
         path = tmp_path / "short.json"
         for argv in [("--timepoints", "2"), ("--timepoints", "2", "--t1", "2", "--t2", "1"),
                      ("--timepoints", "1")]:
