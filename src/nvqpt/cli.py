@@ -5,10 +5,12 @@ ellipsoid.  Exit codes: 0 success, 2 usage error (including a bad
 argument value, an unwritable --out or a closed stdout), 3 data error
 (including a malformed input document), 4 numerical failure (including a
 kernel error no stage maps itself, and a float overflow, division by zero
-or invalid operation, which main makes numpy raise); stages raise, main
-prints.  A stage writes its document to --out (stdout by default) and its
-report to stderr.  main(argv) is the in-process API; run is the process
-entry point.
+or invalid operation, which main makes numpy raise).  A stage writes its
+document to --out (stdout by default) and its report to stderr; every
+stdout write goes through _write.  A stage ends by returning, which exits
+0, or by raising, which main prints as one error: line and maps to the
+exit code.  main(argv) is the in-process API; run is the process entry
+point.
 Matrices are serialized as separate real and imaginary parts so the
 JSON files stay portable.
 """
@@ -169,7 +171,7 @@ def _read_record(path: str) -> tuple[list[float], list[list[qstate.PauliExpectat
     return times, grid
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     try:
         cfg = nvsim.SimConfig(**{name: getattr(args, name) for name in nvsim.SimConfig._fields})
         schedule = lindblad.TimeSchedule(t1=args.t1ns, count=args.timepoints)
@@ -177,10 +179,9 @@ def cmd_simulate(args) -> int:
     except (nvsim.SimulationError, lindblad.LindbladError) as exc:
         raise UsageError(str(exc)) from exc
     _dump_json(record.to_record_dict(), args.out)
-    return 0
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> None:
     if not np.isfinite(args.time):
         raise UsageError(f"--time must be finite, got {args.time}")
     times, grid = _read_record(args.record)
@@ -207,10 +208,9 @@ def cmd_reconstruct(args) -> int:
         f"min eigenvalue {_fmt(diagnostics['min_eigenvalue'])}, "
         f"tp defect {_fmt(diagnostics['tp_defect'])}", file=sys.stderr
     )
-    return 0
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> None:
     chi = _read_process(args.process)
     result = cpfit.project_to_cp(chi)
     norms = qpt.unphysicality_norms(chi, result.chi_tilde)
@@ -233,10 +233,9 @@ def cmd_project(args) -> int:
             f"(converged {result.converged}, min eig {result.min_eigenvalue:.3g}, "
             f"tp defect {result.tp_defect:.3g})"
         )
-    return 0
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     chi_a = _read_process(args.process_a)
     chi_b = _read_process(args.process_b)
     norms = qpt.unphysicality_norms(chi_a, chi_b)
@@ -257,16 +256,13 @@ def cmd_metrics(args) -> int:
     if args.json:
         if warning:
             table["warning"] = warning
-        print(json.dumps(table, indent=2, sort_keys=True))
+        _dump_json(table, "-")
     else:
-        for name, value in table.items():
-            print(f"{name:<28} {_fmt(value)}")
-        if warning:
-            print(warning)
-    return 0
+        text = "".join(f"{name:<28} {_fmt(value)}\n" for name, value in table.items())
+        _write(text + (f"{warning}\n" if warning else ""), "-")
 
 
-def cmd_lindblad(args) -> int:
+def cmd_lindblad(args) -> None:
     try:
         h_super = lindblad.hamiltonian_superop(lindblad.detuning_hamiltonian(args.hamiltonian))
     except lindblad.LindbladError as exc:
@@ -309,13 +305,11 @@ def cmd_lindblad(args) -> int:
     if not fit.converged:  # a model step runs only below the evaluation budget
         spent = fit.evaluations >= numkit.MAX_EVALUATIONS
         cause = "its budget" if spent else "a model step's Newton cap"
-        print(f"warning: generator fit stopped on {cause} after {fit.evaluations} "
-              "evaluations (each with its Jacobian) before converging", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return 0
+        raise NumkitError(f"generator fit stopped on {cause} after {fit.evaluations} "
+                          "evaluations (each with its Jacobian) before converging")
 
 
-def cmd_ellipsoid(args) -> int:
+def cmd_ellipsoid(args) -> None:
     doc = _load_json(args.process, PROCESS_SCHEMA)
     affine = qpt.AffineMap(_real_array(doc, args.process, "affine"))
     try:
@@ -328,7 +322,6 @@ def cmd_ellipsoid(args) -> int:
     _write("\n".join(lines) + "\n", args.out)
     print(f"{args.points} points, {int(violation.sum())} Bloch-ball violations",
           file=sys.stderr)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,10 +392,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 def run() -> None:

@@ -247,21 +247,27 @@ def test_float_range_stderr_is_one_error_line(tmp_path, stage, edit):
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory", "closed-stdout",
                                    "closed-unbuffered-stdout", "closed-stdout-help",
-                                   "closed-unbuffered-stdout-help", "no-stdout"])
+                                   "closed-unbuffered-stdout-help", "no-stdout",
+                                   "no-stdout-metrics"])
 def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
     """An --out that cannot be opened, a stdout pipe with no reader or a stdout
     closed at start-up exits 2 with one error line, not a traceback."""
     if "stdout" in where:
         out = "-"
-        argv = ("--help",) if where.endswith("help") else ("--seed", "1", "--out", out)
+        argv = ("simulate", "--help") if where.endswith("help") else (
+            "simulate", "--seed", "1", "--out", out)
+        if where.endswith("metrics"):  # the inputs are golden files, so tmp_path stays empty
+            golden = os.path.join(os.path.dirname(__file__), "golden", "seed1")
+            argv = ("metrics", *(os.path.join(golden, f) for f in ("raw.json", "fixed.json")))
         # A pipe whose read end is closed before the child starts: run's flush
         # (block-buffered) or the stage's own write (unbuffered) fails with EPIPE.
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = _python("-m", "nvqpt.cli", "simulate", *argv, stdout=write,
+            proc = _python("-m", "nvqpt.cli", *argv, stdout=write,
                            PYTHONUNBUFFERED="1" if "unbuffered" in where else "",
-                           preexec_fn=(lambda: os.close(1)) if where == "no-stdout" else None)
+                           preexec_fn=(lambda: os.close(1)) if where.startswith("no-stdout")
+                           else None)
         finally:
             os.close(write)
     else:
@@ -573,11 +579,15 @@ class TestLindblad:
         assert json.loads(out.read_text())["converged"] is False
         err = capsys.readouterr().err
         assert "stopped on its budget after 1 evaluations" in err
+        assert err.splitlines()[-1] == (
+            "error: generator fit stopped on its budget after 1 evaluations (each with its "
+            "Jacobian) before converging")
+        assert err.count("error: ") == 1 and "warning:" not in err
 
     def test_newton_cap_stop_is_reported(self, tmp_path, monkeypatch, capsys):
         # all 5 model steps of the seed-1 record's fit are constrained, and one
         # clip per step cannot meet the Newton stop: the fit stops unconverged
-        # below its evaluation budget, and the warning names the Newton cap
+        # below its evaluation budget, and the error names the Newton cap
         record, out = tmp_path / "record.json", tmp_path / "lindblad.json"
         assert run("simulate", "--seed", "1", "--out", str(record)) == 0
         times, grid = cli._read_record(record)
@@ -591,9 +601,10 @@ class TestLindblad:
         assert json.loads(out.read_text())["converged"] is False
         err = capsys.readouterr().err
         assert err.startswith("lindblad fit: residual ")
-        assert err.splitlines()[-1].startswith(
-            "warning: generator fit stopped on a model step's Newton cap after 1 evaluations")
-        assert err.count("warning: ") == 1
+        assert err.splitlines()[-1] == (
+            "error: generator fit stopped on a model step's Newton cap after 1 evaluations "
+            "(each with its Jacobian) before converging")
+        assert err.count("error: ") == 1 and "warning:" not in err
 
     @pytest.mark.parametrize("detuning", ["0", "0.03"])
     def test_fast_decay_scales_and_squares(self, tmp_path, detuning):
