@@ -254,11 +254,13 @@ def test_unwritable_out_stderr_is_one_error_line(tmp_path, where):
     closed at start-up exits 2 with one error line, not a traceback."""
     if "stdout" in where:
         out = "-"
-        argv = ("simulate", "--help") if where.endswith("help") else (
-            "simulate", "--seed", "1", "--out", out)
         if where.endswith("metrics"):  # the inputs are golden files, so tmp_path stays empty
             golden = os.path.join(os.path.dirname(__file__), "golden", "seed1")
             argv = ("metrics", *(os.path.join(golden, f) for f in ("raw.json", "fixed.json")))
+        elif where.endswith("help"):
+            argv = ("simulate", "--help")
+        else:
+            argv = ("simulate", "--seed", "1", "--out", out)
         # A pipe whose read end is closed before the child starts: run's flush
         # (block-buffered) or the stage's own write (unbuffered) fails with EPIPE.
         read, write = os.pipe()
