@@ -85,13 +85,8 @@ def chi_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """E(rho) = sum_mn chi_mn A_m rho A_n^dag."""
-    chi = np.asarray(chi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            out += chi[m, n] * _NORMAL_BASIS[m] @ rho @ _NORMAL_BASIS[n].conj().T
-    return out
+    return np.einsum("mn,mab,bc,ndc->ad", np.asarray(chi, dtype=complex), _NORMAL_BASIS,
+                     np.asarray(rho, dtype=complex), _NORMAL_BASIS.conj())
 
 
 class KrausSet(NamedTuple):

@@ -4,7 +4,6 @@ data/nv_reference.json for provenance)."""
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 import numpy as np
 
@@ -14,6 +13,9 @@ TIME_KEYS = ("20", "40", "80")
 
 
 def load() -> dict:
+    # Imported here: importlib.resources pulls in pathlib, tempfile and more at `import nvqpt`.
+    from importlib import resources
+
     text = resources.files("nvqpt.data").joinpath("nv_reference.json").read_text()
     return json.loads(text)
 

@@ -905,6 +905,18 @@ def test_cli_import_is_numpy_only():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_skips_importlib_resources():
+    """Importing the CLI must not pull in importlib.resources (and with it
+    pathlib, tempfile, shutil and more): only reference.load reads the bundled
+    data.  Run with -S, so that no site-packages .pth file imports it first."""
+    import site
+    code = (f"import sys; sys.path += {site.getsitepackages()!r}; import nvqpt.cli; "
+            "print('importlib.resources' in sys.modules)")
+    proc = _python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_is_run():
     """The `nvqpt` script enters through run, as `python -m nvqpt.cli` does.
     pyproject.toml is read as text: Python 3.10 has no tomllib."""

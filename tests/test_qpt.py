@@ -44,6 +44,15 @@ def chi_of_kraus(kraus):
     return chi_from_outputs([kraus_channel(kraus)(s) for s in input_states()])
 
 
+def chi_sum(chi, rho):
+    """sum_mn chi_mn A_m rho A_n^dag, written out term by term."""
+    out = np.zeros((2, 2), dtype=complex)
+    for m, am in enumerate(matrix_units()):
+        for n, an in enumerate(matrix_units()):
+            out += chi[m, n] * am @ rho @ an.conj().T
+    return out
+
+
 def dephasing_kraus(p):
     return [np.sqrt(1 - p) * IDENTITY_2, np.sqrt(p) * SIGMA_Z]
 
@@ -169,6 +178,10 @@ class TestChi:
         channel = kraus_channel(kraus)
         for s in input_states():
             assert np.allclose(apply_chi(chi, s), channel(s), atol=1e-10)
+        for _ in range(20):
+            rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            expected = chi_sum(chi, rho)
+            assert np.max(np.abs(apply_chi(chi, rho) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_chi_is_hermitian_psd_for_channels(self, rng):
         chi = chi_of_kraus(random_channel_kraus(rng))
@@ -338,8 +351,12 @@ class TestCptpVerdict:
 
 class TestChoi:
     def test_choi_equals_chi_in_normal_basis(self, rng):
-        chi = chi_of_kraus(random_channel_kraus(rng))
-        assert np.allclose(chi_to_choi(chi), chi, atol=1e-10)
+        """Exactly: every product with a matrix unit is exact, so
+        jamiolkowski_state is chi / 2 to the bit."""
+        chis = [chi_of_kraus(random_channel_kraus(rng))]
+        chis += [scale * random_hermitian(rng, 4) for scale in (1e-200, 1.0, 1e200)]
+        for chi in chis:
+            assert np.array_equal(chi_to_choi(chi), chi)
 
     def test_jamiolkowski_is_a_state(self, rng):
         rho = jamiolkowski_state(chi_of_kraus(random_channel_kraus(rng)))
