@@ -1,5 +1,6 @@
 import json
 import os
+import site
 import subprocess
 import sys
 import warnings
@@ -909,7 +910,6 @@ def test_cli_import_skips_importlib_resources():
     """Importing the CLI must not pull in importlib.resources (and with it
     pathlib, tempfile, shutil and more): only reference.load reads the bundled
     data.  Run with -S, so that no site-packages .pth file imports it first."""
-    import site
     code = (f"import sys; sys.path += {site.getsitepackages()!r}; import nvqpt.cli; "
             "print('importlib.resources' in sys.modules)")
     proc = _python("-S", "-c", code)

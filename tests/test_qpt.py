@@ -181,7 +181,8 @@ class TestChi:
         for _ in range(20):
             rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             expected = chi_sum(chi, rho)
-            assert np.max(np.abs(apply_chi(chi, rho) - expected)) <= 1e-15 * np.max(np.abs(expected))
+            error = np.max(np.abs(apply_chi(chi, rho) - expected))
+            assert error <= 1e-15 * np.max(np.abs(expected))
 
     def test_chi_is_hermitian_psd_for_channels(self, rng):
         chi = chi_of_kraus(random_channel_kraus(rng))
