@@ -111,7 +111,7 @@ def differences(got: dict[str, str], want: dict[str, str], exact: bool) -> list[
     """One line per output of got that is missing from want, extra, or
     different: in its text, in a number by more than RTOL relative (numbers
     below RTOL in size are rounding noise and compare to RTOL absolute) or,
-    if exact, in its bytes."""
+    if exact, in its bytes, with how many numbers moved and by how much."""
     lines = [f"{name}: missing" for name in sorted(want.keys() - got.keys())]
     lines += [f"{name}: not in the golden set" for name in sorted(got.keys() - want.keys())]
     for name in sorted(got.keys() & want.keys()):
@@ -119,13 +119,17 @@ def differences(got: dict[str, str], want: dict[str, str], exact: bool) -> list[
         if len(a) != len(b) or a[::2] != b[::2]:
             lines.append(f"{name}: text differs")
             continue
-        moved = [(x, y) for x, y in zip(a[1::2], b[1::2])
+        pairs = [(x, y) for x, y in zip(a[1::2], b[1::2]) if x != y]
+        moved = [(x, y) for x, y in pairs
                  if not math.isclose(float(x), float(y), rel_tol=RTOL, abs_tol=RTOL)]
         if moved:
             lines.append(f"{name}: {len(moved)} numbers differ, first {moved[0][0]} "
                          f"against {moved[0][1]}")
-        elif exact and got[name] != want[name]:
-            lines.append(f"{name}: bytes differ")
+        elif exact and pairs:
+            largest = max(abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)), RTOL)
+                          for x, y in pairs)
+            lines.append(f"{name}: bytes differ, {len(pairs)} numbers moved, "
+                         f"largest {largest:.2g} relative")
     return lines
 
 

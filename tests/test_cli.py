@@ -163,44 +163,43 @@ def _put(value, *keys):
     pytest.param("reconstruct", lambda doc: [doc], id="record-list"),
     pytest.param("lindblad", _put(["x", 40.0, 80.0], "times_ns"), id="time-string"),
     pytest.param("lindblad", _put(5, "times_ns"), id="times-not-list"),
-    pytest.param("project", _drop("chi_re"), id="no-chi-re"),
-    pytest.param("project", _put([[0.0]] * 4, "chi_re"), id="chi-re-4x1"),
-    pytest.param("project", _put([[0.0] * 4] * 3 + [[0.0]], "chi_re"), id="chi-re-ragged"),
-    pytest.param("project", _put("abc", "chi_im"), id="chi-im-string"),
-    pytest.param("project", lambda doc: [doc], id="process-list"),
-    pytest.param("metrics", _drop("basis"), id="no-basis"),
-    pytest.param("ellipsoid", _drop("affine"), id="no-affine"),
-    pytest.param("ellipsoid", _put([[1.0, 0.0, 0.0, 0.0], [0.0]], "affine"),
-                 id="affine-ragged"),
+    # a process fault runs against each stage that reads the document
+    pytest.param("process", _drop("chi_re"), id="no-chi-re"),
+    pytest.param("process", _put([[0.0]] * 4, "chi_re"), id="chi-re-4x1"),
+    pytest.param("process", _put([[0.0] * 4] * 3 + [[0.0]], "chi_re"), id="chi-re-ragged"),
+    pytest.param("process", _put("abc", "chi_im"), id="chi-im-string"),
+    pytest.param("process", lambda doc: [doc], id="process-list"),
+    pytest.param("process", _drop("basis"), id="no-basis"),
     # a JSON integer past float range parses, but does not convert to float
-    pytest.param("project", _put(10**400, "chi_re", 0, 0), id="bigint-chi"),
-    pytest.param("ellipsoid", _put(10**400, "affine", 1, 1), id="bigint-affine"),
+    pytest.param("process", _put(10**400, "chi_re", 0, 0), id="bigint-chi"),
     # a JSON string or bool is not a number, even where float() would take it
-    pytest.param("project", lambda doc: doc.update(
+    pytest.param("process", lambda doc: doc.update(
         chi_re=[[repr(v) for v in row] for row in doc["chi_re"]]), id="chi-re-strings"),
-    pytest.param("metrics", _put([[False] * 4] * 4, "chi_im"), id="chi-im-bools"),
-    pytest.param("ellipsoid", _put("0.9", "affine", 1, 1), id="affine-string"),
-    pytest.param("project", _put(0.25, "chi_im", 0, 1), id="chi-not-hermitian"),
+    pytest.param("process", _put([[False] * 4] * 4, "chi_im"), id="chi-im-bools"),
+    pytest.param("process", _put(0.25, "chi_im", 0, 1), id="chi-not-hermitian"),
+    # the Hermitian defect's square is past float range: still a data error
+    pytest.param("process", _put(1e200, "chi_re", 0, 1), id="chi-not-hermitian-1e200"),
 ])
 def test_malformed_document_is_data_error(record_path, process_path, tmp_path,
                                           stage, edit, capsys):
     """Missing keys, wrong types and ragged arrays exit 3 with a message,
-    not with a traceback."""
-    source = record_path if stage in ("reconstruct", "lindblad") else process_path
+    not with a traceback, from every stage that reads the document."""
+    source = process_path if stage == "process" else record_path
     doc = json.loads(source.read_text())
     doc = edit(doc) or doc
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     out = ("--out", str(tmp_path / "x.out"))
-    argv = {
-        "reconstruct": ("reconstruct", str(bad), "--time", "20", *out),
-        "lindblad": ("lindblad", str(bad), *out),
-        "project": ("project", str(bad), *out),
-        "metrics": ("metrics", str(bad), str(process_path)),
-        "ellipsoid": ("ellipsoid", str(bad), "--points", "8", *out),
+    argvs = {
+        "reconstruct": [("reconstruct", str(bad), "--time", "20", *out)],
+        "lindblad": [("lindblad", str(bad), *out)],
+        "process": [("project", str(bad), *out),
+                    ("metrics", str(bad), str(process_path)),
+                    ("ellipsoid", str(bad), "--points", "8", *out)],
     }[stage]
-    assert run(*argv) == 3
-    assert "error:" in capsys.readouterr().err
+    for argv in argvs:
+        assert run(*argv) == 3, argv[0]
+        assert "error:" in capsys.readouterr().err, argv[0]
 
 
 def _retime(times):
@@ -221,8 +220,7 @@ _HUGE = (1e200 * np.eye(4)).tolist()
     pytest.param("lindblad", _retime([1e-320, 2e-320, 4e-320]), id="times-1e-320"),
     pytest.param("project", _put(_HUGE, "chi_re"), id="project-chi-1e200"),
     pytest.param("metrics", _put(_HUGE, "chi_re"), id="metrics-chi-1e200"),
-    pytest.param("ellipsoid", _put([[1.0, 0, 0, 0]] + [[1e200] * 4] * 3, "affine"),
-                 id="affine-1e200"),
+    pytest.param("ellipsoid", _put(_HUGE, "chi_re"), id="ellipsoid-chi-1e200"),
 ])
 def test_float_range_stderr_is_one_error_line(tmp_path, stage, edit):
     """Arithmetic past float range exits 4 with one error line: no traceback,
@@ -440,14 +438,15 @@ class TestProject:
         assert run("project", str(bad), "--out", str(tmp_path / "x.json")) == 3
         assert run("metrics", str(bad), str(process_path)) == 3
 
-    @pytest.mark.parametrize("stage", ["project", "metrics"])
+    @pytest.mark.parametrize("stage", ["project", "metrics", "ellipsoid"])
     def test_non_normal_basis_is_data_error(self, process_path, tmp_path, stage, capsys):
         doc = json.loads(process_path.read_text())
         doc["basis"] = "pauli"
         bad = tmp_path / "pauli.json"
         bad.write_text(json.dumps(doc))
         argv = {"project": ("project", str(bad), "--out", str(tmp_path / "x.json")),
-                "metrics": ("metrics", str(bad), str(bad))}[stage]
+                "metrics": ("metrics", str(bad), str(bad)),
+                "ellipsoid": ("ellipsoid", str(bad), "--out", str(tmp_path / "x.csv"))}[stage]
         assert run(*argv) == 3
         assert "basis must be 'normal'" in capsys.readouterr().err
 
@@ -624,6 +623,20 @@ class TestLindblad:
         a_fit = np.array(doc["a_fit_re"]) + 1j * np.array(doc["a_fit_im"])
         assert np.linalg.norm(a_fit - nvsim.true_gks_matrix(cfg)) <= 1e-12
 
+    def test_writes_the_record_times(self, record_path, tmp_path):
+        # 40.00000001 ns doubles 20 ns to within same_time's 1e-9 |t|; the
+        # document's times and table keys are the record's, so the tables join
+        doc = json.loads(record_path.read_text())
+        _retime([20.0, 40.00000001, 80.0])(doc)
+        record, out = tmp_path / "near.json", tmp_path / "lindblad.json"
+        record.write_text(json.dumps(doc))
+        assert run("lindblad", str(record), "--out", str(out)) == 0
+        fit = json.loads(out.read_text())
+        assert fit["times_ns"] == [20.0, 40.00000001, 80.0]
+        keys = {label: set(per_time) for label, per_time in doc["expectations"].items()}
+        for table in ("predicted_expectations", "measured_expectations"):
+            assert {label: set(per_time) for label, per_time in fit[table].items()} == keys
+
     def test_fits_every_timepoint(self, tmp_path):
         record = tmp_path / "four.json"
         assert run("simulate", "--t1", "4000", "--t2", "400", "--shots", "0",
@@ -691,13 +704,28 @@ class TestEllipsoid:
             assert fields[6] in ("0", "1")
 
     def test_non_finite_affine_is_data_error(self, process_path, tmp_path, capsys):
+        # ellipsoid maps the document's chi, so a NaN there is a non-finite map
         doc = json.loads(process_path.read_text())
-        doc["affine"][2][1] = float("nan")
+        doc["chi_re"][2][1] = float("nan")
         bad = tmp_path / "nan.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "cloud.csv"
         assert run("ellipsoid", str(bad), "--points", "8", "--out", str(out)) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_affine_field_is_not_read(self, process_path, tmp_path):
+        """ellipsoid maps the chi that project and metrics read: an affine
+        field that disagrees with it changes no byte of the cloud."""
+        doc = json.loads(process_path.read_text())
+        doc["affine"] = (0.5 * np.eye(4)).tolist()
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        clouds = []
+        for path in (process_path, edited):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run("ellipsoid", str(path), "--points", "64", "--out", str(out)) == 0
+            clouds.append(out.read_bytes())
+        assert clouds[0] == clouds[1]
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_zero_points_is_usage_error(self, process_path, capsys, points):
@@ -822,11 +850,12 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
         "metrics": ["metrics", bad, process, "--json"],
         "ellipsoid": ["ellipsoid", bad, "--points", "8", "--out", out],
     }
-    readers = {"times_ns": ["reconstruct", "lindblad"], "chi_re": ["project", "metrics"],
-               "chi_im": ["project", "metrics"], "affine": ["ellipsoid"]}
+    process_readers = ["project", "metrics", "ellipsoid"]
+    readers = {"times_ns": ["reconstruct", "lindblad"], "chi_re": process_readers,
+               "chi_im": process_readers}
     runs = []  # (argv, document or None, must exit 3)
     for source, stages in ((record, ["reconstruct", "lindblad"]),
-                           (process, ["project", "metrics", "ellipsoid"])):
+                           (process, process_readers)):
         with open(source) as fh:
             doc = json.load(fh)
         for slot in _slots(doc):
