@@ -3,15 +3,4 @@ estimation for NV-center-style experiments."""
 
 from . import cpfit, lindblad, numkit, nvsim, qpt, qstate, reference, tolerances
 
-__all__ = [
-    "cpfit",
-    "lindblad",
-    "numkit",
-    "nvsim",
-    "qpt",
-    "qstate",
-    "reference",
-    "tolerances",
-]
-
 __version__ = "0.1.0"

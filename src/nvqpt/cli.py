@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import cpfit, lindblad, numkit, nvsim, qpt, qstate
+from . import cpfit, lindblad, numkit, nvsim, qpt, qstate, tolerances
 from .numkit import NumkitError, PrincipalLogUndefined
 
 EXIT_USAGE = 2
@@ -130,9 +130,8 @@ def _read_process(path: str) -> np.ndarray:
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise DataError(f"{path}: chi must be 4x4")
     chi = re + 1j * im
-    with np.errstate(over="ignore"):  # an overflowing defect is inf, which fails too
-        if not np.linalg.norm(chi - chi.conj().T) <= 1e-6:
-            raise DataError(f"{path}: chi is not Hermitian")
+    if numkit.hermitian_defect(chi) > 1e-6:
+        raise DataError(f"{path}: chi is not Hermitian")
     return (chi + chi.conj().T) / 2
 
 
@@ -311,7 +310,11 @@ def cmd_lindblad(args) -> None:
 
 
 def cmd_ellipsoid(args) -> None:
-    affine = qpt.chi_to_affine(_read_process(args.process))
+    chi = _read_process(args.process)
+    defect = qpt.tp_defect(chi)  # chi_to_affine would overwrite the trace row
+    if not defect <= tolerances.get("tp_defect_max"):
+        raise DataError(f"{args.process}: chi is not trace-preserving (tp defect {defect:.3g})")
+    affine = qpt.chi_to_affine(chi)
     try:
         pts, outs, violation = qpt.ellipsoid_samples(affine, args.points)
     except ValueError as exc:  # fewer than one sample, or more than numpy can allocate

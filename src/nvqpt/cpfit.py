@@ -11,6 +11,7 @@ the affine iterate, exactly trace-preserving and PSD once converged.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -66,10 +67,10 @@ def project_to_cp(chi: np.ndarray) -> ProjectionResult:
     qpt.cptp_verdict judges the result: `success` is False when it fails
     or when the projection stops on its iteration budget.
     """
-    chi = np.asarray(chi, dtype=complex)
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(chi))
-    if scale == np.inf:  # an infinite gap tolerance would pass any iterate
+    chi = np.ascontiguousarray(chi, dtype=complex)
+    # a real vdot gives inf past float range, where a complex one can give nan
+    scale = math.sqrt(np.vdot(chi.view(float), chi.view(float)))
+    if scale == math.inf:  # an infinite gap tolerance would pass any iterate
         raise NumkitError("chi's Frobenius norm is beyond float range")
     gap_tol = CONVERGENCE_GAP * max(1.0, scale)
     psd = clip_negative_eigs(chi)

@@ -26,8 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qpt, tolerances
-from .numkit import (_from_components, clip_negative_eigs, hermitian_basis, levenberg_marquardt,
-                     matrix_exp, matrix_log_principal, psd_factors, triangular_from_params)
+from .numkit import (_from_components, clip_negative_eigs, hermitian_basis, hermitian_defect,
+                     levenberg_marquardt, matrix_exp, matrix_log_principal, psd_factors,
+                     triangular_from_params)
 from .qstate import IDENTITY_2, PAULIS, PauliExpectations, checked
 
 # Trace-orthonormal traceless basis: F_alpha = sigma_alpha / sqrt(2).
@@ -71,7 +72,7 @@ def hamiltonian_superop(h) -> np.ndarray:
     """Commutator superoperator: devec(H_hat vec(rho)) = H rho - rho H,
     i.e. H_hat = I (x) H - H^T (x) I."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2) or not np.isfinite(h).all() or np.linalg.norm(h - h.conj().T) > 1e-9:
+    if h.shape != (2, 2) or not np.isfinite(h).all() or hermitian_defect(h) > 1e-9:
         raise LindbladError("Hamiltonian must be 2x2 Hermitian with finite entries")
     out = np.zeros((2, 2, 2, 2), dtype=complex)  # out[a, i, b, j] is entry (2a+i, 2b+j)
     out[[0, 1], :, [0, 1]] = h                   # I (x) H: delta_ab H_ij
@@ -175,8 +176,7 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != (3, 3) or not np.isfinite(a).all():
         raise LindbladError("GKS matrix must be 3x3 Hermitian with finite entries")
-    u = a / max(1.0, np.abs(a).max())  # the norms below cannot overflow
-    if np.linalg.norm(u - u.conj().swapaxes(-1, -2)) > 1e-9 * max(1.0, np.linalg.norm(u)):
+    if hermitian_defect(a) > 1e-9:
         raise LindbladError("GKS matrix must be 3x3 Hermitian")
     return -np.einsum("...ab,abij->...ij", a, _DISSIPATOR_TENSOR)
 

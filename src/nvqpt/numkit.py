@@ -36,23 +36,28 @@ def _as_square(m, stack: bool = False, dtype=complex) -> np.ndarray:
     return a
 
 
+def hermitian_defect(a: np.ndarray) -> float:
+    """|A - A^dag|_F / max(1, |A|_F) of a finite array (a matrix or stack), a Python float.
+    Norms are taken by np.vdot (inf or nan past float range, not a warning); where |A|_F is not
+    below 2^510, on A / max(max|Re A_ij|, max|Im A_ij|), so |A - A^dag|_F stays below 2^511."""
+    size = math.sqrt(np.vdot(a, a).real)
+    if not size < 2.0 ** 510:
+        a = a / max(np.abs(a.real).max(), np.abs(a.imag).max())
+        size = math.sqrt(np.vdot(a, a).real)
+    skew = a - a.conj().swapaxes(-1, -2)
+    return math.sqrt(np.vdot(skew, skew).real) / max(1.0, size)
+
+
 def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix: numpy's EighResult, `eigenvalues` real and
-    ascending, `eigenvectors` unitary, in columns.
-
-    The input is symmetrized as M/2 + M^dag/2 (halved first, so nothing overflows); inputs
-    whose anti-Hermitian part exceeds `hermitian_input` times max(1, |M|_F) are rejected."""
+    ascending, `eigenvectors` unitary, in columns; a hermitian_defect above `hermitian_input` is
+    rejected, and the rest are symmetrized as M/2 + M^dag/2, halved first so nothing overflows."""
     a = _as_square(m)
+    defect = hermitian_defect(a)
+    if defect > tolerances.get("hermitian_input"):
+        raise NumkitError(f"matrix is not Hermitian (relative defect {defect:.3g})")
     half = a / 2
-    h = half.conj().T
-    skew, size = half - h, math.sqrt(np.vdot(a, a).real)
-    if size == math.inf:  # vdot overflows: the same relative test on a / max|a_ij|
-        u = a / np.abs(a).max()
-        skew, size = (u - u.conj().T) / 2, math.sqrt(np.vdot(u, u).real)
-    defect = 2 * math.sqrt(np.vdot(skew, skew).real)  # a Python float: inf, not a warning
-    if defect > tolerances.get("hermitian_input") * max(1.0, size):
-        raise NumkitError(f"matrix is not Hermitian (defect {defect:.3g})")
-    return np.linalg.eigh(half + h)
+    return np.linalg.eigh(half + half.conj().T)
 
 
 def clip_negative_eigs(m) -> np.ndarray:

@@ -3,10 +3,10 @@
 DEFAULTS holds the thresholds of the linear algebra kernel's input checks
 (Hermitian input, log branch, log round trip) and the physical thresholds
 for processes, states and GKS matrices; each check of those reads its
-threshold here.  The values are fixed.  Other checks keep a literal where
-they make it: lindblad's two Hermitian checks use 1e-9, the CLI's process
-reader 1e-6, and the optimizers their own stopping rules.
-"""
+threshold here.  The values are fixed.  The four Hermitian checks share
+numkit.hermitian_defect, each with its own bound: eig_hermitian reads
+`hermitian_input`, lindblad's two checks use 1e-9 and the CLI's process
+reader 1e-6; the optimizers keep their own stopping rules."""
 
 from __future__ import annotations
 

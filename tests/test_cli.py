@@ -703,7 +703,7 @@ class TestEllipsoid:
             assert len(fields) == 7
             assert fields[6] in ("0", "1")
 
-    def test_non_finite_affine_is_data_error(self, process_path, tmp_path, capsys):
+    def test_non_finite_chi_is_data_error(self, process_path, tmp_path, capsys):
         # ellipsoid maps the document's chi, so a NaN there is a non-finite map
         doc = json.loads(process_path.read_text())
         doc["chi_re"][2][1] = float("nan")
@@ -712,6 +712,19 @@ class TestEllipsoid:
         out = tmp_path / "cloud.csv"
         assert run("ellipsoid", str(bad), "--points", "8", "--out", str(out)) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_trace_preserving_chi_is_data_error(self, process_path, tmp_path, capsys):
+        # chi_to_affine overwrites the trace row: 3 chi would map as a trace-preserving process
+        doc = json.loads(process_path.read_text())
+        for key in ("chi_re", "chi_im"):
+            doc[key] = (3 * np.array(doc[key])).tolist()
+        bad = tmp_path / "triple.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "cloud.csv"
+        assert run("ellipsoid", str(bad), "--points", "5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: chi is not trace-preserving (tp defect 2.83)\n"
+        assert not out.exists()
 
     def test_affine_field_is_not_read(self, process_path, tmp_path):
         """ellipsoid maps the chi that project and metrics read: an affine
@@ -933,6 +946,14 @@ def test_cli_import_is_numpy_only():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_star_import_binds_the_modules():
+    """Without __all__, `from nvqpt import *` binds the names __init__ imports."""
+    proc = _python("-c", "from nvqpt import *; print(sorted(k for k in dir() if k[0] != '_'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["cpfit", "lindblad", "numkit", "nvsim", "qpt", "qstate",
+                                       "reference", "tolerances"])
 
 
 def test_cli_import_skips_importlib_resources():

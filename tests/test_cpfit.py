@@ -140,6 +140,13 @@ class TestUncheckedSteps:
         with pytest.raises(NumkitError, match="beyond float range"):
             project_to_cp(1e200 * np.eye(4))
 
+    def test_complex_norm_overflow_is_beyond_float_range(self):
+        # a complex np.vdot past float range is nan, which no inf test catches
+        chi = 1e200 * np.eye(4, dtype=complex)
+        chi[0, 1], chi[1, 0] = 1e200 + 1e200j, 1e200 - 1e200j
+        with pytest.raises(NumkitError, match="beyond float range"):
+            project_to_cp(chi)
+
     def test_clip_equals_core(self, rng):
         for scale in (1e-6, 1.0, 1e3):
             for _ in range(100):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,13 @@ class TestHamiltonians:
     def test_rejects_non_hermitian(self):
         with pytest.raises(LindbladError):
             hamiltonian_superop(np.array([[0, 1], [0, 0]]))
+
+    def test_rejects_non_hermitian_near_float_max(self):
+        # h - h^dag overflowed here, a RuntimeWarning before the verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LindbladError):
+                hamiltonian_superop(np.array([[0, 1e308], [-1e308, 0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):

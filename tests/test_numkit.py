@@ -12,6 +12,23 @@ from nvqpt.numkit import NumkitError, PrincipalLogUndefined
 from conftest import THETAS, random_hermitian, record_outputs
 
 
+class TestHermitianDefect:
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 3, 3)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e150, 1e300])
+    def test_is_the_relative_anti_hermitian_norm(self, rng, scale, shape):
+        # written out on b, whose norms cannot overflow, for m = scale * b; at 1e300 |m|_F
+        # is past 2^510 and the ratio is taken on m scaled to entries of order 1; no case warns
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for _ in range(20):
+                b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                skew = np.linalg.norm(b - b.conj().swapaxes(-1, -2))
+                expected = scale * skew / max(1.0, scale * np.linalg.norm(b))
+                defect = numkit.hermitian_defect(scale * b)
+                assert type(defect) is float and math.isclose(defect, expected, rel_tol=1e-13)
+                assert numkit.hermitian_defect(scale * (b + b.conj().swapaxes(-1, -2))) == 0.0
+
+
 class TestEigHermitian:
     def test_diagonal(self):
         res = numkit.eig_hermitian(np.diag([3.0, 1.0]))
@@ -66,11 +83,13 @@ class TestEigHermitian:
                 with pytest.raises(NumkitError, match="not Hermitian"):
                     numkit.eig_hermitian(a)
 
-    @pytest.mark.parametrize("m", [[[0.0, 1e200], [0.0, 0.0]], [[1e160, 1e160], [0.0, 1e160]]])
+    @pytest.mark.parametrize("m", [[[0.0, 1e200], [0.0, 0.0]], [[1e160, 1e160], [0.0, 1e160]],
+                                   [[0.0, 1e200 + 1e200j], [0.0, 0.0]]])
     def test_rejects_non_hermitian_past_norm_overflow(self, m):
         # both Frobenius norms overflow to inf, and inf > 1e-8 * inf is False: the
         # relative test must run on a / max|a_ij|, or these decompose to +-5e199 and
-        # [5e159, 1.5e160]
+        # [5e159, 1.5e160]; a complex vdot gives nan there, not inf, and a check that
+        # waited for inf took nan > bound as a pass and decomposed the last to +-7.1e199
         with pytest.raises(NumkitError, match="not Hermitian"):
             numkit.eig_hermitian(m)
 
