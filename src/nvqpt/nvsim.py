@@ -36,6 +36,8 @@ class SimConfig(NamedTuple):
     def _check(self):
         if not (0 < self.t1_ns < math.inf and 0 < self.t2_ns < math.inf):
             raise SimulationError("relaxation times must be positive and finite")
+        if min(self.t1_ns, self.t2_ns) <= 1 / sys.float_info.max:  # where 1/T is inf
+            raise SimulationError("relaxation rates 1/T1, 1/T2 are beyond float range")
         if not np.isfinite(self.detuning):
             raise SimulationError("detuning must be finite")
         if self.t2_ns > 2 * self.t1_ns + 1e-12:
@@ -116,14 +118,14 @@ class ExperimentRecord(NamedTuple):
 
 
 def run_experiment(cfg: SimConfig, schedule: lindblad.TimeSchedule) -> ExperimentRecord:
-    """Evolve each input of qpt.input_states() under the true generator, measure at every
-    schedule time, and package the record for the CLI pipeline.  Raises SimulationError when
-    a propagator's qpt.tp_defect exceeds `tp_defect_max` or cannot be bounded (tiny T1, T2)."""
-    h_super, r_hat = true_generator(cfg)
-    gen = 1j * h_super + r_hat
+    """Evolve each input of qpt.input_states() under the true generator and measure it at every
+    schedule time.  Raises SimulationError when a propagator's qpt.tp_defect exceeds
+    `tp_defect_max` or cannot be bounded: tiny T1, T2, or an exponent -G t past float range."""
     times = schedule.times()
     try:
-        props = np.array([matrix_exp(-gen * t) for t in times])
+        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects inf and nan
+            h_super, r_hat = true_generator(cfg)
+            props = np.array([matrix_exp(-(1j * h_super + r_hat) * t) for t in times])
     except NumkitError as exc:
         raise SimulationError(f"propagator trace defect cannot be bounded: {exc}") from exc
     defect = max(qpt.tp_defect(qpt.chi_from_superop(p)) for p in props)

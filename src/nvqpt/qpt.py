@@ -113,21 +113,16 @@ def kraus_from_chi(chi: np.ndarray) -> KrausSet:
     return KrausSet(operators=ops)
 
 
-class _AffineFields(NamedTuple):
+@checked
+class AffineMap(NamedTuple):
+    """Bloch-space form of a trace-preserving qubit map: r -> E r + t,
+    stored as the 4x4 float64 array acting on (1, rx, ry, rz)^T."""
+
     matrix: np.ndarray
 
-
-@checked
-class AffineMap(_AffineFields):
-    """Bloch-space form of a trace-preserving qubit map: r -> E r + t,
-    stored as the 4x4 real matrix acting on (1, rx, ry, rz)^T."""
-
-    __slots__ = ()
-
-    def __new__(cls, matrix):
-        return super().__new__(cls, np.asarray(matrix, dtype=float))
-
     def _check(self):
+        if not (isinstance(self.matrix, np.ndarray) and self.matrix.dtype == np.float64):
+            raise ProcessError("affine matrix must be a float64 numpy array")
         if self.matrix.shape != (4, 4):
             raise ProcessError("affine matrix must be 4x4")
         if not np.all(np.isfinite(self.matrix)):

@@ -831,8 +831,8 @@ _EXTREMES = [0, -0.0, -1, 1e-320, 1e300, -1e300, 10**400, float("nan"), float("i
 _WRONG_TYPES = [True, "0.5", None]
 _SIM_OPTIONS = ["--t1", "--t2", "--detuning", "--alpha", "--shots", "--seed", "--t1ns",
                 "--timepoints"]
-_SIM_VALUES = ["0", "-1", "5", "0.5", "1e-320", "1e-12", "1e300", "-1e300", "nan", "inf",
-               "1" + "0" * 400, "abc"]
+_SIM_VALUES = ["0", "-1", "5", "0.5", "1e-320", "5e-324", "1e-12", "1e300", "1e307", "-1e300",
+               "nan", "inf", "1" + "0" * 400, "abc"]
 
 
 def _slots(doc, path=()):
@@ -846,7 +846,7 @@ def _slots(doc, path=()):
 
 def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
     """Extreme values in every field of a record and of a process document,
-    and in simulate's options.  Each run exits 0, 2, 3 or 4, and no exception
+    and in simulate's options.  Each run exits 0, 2, 3 or 4 (simulate 0 or 2), and no exception
     but argparse's SystemExit, which carries the code, escapes main; exit 3 or
     4 prints exactly one error: line; no run warns; a wrong JSON type where
     a number belongs, in times_ns or a process array the stage reads, exits
@@ -883,7 +883,8 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
         for option in options:
             argv += [str(option), str(rng.choice(_SIM_VALUES))]
         runs.append((argv, None, False))
-    for options in (["--t1", "inf"], ["--t1", "inf", "--t2", "inf", "--shots", "0"]):
+    for options in (["--t1", "inf"], ["--t1", "inf", "--t2", "inf", "--shots", "0"],
+                    ["--detuning", "1e307"], ["--t1", "5e-324", "--t2", "5e-324"]):
         runs.append((["simulate", "--out", out, *options], None, False))
 
     capsys.readouterr()
@@ -902,7 +903,7 @@ def test_fuzzed_inputs_fail_cleanly(tmp_path, capsys):
         captured = capsys.readouterr()
         err = captured.err
         case = (argv, doc)
-        assert code in (0, 2, 3, 4), case
+        assert code in ((0, 2) if argv[0] == "simulate" else (0, 2, 3, 4)), case
         assert not caught and "warning" not in err, case
         if code in (3, 4):
             assert err.startswith("error: ") and err.count("\n") == 1, case

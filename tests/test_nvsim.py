@@ -1,5 +1,7 @@
 import functools
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +51,18 @@ class TestConfig:
         # an infinite time would reach the record's config as Infinity, which is not JSON
         with pytest.raises(SimulationError, match="relaxation times must be positive and finite"):
             SimConfig(**{field: np.inf})
+
+    @pytest.mark.parametrize("t1_ns, t2_ns", [(5e-324, 5e-324), (1.0, 5e-324),
+                                              (1 / sys.float_info.max, 1 / sys.float_info.max)])
+    def test_rejects_rates_past_float_range(self, t1_ns, t2_ns):
+        # 1 / (1 / float max) rounds to inf
+        with pytest.raises(SimulationError, match="1/T1, 1/T2 are beyond float range"):
+            SimConfig(t1_ns=t1_ns, t2_ns=t2_ns)
+
+    def test_accepts_the_least_time_with_a_finite_rate(self):
+        t = np.nextafter(1 / sys.float_info.max, 1.0)
+        assert 1 / float(t) < np.inf
+        SimConfig(t1_ns=t, t2_ns=t)
 
 
 class TestPreparation:
@@ -127,6 +141,17 @@ class TestRecord:
         cfg = SimConfig(t1_ns=t1_ns, t2_ns=t1_ns, shots=0)
         with pytest.raises(SimulationError, match="trace defect"):
             run_experiment(cfg, lindblad.TimeSchedule(t1=20.0))
+
+    @pytest.mark.parametrize("fields", [dict(detuning=1e307), dict(t1_ns=1e-307, t2_ns=1e-307),
+                                        dict(t1_ns=5e-324, t2_ns=5e-324)],
+                             ids=["detuning", "rates", "infinite-rates"])
+    def test_rejects_exponents_past_float_range(self, fields):
+        # -G t overflows at t = 20 ns, and 1/T1 = 1/T2 = inf at 5e-324 ns: an error, not a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationError, match="non-finite entries|beyond float range"):
+                run_experiment(SimConfig(**fields), lindblad.TimeSchedule(t1=20.0))
+        assert not caught
 
     def test_reports_the_propagators_tp_defect(self, monkeypatch):
         # 1.01 P scales every output trace by 1.01: tp_sum is 1.01 I, a defect of 0.01 sqrt(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvqpt import lindblad, tolerances
+from nvqpt import lindblad, reference, tolerances
 from nvqpt.numkit import eig_hermitian
 from nvqpt.qpt import (
     AffineMap,
@@ -247,6 +247,13 @@ class TestAffine:
         m[2, 3] = value
         with pytest.raises(ProcessError):
             AffineMap(m)
+
+    @pytest.mark.parametrize("accessor", [reference.affine_experimental,
+                                          reference.affine_reconstructed])
+    def test_reference_maps_are_float64(self, accessor):
+        maps = accessor()
+        assert list(maps) == ["20", "40", "80"]
+        assert all(a.matrix.dtype == np.float64 for a in maps.values())
 
     def test_identity_channel(self):
         aff = chi_to_affine(CHI_IDENTITY)

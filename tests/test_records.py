@@ -66,6 +66,23 @@ def test_record_contract(cls, fields, bad):
         assert all(np.array_equal(a, b) for a, b in zip(unpickled, rec, strict=True))
 
 
+@pytest.mark.parametrize("matrix", [np.eye(4).tolist(), np.eye(4, dtype=int),
+                                    np.eye(4, dtype=complex)], ids=["list", "int", "complex"])
+def test_affine_map_takes_only_a_float64_array(matrix):
+    rec = qpt.AffineMap(np.eye(4))
+    builds = [lambda: qpt.AffineMap(matrix), lambda: qpt.AffineMap(matrix=matrix),
+              lambda: qpt.AffineMap._make([matrix]), lambda: rec._replace(matrix=matrix)]
+    if sys.version_info >= (3, 13):
+        builds.append(lambda: copy.replace(rec, matrix=matrix))
+    for build in builds:
+        with pytest.raises(qpt.ProcessError, match="float64 numpy array"):
+            build()
+
+
+def test_affine_map_is_a_plain_named_tuple():
+    assert qpt.AffineMap.__mro__[1] is tuple  # no shadow base class between them
+
+
 def test_kraus_sets_share_no_operator_list():
     with pytest.raises(TypeError):
         qpt.KrausSet()
