@@ -109,9 +109,10 @@ def read_golden() -> tuple[dict[str, str], dict]:
 
 def differences(got: dict[str, str], want: dict[str, str], exact: bool) -> list[str]:
     """One line per output of got that is missing from want, extra, or
-    different: in its text, in a number by more than RTOL relative (numbers
-    below RTOL in size are rounding noise and compare to RTOL absolute) or,
-    if exact, in its bytes, with how many numbers moved and by how much."""
+    different: in its text, in a number by more than RTOL relative or RTOL
+    absolute, whichever is larger (so numbers below 1 in size compare to RTOL
+    absolute), or, if exact, in its bytes.  A number or byte difference says
+    how many numbers moved and the largest relative move."""
     lines = [f"{name}: missing" for name in sorted(want.keys() - got.keys())]
     lines += [f"{name}: not in the golden set" for name in sorted(got.keys() - want.keys())]
     for name in sorted(got.keys() & want.keys()):
@@ -123,14 +124,18 @@ def differences(got: dict[str, str], want: dict[str, str], exact: bool) -> list[
         moved = [(x, y) for x, y in pairs
                  if not math.isclose(float(x), float(y), rel_tol=RTOL, abs_tol=RTOL)]
         if moved:
-            lines.append(f"{name}: {len(moved)} numbers differ, first {moved[0][0]} "
-                         f"against {moved[0][1]}")
+            lines.append(f"{name}: {len(moved)} numbers differ, largest {_largest(moved):.2g} "
+                         f"relative, first {moved[0][0]} against {moved[0][1]}")
         elif exact and pairs:
-            largest = max(abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)), RTOL)
-                          for x, y in pairs)
             lines.append(f"{name}: bytes differ, {len(pairs)} numbers moved, "
-                         f"largest {largest:.2g} relative")
+                         f"largest {_largest(pairs):.2g} relative")
     return lines
+
+
+def _largest(pairs: list[tuple[str, str]]) -> float:
+    """The largest |x - y| / max(|x|, |y|, RTOL) over pairs of decimal numbers."""
+    return max(abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)), RTOL)
+               for x, y in pairs)
 
 
 def main() -> None:

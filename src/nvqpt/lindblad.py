@@ -126,7 +126,9 @@ def propagator_from_outputs(outputs: list[np.ndarray]) -> np.ndarray:
 
 
 def propagator_from_superop(generator: np.ndarray, t: float) -> np.ndarray:
-    return matrix_exp(-generator * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects inf and nan
+        exponent = -generator * t
+    return matrix_exp(exponent)
 
 
 def generator_log_estimate(prop: np.ndarray, h_super: np.ndarray, t: float) -> np.ndarray:
@@ -272,9 +274,10 @@ def predict_expectations(r_hat: np.ndarray, h_super: np.ndarray, rho0,
     """Evolve a state under exp(-(iH_hat + R_hat)t) and read out Pauli
     expectations at each requested time: rows 1-3 of R_t (1, r), for the real
     PTMs R_t (one stacked exponential, cached) and rho0's Pauli vector (1, r)."""
-    gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
-    exponent = -gen * np.asarray(times, dtype=float)[:, None, None]
-    props = _propagators(exponent.shape, exponent.tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp rejects inf and nan
+        gen = 1j * np.asarray(h_super, complex) + np.asarray(r_hat, complex)
+        exponent = -gen * np.asarray(times, dtype=float)[:, None, None]
+        props = _propagators(exponent.shape, exponent.tobytes())
     pauli = (vectorize(rho0) @ qpt.PAULI_READOUT).real
     bloch = np.clip((props @ pauli)[:, 1:], -1.0, 1.0)
     return [PauliExpectations(*r) for r in bloch.tolist()]

@@ -5,8 +5,9 @@ its inputs.  Eigendecompositions, QR and linear solves come from numpy.linalg.  
 exponential (one Pade 3-13 evaluation, scaled and squared only above theta_13, also of
 stacks, real for float64), the principal logarithm (inverse scaling and squaring, a 13-point
 Gauss-Legendre rule) and the Levenberg-Marquardt least-squares solver over the positive
-semidefinite cone (each step a semismooth Newton solve; the model supplies its Jacobian) are
-implemented here, so the package needs numpy only.
+semidefinite cone (each step a semismooth Newton solve; the model supplies its Jacobian; the
+damping starts at 1e-6 of max diag J^T J, Madsen, Nielsen and Tingleff's value for a start
+believed close to the minimizer) are implemented here, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -278,10 +279,15 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
     n^2; returns (a_best, cost, evaluations, converged), a_best the matrix of the best c.
 
     Each step minimizes the Gauss-Newton model, damped by lam * max(diag J^T J), on the PSD
-    cone (psd_model_step).  Converges before evaluating a trial step y when the undamped
-    model |r + J (y - c)|^2 lowers the cost by <= 1e-15 of it, or y - c is below 1e-12
-    relative to c.  An accepted trial brings its own J.  The solver stops unconverged before
-    a trial step that would exceed MAX_EVALUATIONS, or on an unconverged model step."""
+    cone (psd_model_step).  lam starts at 1e-6, the value Madsen, Nielsen and Tingleff
+    (Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2) give for a start believed
+    close to the minimizer, as the one caller's is (lindblad's BCH start is O(t1^3) from a
+    consistent record's optimum); it is multiplied by 10 on each refused trial step and
+    divided by 10, down to 1e-12, on each accepted one.  Converges before evaluating a trial
+    step y when the undamped model |r + J (y - c)|^2 lowers the cost by <= 1e-15 of it, or
+    y - c is below 1e-12 relative to c.  An accepted trial brings its own J.  The solver
+    stops unconverged before a trial step that would exceed MAX_EVALUATIONS, or on an
+    unconverged model step."""
     c, evals = _to_components(clip_negative_eigs(a0)), 0
 
     def f(c: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -293,7 +299,7 @@ def levenberg_marquardt(model, a0) -> tuple[np.ndarray, float, int, bool]:
         return r, float(r @ r), jac
 
     r, cost, jac = f(c)
-    lam, eye = 1e-3, np.eye(len(c))
+    lam, eye = 1e-6, np.eye(len(c))
     while True:
         jtj, grad = jac.T @ jac, jac.T @ r
         damping = max(jtj.diagonal().max(), np.finfo(float).tiny) * eye

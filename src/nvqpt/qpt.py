@@ -13,6 +13,7 @@ repaired counterpart also live here.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -144,8 +145,20 @@ class AffineMap(NamedTuple):
 
 
 def chi_to_affine(chi: np.ndarray) -> AffineMap:
-    """(E | t) read off the real Pauli transfer matrix of chi, row 0 set to (1, 0, 0, 0)."""
-    r = ptm(superop_from_chi(chi)).real
+    """(E | t) read off the real Pauli transfer matrix of chi, row 0 set to (1, 0, 0, 0).
+    Where |chi|_F is not below 2^500 (np.vdot: inf or nan past float range, unwarned), the
+    PTM is taken of chi / 2^k, for 2^k just above max(max|Re chi_ij|, max|Im chi_ij|), and
+    scaled back by 2^k, both exactly; ProcessError where chi or the map is not finite."""
+    chi = np.asarray(chi, dtype=complex)
+    if np.vdot(chi, chi).real < 2.0 ** 1000:
+        r = ptm(superop_from_chi(chi)).real
+    else:
+        top = max(np.abs(chi.real).max(), np.abs(chi.imag).max())
+        if not top < np.inf:
+            raise ProcessError("chi has non-finite entries")
+        k = math.frexp(top)[1]
+        with np.errstate(over="ignore"):  # inf past float range, which AffineMap rejects
+            r = np.ldexp(ptm(superop_from_chi(chi * 2.0 ** -k)).real, k)
     r[0] = (1.0, 0.0, 0.0, 0.0)
     return AffineMap(r)
 

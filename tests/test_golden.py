@@ -34,8 +34,9 @@ def test_outputs_match_the_golden_bytes(outputs):
     ("L1 at 0.1 ns\n", [], []),
     ("L1 at 0.10000000000000002 ns\n", [],  # the last bit of 0.1
      ["a: bytes differ, 1 numbers moved, largest 1.4e-16 relative"]),
-    ("L1 at 0.1000001 ns\n", ["a: 1 numbers differ, first 0.1000001 against 0.1"],
-     ["a: 1 numbers differ, first 0.1000001 against 0.1"]),
+    ("L1 at 0.1000001 ns\n",
+     ["a: 1 numbers differ, largest 1e-06 relative, first 0.1000001 against 0.1"],
+     ["a: 1 numbers differ, largest 1e-06 relative, first 0.1000001 against 0.1"]),
     ("L2 at 0.1 ns\n", ["a: text differs"], ["a: text differs"]),  # a digit in a word is text
     ("L1 at 0.1 ns", ["a: text differs"], ["a: text differs"]),
 ])
@@ -46,3 +47,12 @@ def test_differences_tell_numbers_text_and_bytes_apart(text, loose, exact):
     assert differences({"a": text}, want, exact=True) == exact
     assert differences({"b": text}, want, exact=False) == ["a: missing",
                                                            "b: not in the golden set"]
+
+
+def test_differences_give_the_count_and_the_largest_move():
+    # the first move is not the largest; a move within RTOL is not counted
+    want = {"a": "0.1 ns, 4 s, 7 m\n"}
+    got = {"a": "0.1000001 ns, 4.00001 s, 7.000000000000001 m\n"}
+    expected = ["a: 2 numbers differ, largest 2.5e-06 relative, first 0.1000001 against 0.1"]
+    assert golden["differences"](got, want, exact=False) == expected
+    assert golden["differences"](got, want, exact=True) == expected

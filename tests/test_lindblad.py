@@ -166,6 +166,14 @@ class TestPropagators:
         prop = propagator_from_outputs([channel(s) for s in qpt.input_states()])
         assert np.max(np.abs(prop - superop_from_action(channel))) <= 1e-12
 
+    @pytest.mark.parametrize("generator, t", [(1e307 * np.eye(4), 80.0),
+                                              (np.eye(4), math.inf),
+                                              (np.full((4, 4), 1e300), 1e300)])
+    def test_exponent_past_float_range_raises(self, generator, t):
+        # -G t passes float range: NumkitError from matrix_exp, not a RuntimeWarning
+        with pytest.raises(NumkitError, match="non-finite"):
+            propagator_from_superop(generator, t)
+
 
 class TestDissipator:
     def test_pure_dephasing_decay_rate(self):
@@ -666,6 +674,7 @@ class TestPrediction:
         (np.zeros((3, 3)), ValueError, "broadcast"),
         (np.zeros((4, 5)), ValueError, "broadcast"),
         (np.full((4, 4), np.nan), NumkitError, "non-finite"),
+        (1e307 * np.eye(4), NumkitError, "non-finite"),  # -G t passes float range
     ])
     def test_bad_generator_raises_on_every_call(self, r_hat, error, match):
         # an error is never cached: the same call raises again, and a good

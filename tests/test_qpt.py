@@ -274,6 +274,35 @@ class TestAffine:
         assert np.allclose(aff.linear, np.diag([s, s, 1 - g]), atol=1e-10)
         assert np.allclose(aff.translation, [0, 0, g], atol=1e-10)
 
+    @pytest.mark.parametrize("k", [400, 500, 800, 1000])
+    def test_chi_past_float_range_maps_like_its_scaled_copy(self, rng, k):
+        # rows 1-3 of the map of chi 2^k are exactly 2^k times chi's, the basis
+        # change's rounding included, with no warning (pytest raises RuntimeWarning)
+        for _ in range(10):
+            chi = random_hermitian(rng, 4)
+            want = chi_to_affine(chi).matrix
+            got = chi_to_affine(chi * 2.0**k).matrix
+            assert np.array_equal(got[0], [1.0, 0.0, 0.0, 0.0])
+            assert np.array_equal(got[1:], np.ldexp(want[1:], k))
+
+    def test_trace_times_identity_past_float_range(self):
+        # chi = c I is rho -> c tr(rho) I: E = 0 and t = 0; the basis change rounds to
+        # about 6e-18 of c, at 1e308 as at 0.56, and exactly to 0 at a power of two
+        assert np.array_equal(chi_to_affine(2.0**1023 * np.eye(4)).matrix, np.diag([1.0, 0, 0, 0]))
+        got = chi_to_affine(1e308 * np.eye(4)).matrix
+        assert np.array_equal(got[1:], np.ldexp(chi_to_affine(np.ldexp(1e308, -1024)
+                                                              * np.eye(4)).matrix[1:], 1024))
+        assert np.abs(got[1:]).max() <= 1e-17 * 1e308
+
+    @pytest.mark.parametrize("chi, match", [
+        (np.full((4, 4), 1.7e308), "non-finite"),  # an entry of the map passes float range
+        (np.diag([np.inf, 0, 0, 0]), "chi has non-finite entries"),
+        (np.diag([np.nan, 0, 0, 0]), "chi has non-finite entries"),
+    ])
+    def test_non_finite_chi_or_map_raises(self, chi, match):
+        with pytest.raises(ProcessError, match=match):
+            chi_to_affine(chi)
+
     def test_affine_round_trip(self, rng):
         chi = chi_of_kraus(random_channel_kraus(rng))
         aff = chi_to_affine(chi)
